@@ -2,7 +2,6 @@
 spectrum allocation in underlay cognitive networks."""
 
 from .analytics import (
-    CdfKind,
     ThresholdTable,
     build_threshold_table,
     cdf_exact,
@@ -28,7 +27,6 @@ from .distributed import (
     allocate_distributed,
     build_candidate_sets,
     candidacy_probability,
-    claim_channel,
     resolve_contention,
 )
 from .harness import (
@@ -40,43 +38,5 @@ from .harness import (
     threshold_sweep,
     validate,
 )
-
-__all__ = [
-    "AllocationOutcome",
-    "Assignment",
-    "CandidateSets",
-    "CdfKind",
-    "ConfigError",
-    "FadingRealization",
-    "NetworkConfig",
-    "ScalingReport",
-    "SinrTable",
-    "ThresholdTable",
-    "TrialAggregate",
-    "ValidationReport",
-    "allocate_distributed",
-    "build_candidate_sets",
-    "build_threshold_table",
-    "candidacy_probability",
-    "cdf_exact",
-    "cdf_lower",
-    "cdf_upper",
-    "claim_channel",
-    "compute_sinr",
-    "draw_realization",
-    "event_d",
-    "expected_log_max",
-    "favorites",
-    "harmonic_moments",
-    "optimal_assignment_exhaustive",
-    "optimal_assignment_matching",
-    "order_stat_cdf",
-    "resolve_contention",
-    "run_trials",
-    "scaling_sweep",
-    "solve_threshold",
-    "threshold_sweep",
-    "validate",
-]
 
 __version__ = "0.1.0"

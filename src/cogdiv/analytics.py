@@ -6,16 +6,14 @@ variables.  Rates are in bits/s/Hz (base-2 logs).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.stats import binom
 
-from .config import NetworkConfig
-
-#: Residual tolerance of the threshold equation T(lambda) = 1 - 1/N.
-THRESHOLD_TOL = 1e-10
+from .config import ConfigError, NetworkConfig
 
 LN2 = math.log(2.0)
 
@@ -66,29 +64,6 @@ def cdf_exact(x, m: int, n: int, cfg: NetworkConfig):
     return -np.expm1(-expo)
 
 
-@dataclass(frozen=True)
-class CdfKind:
-    """Selects one parent CDF: a bound CDF of band m or a user's exact CDF."""
-
-    tag: str                  # "lower" | "upper" | "exact"
-    m: int
-    cfg: NetworkConfig
-    n: int | None = None      # only used for tag == "exact"
-
-    def __post_init__(self):
-        if self.tag not in ("lower", "upper", "exact"):
-            raise ValueError(f"unknown CDF tag {self.tag!r}")
-        if self.tag == "exact" and self.n is None:
-            raise ValueError("exact CDF needs a user index")
-
-    def __call__(self, x):
-        if self.tag == "lower":
-            return cdf_lower(x, self.m, self.cfg)
-        if self.tag == "upper":
-            return cdf_upper(x, self.m, self.cfg)
-        return cdf_exact(x, self.m, self.n, self.cfg)
-
-
 def partial_binomial_sum(p, big_n: int, i: int):
     """f(p, i) = sum_{j<=i} C(N,j) p^{N-j} (1-p)^j for p in [0, 1].
 
@@ -101,8 +76,12 @@ def partial_binomial_sum(p, big_n: int, i: int):
     return binom.cdf(i, big_n, 1.0 - p)
 
 
-def order_stat_cdf(parent: CdfKind, i: int, big_n: int, x):
-    """CDF of the i-th largest of big_n i.i.d. draws from the parent CDF."""
+def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
+    """CDF of the i-th largest of big_n i.i.d. draws from the parent CDF.
+
+    ``parent`` maps x to a CDF value, for example
+    ``functools.partial(cdf_lower, m=0, cfg=cfg)``.
+    """
     if not 1 <= i <= big_n:
         raise ValueError(f"rank must be in [1, {big_n}], got {i}")
     return partial_binomial_sum(parent(x), big_n, i - 1)
@@ -111,29 +90,27 @@ def order_stat_cdf(parent: CdfKind, i: int, big_n: int, x):
 def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
     """Threshold lambda(m, n): the (1 - 1/N)-quantile of T(.; m, n).
 
-    Bracketing bisection; T is continuous and strictly increasing so
-    the solution is unique.
+    T(x) = 1 - 1/N is solved in log-survival form, without the
+    cancellation in 1 - 1/N:
+
+        g(x) = x / (rho * eta_n) + sum_j log1p(c_j x) - ln N = 0,
+
+    with c_j = (Pp/Ps) gamma_nj / eta_n.  g is increasing and concave
+    with g(0) < 0, so Newton's method from x = 0 rises monotonically to
+    the root; it stops at the first iterate that does not increase.
     """
     if big_n < 2:
-        raise ValueError("population size must be at least 2")
-    target = 1.0 - 1.0 / big_n
-
-    def t(x):
-        return float(cdf_exact(x, m, n, cfg))
-
-    hi = cfg.snr() * cfg.eta[n]
-    while t(hi) <= target:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if t(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        raise ConfigError("population size must be at least 2")
+    slope = 1.0 / (cfg.snr() * cfg.eta[n])
+    coeff = cfg.pp_over_ps() * cfg.gamma[n, :cfg.primary_count[m]] / cfg.eta[n]
+    log_n = math.log(big_n)
+    x = 0.0
+    while True:
+        g = x * slope + float(np.sum(np.log1p(coeff * x))) - log_n
+        step = x - g / (slope + float(np.sum(coeff / (1.0 + coeff * x))))
+        if not step > x:
+            return float(x)
+        x = step
 
 
 @dataclass(frozen=True)

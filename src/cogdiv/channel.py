@@ -23,11 +23,9 @@ class FadingRealization:
 
 @dataclass(frozen=True)
 class SinrTable:
-    """SINR of every (band, user) pair plus its analytic bound variables."""
+    """SINR of every (band, user) pair."""
 
     sinr: np.ndarray      # (M, N)
-    s_lower: np.ndarray   # (M, N), S_l <= SINR
-    s_upper: np.ndarray   # (M, N), SINR <= S_u
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
@@ -47,8 +45,9 @@ def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     return FadingRealization(g_sq=g_sq, h_sq=h_sq)
 
 
-def compute_sinr(cfg: NetworkConfig, real: FadingRealization) -> SinrTable:
-    """SINR and bound tables for one realization.
+def _interference(cfg: NetworkConfig, real: FadingRealization,
+                  weights: np.ndarray) -> np.ndarray:
+    """(M, N) per-band interference sums, sum_j weights[n, j] * |h_mnj|^2.
 
     Bands with fewer primary users than max K_m only see their first
     K_m interference terms.
@@ -59,23 +58,34 @@ def compute_sinr(cfg: NetworkConfig, real: FadingRealization) -> SinrTable:
             f"realization shape {real.g_sq.shape}/{real.h_sq.shape} does not "
             f"match config ({m}, {n}, {k})"
         )
-    rho = cfg.snr()
-    ratio = cfg.pp_over_ps()
-
-    # Per-band interference sums, weighted (for SINR) and raw (for bounds).
-    weighted = np.zeros((m, n))
-    raw = np.zeros((m, n))
+    sums = np.zeros((m, n))
     for band, k_m in enumerate(cfg.primary_count):
         if k_m:
-            h = real.h_sq[band, :, :k_m]
-            weighted[band] = np.sum(h * cfg.gamma[:, :k_m], axis=1)
-            raw[band] = np.sum(h, axis=1)
+            sums[band] = np.sum(real.h_sq[band, :, :k_m] * weights[:, :k_m], axis=1)
+    return sums
 
+
+def compute_sinr(cfg: NetworkConfig, real: FadingRealization) -> SinrTable:
+    """SINR table for one realization."""
+    interference = _interference(cfg, real, cfg.gamma)
     sinr = (cfg.power_secondary * cfg.eta[None, :] * real.g_sq) / (
-        cfg.noise_power + cfg.power_primary * weighted
+        cfg.noise_power + cfg.power_primary * interference
     )
+    sinr.setflags(write=False)
+    return SinrTable(sinr=sinr)
+
+
+def sinr_bounds(cfg: NetworkConfig,
+                real: FadingRealization) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic bound variables (S_l, S_u) with S_l <= SINR <= S_u.
+
+    Each uses the extreme path-loss factors (eta_min with gamma_max, and
+    eta_max with gamma_min), so its entries are i.i.d. across users.
+    Only the validation of the analysis needs them.
+    """
+    raw = _interference(cfg, real, np.ones_like(cfg.gamma))
+    rho = cfg.snr()
+    ratio = cfg.pp_over_ps()
     s_lower = real.g_sq / (1.0 / (rho * cfg.eta_min()) + ratio * cfg.gamma_max() * raw)
     s_upper = real.g_sq / (1.0 / (rho * cfg.eta_max()) + ratio * cfg.gamma_min() * raw)
-    for arr in (sinr, s_lower, s_upper):
-        arr.setflags(write=False)
-    return SinrTable(sinr=sinr, s_lower=s_lower, s_upper=s_upper)
+    return s_lower, s_upper

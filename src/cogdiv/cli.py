@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 DEFAULT_TRIALS = 2000
 DEFAULT_SAMPLES = 100_000
@@ -51,6 +51,10 @@ def _number(pairs, key, required=True, default=None):
         raise ConfigError(f"malformed number for key '{key}': {pairs[key]!r}") from None
 
 
+def _integer(pairs, key, required=True, default=None):
+    return as_int(f"key '{key}'", _number(pairs, key, required, default))
+
+
 def _number_list(pairs, key, default=None):
     if key not in pairs:
         return default
@@ -63,19 +67,21 @@ def _number_list(pairs, key, default=None):
 def parse_config(text: str) -> NetworkConfig:
     """Parse and fully validate a network configuration document."""
     pairs = _parse_pairs(text)
-    n = int(_number(pairs, "N"))
-    m = int(_number(pairs, "M"))
+    n = _integer(pairs, "N")
+    m = _integer(pairs, "M")
     k_list = _number_list(pairs, "K")
     if k_list is None:
         raise ConfigError("missing required key 'K'")
-    counts = tuple(int(k) for k in (k_list * m if len(k_list) == 1 else k_list))
+    counts = tuple(as_int("key 'K'", k) for k in (k_list * m if len(k_list) == 1 else k_list))
     if len(counts) != m:
         raise ConfigError(f"key 'K' needs 1 or {m} entries, got {len(k_list)}")
+    if any(k < 0 for k in counts):
+        raise ConfigError("key 'K' entries must be non-negative")
     snr_db = _number(pairs, "snr_db")
     pp_over_ps = _number(pairs, "pp_over_ps", required=False, default=1.0)
     if pp_over_ps <= 0:
         raise ConfigError("key 'pp_over_ps' must be strictly positive")
-    p_s = 10.0 ** (snr_db / 10.0)
+    p_s = power_from_db(snr_db)
 
     eta = _number_list(pairs, "eta", default=[1.0])
     eta = np.full(n, eta[0]) if len(eta) == 1 else np.asarray(eta)
@@ -108,7 +114,7 @@ def parse_config(text: str) -> NetworkConfig:
             noise_power=1.0,
             eta=eta,
             gamma=gamma,
-            seed=int(_number(pairs, "seed", required=False, default=0.0)),
+            seed=_integer(pairs, "seed", required=False, default=0),
         )
     except ConfigError:
         raise
@@ -137,14 +143,14 @@ def _run_settings(text: str) -> dict:
     """Experiment keys (trial counts, sweep lists) from the same document."""
     pairs = _parse_pairs(text)
     out = {}
-    if "trials" in pairs:
-        out["trials"] = int(_number(pairs, "trials"))
-    if "samples" in pairs:
-        out["samples"] = int(_number(pairs, "samples"))
+    for key in ("trials", "samples"):
+        if key in pairs:
+            out[key] = _integer(pairs, key)
     for key in ("n_values", "rho_db_values", "k_values"):
         values = _number_list(pairs, key)
         if values is not None:
-            out[key] = values
+            out[key] = values if key == "rho_db_values" else [
+                as_int(f"key '{key}'", v) for v in values]
     return out
 
 
@@ -176,7 +182,7 @@ def main(argv=None) -> int:
         settings = _run_settings(text)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        trials = args.trials or settings.get("trials", DEFAULT_TRIALS)
+        trials = settings.get("trials", DEFAULT_TRIALS) if args.trials is None else args.trials
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write-probe"
@@ -186,29 +192,25 @@ def main(argv=None) -> int:
         if args.subcommand == "simulate":
             aggs = {scheme: harness.run_trials(cfg, scheme, trials)
                     for scheme in harness.SCHEMES}
-            lines = ["scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq"]
-            for scheme, agg in aggs.items():
-                lines.append(
-                    f"{scheme},{cfg.num_secondary},{cfg.num_bands},{agg.trials},"
-                    f"{agg.mean_sum_rate!r},{agg.stderr_sum_rate!r},"
-                    f"{agg.mean_info_bits!r},{agg.event_d_frequency!r}")
-            (out_dir / "simulate.csv").write_text("\n".join(lines) + "\n")
+            harness.write_rates_csv(
+                [(scheme, cfg.num_secondary, agg) for scheme, agg in aggs.items()],
+                cfg.num_bands, out_dir / "simulate.csv")
             harness.write_json(
                 {scheme: agg.to_json_dict() for scheme, agg in aggs.items()},
                 out_dir / "simulate.json")
 
         elif args.subcommand == "scaling":
-            n_values = [int(v) for v in settings.get("n_values", DEFAULT_N_VALUES)]
-            report = harness.scaling_sweep(cfg, n_values, trials)
+            report = harness.scaling_sweep(
+                cfg, settings.get("n_values", DEFAULT_N_VALUES), trials)
             harness.write_scaling_csv(report, cfg.num_bands, out_dir / "scaling.csv")
             harness.write_json(report.to_json_dict(), out_dir / "scaling.json")
 
         elif args.subcommand == "thresholds":
             sweep = harness.threshold_sweep(
                 cfg,
-                [int(v) for v in settings.get("n_values", (10, 100, 1000))],
+                settings.get("n_values", (10, 100, 1000)),
                 settings.get("rho_db_values", DEFAULT_RHO_DB_VALUES),
-                [int(v) for v in settings.get("k_values", DEFAULT_K_VALUES)],
+                settings.get("k_values", DEFAULT_K_VALUES),
             )
             harness.write_threshold_csv(sweep, out_dir / "thresholds.csv")
             harness.write_json(

@@ -1,6 +1,8 @@
 """Static network parameters for the underlay spectrum-sharing scenario."""
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,12 +12,31 @@ class ConfigError(ValueError):
     """Inconsistent or out-of-range network parameters."""
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def power_from_db(db: float) -> float:
+    """Linear power ratio 10^(db/10); ConfigError when it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{db!r} dB is out of range") from None
+
+
 def _frozen_array(values, shape=None) -> np.ndarray:
     arr = np.array(values, dtype=float, copy=True)
     if shape is not None:
         arr = arr.reshape(shape)
     arr.setflags(write=False)
     return arr
+
+
+def _positive_finite(arr: np.ndarray) -> bool:
+    return bool(np.all((arr > 0) & (arr < math.inf)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,32 +60,36 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n, m = self.num_secondary, self.num_bands
+        n = as_int("num_secondary", self.num_secondary)
+        m = as_int("num_bands", self.num_bands)
         if n < 1:
             raise ConfigError("num_secondary must be positive")
         if m < 1:
             raise ConfigError("num_bands must be positive")
         if m > n:
             raise ConfigError(f"num_bands ({m}) must not exceed num_secondary ({n})")
-        counts = tuple(int(k) for k in np.atleast_1d(self.primary_count))
+        counts = tuple(as_int("primary_count", k) for k in np.atleast_1d(self.primary_count))
         if len(counts) != m:
             raise ConfigError(f"primary_count needs {m} entries, got {len(counts)}")
         if any(k < 0 for k in counts):
             raise ConfigError("primary_count entries must be non-negative")
-        object.__setattr__(self, "primary_count", counts)
         for name in ("power_secondary", "power_primary", "noise_power"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be strictly positive and finite")
         eta = _frozen_array(self.eta, (n,))
-        if not np.all(eta > 0):
-            raise ConfigError("eta entries must be strictly positive")
+        if not _positive_finite(eta):
+            raise ConfigError("eta entries must be strictly positive and finite")
         k_max = max(counts) if counts else 0
         gamma = _frozen_array(self.gamma, (n, k_max))
-        if k_max and not np.all(gamma > 0):
-            raise ConfigError("gamma entries must be strictly positive")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "seed", int(self.seed))
+        if not _positive_finite(gamma):
+            raise ConfigError("gamma entries must be strictly positive and finite")
+        seed = as_int("seed", self.seed)
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
+        for name, value in (("num_secondary", n), ("num_bands", m),
+                            ("primary_count", counts), ("eta", eta),
+                            ("gamma", gamma), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     # -- derived quantities -------------------------------------------------
 
@@ -103,9 +128,9 @@ class NetworkConfig:
                     pp_over_ps=1.0, eta=1.0, gamma=1.0, seed=0) -> "NetworkConfig":
         """Build a config with identical path-loss factors for every link."""
         if np.ndim(primary_count) == 0:
-            primary_count = (int(primary_count),) * num_bands
+            primary_count = (as_int("primary_count", primary_count),) * num_bands
         k_max = max(primary_count) if len(primary_count) else 0
-        p_s = 10.0 ** (snr_db / 10.0)
+        p_s = power_from_db(snr_db)
         return cls(
             num_secondary=num_secondary,
             num_bands=num_bands,
@@ -124,13 +149,9 @@ class NetworkConfig:
         Path-loss vectors are cycled to the new length, so a homogeneous
         template stays homogeneous at every population size.
         """
-        return NetworkConfig(
+        return dataclasses.replace(
+            self,
             num_secondary=num_secondary,
-            num_bands=self.num_bands,
-            primary_count=self.primary_count,
-            power_secondary=self.power_secondary,
-            power_primary=self.power_primary,
-            noise_power=self.noise_power,
             eta=np.resize(self.eta, num_secondary),
             gamma=np.resize(self.gamma, (num_secondary, self.k_max())),
             seed=self.seed if seed is None else seed,

@@ -34,19 +34,12 @@ class AllocationOutcome:
     idle_bands: tuple[int, ...]         # bands with empty H_m
 
 
-def claim_channel(n: int, t: SinrTable, th: ThresholdTable) -> int | None:
-    """Band claimed by user n, or None if no band passes its threshold.
-
-    The candidate band maximizes SINR / lambda (ties to the lowest band
-    index) and must satisfy SINR >= lambda there.
-    """
-    ratio = t.sinr[:, n] / th.lam[:, n]
-    m_dag = int(np.argmax(ratio))
-    return m_dag if ratio[m_dag] >= 1.0 else None
-
-
 def build_candidate_sets(t: SinrTable, th: ThresholdTable) -> CandidateSets:
-    """Group all users' claims by band; sets are disjoint by construction."""
+    """Group all users' claims by band; sets are disjoint by construction.
+
+    User n claims the band maximizing SINR / lambda (ties to the lowest
+    band index) if SINR >= lambda there, and claims nothing otherwise.
+    """
     num_bands, num_users = t.sinr.shape
     ratio = t.sinr / th.lam
     m_dag = np.argmax(ratio, axis=0)

@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cogdiv import (
-    CdfKind,
     NetworkConfig,
     build_threshold_table,
     cdf_exact,
@@ -94,7 +95,7 @@ def test_negative_x_rejected(hetero_cfg):
 
 def test_order_stat_rank_one_is_nth_power():
     cfg = exp_parent_cfg()
-    parent = CdfKind("lower", 0, cfg)
+    parent = functools.partial(cdf_lower, m=0, cfg=cfg)
     f = parent(2.0)
     assert order_stat_cdf(parent, 1, 10, 2.0) == pytest.approx(f**10, rel=1e-12)
 
@@ -102,14 +103,14 @@ def test_order_stat_rank_one_is_nth_power():
 def test_order_stat_hand_expansion():
     # N=2, i=2, F(x)=0.5 -> 0.25 + 2*0.25 = 0.75
     cfg = exp_parent_cfg(n=2)
-    parent = CdfKind("lower", 0, cfg)
+    parent = functools.partial(cdf_lower, m=0, cfg=cfg)
     x = math.log(2.0)
     assert parent(x) == pytest.approx(0.5, abs=1e-12)
     assert order_stat_cdf(parent, 2, 2, x) == pytest.approx(0.75, rel=1e-12)
 
 
 def test_order_stat_nondecreasing_in_rank():
-    parent = CdfKind("exact", 0, heterogeneous_config(), n=5)
+    parent = functools.partial(cdf_exact, m=0, n=5, cfg=heterogeneous_config())
     n_pop = 40
     values = [float(order_stat_cdf(parent, i, n_pop, 3.0)) for i in range(1, n_pop + 1)]
     assert np.all(np.diff(values) >= -1e-15)
@@ -135,7 +136,7 @@ def test_partial_binomial_sum_against_direct(n_pop):
 
 
 def test_order_stat_rank_out_of_range():
-    parent = CdfKind("lower", 0, exp_parent_cfg())
+    parent = functools.partial(cdf_lower, m=0, cfg=exp_parent_cfg())
     with pytest.raises(ValueError):
         order_stat_cdf(parent, 0, 10, 1.0)
     with pytest.raises(ValueError):
@@ -155,7 +156,19 @@ def test_lemma6_monotone_small():
 def test_threshold_interference_free_closed_form():
     cfg = NetworkConfig.homogeneous(100, 1, 0, 10.0)
     lam = solve_threshold(0, 0, cfg, 100)
-    assert lam == pytest.approx(10.0 * math.log(100.0), rel=1e-9)
+    assert lam == pytest.approx(10.0 * math.log(100.0), rel=1e-15)
+
+
+def test_threshold_huge_population_log_residual():
+    # 1 - 1/N rounds to 1 here; the log-survival equation still has a root.
+    cfg = heterogeneous_config(num_secondary=8, num_bands=2, k=4)
+    big_n = 10**17
+    t0 = time.perf_counter()
+    lam = solve_threshold(1, 3, cfg, big_n)
+    assert time.perf_counter() - t0 < 1.0
+    coeff = cfg.pp_over_ps() * cfg.gamma[3] / cfg.eta[3]
+    log_surv = lam / (cfg.snr() * cfg.eta[3]) + np.sum(np.log1p(coeff * lam))
+    assert abs(log_surv - math.log(big_n)) <= 1e-12 * math.log(big_n)
 
 
 def test_threshold_residual(hetero_cfg):

@@ -19,7 +19,7 @@ from conftest import heterogeneous_config
 
 def table_from(sinr):
     sinr = np.asarray(sinr, dtype=float)
-    return SinrTable(sinr=sinr, s_lower=sinr, s_upper=sinr)
+    return SinrTable(sinr=sinr)
 
 
 def random_table(rng, m, n):

@@ -9,6 +9,7 @@ from cogdiv import (
     compute_sinr,
     draw_realization,
 )
+from cogdiv.channel import sinr_bounds
 
 from conftest import heterogeneous_config
 
@@ -64,26 +65,32 @@ def test_sinr_hand_value_with_interference():
 
 
 def test_homogeneous_bounds_collapse(homog_cfg):
-    table = compute_sinr(homog_cfg, draw_realization(homog_cfg, 3))
-    assert np.allclose(table.s_lower, table.sinr, rtol=1e-12)
-    assert np.allclose(table.s_upper, table.sinr, rtol=1e-12)
+    real = draw_realization(homog_cfg, 3)
+    table = compute_sinr(homog_cfg, real)
+    s_lower, s_upper = sinr_bounds(homog_cfg, real)
+    assert np.allclose(s_lower, table.sinr, rtol=1e-12)
+    assert np.allclose(s_upper, table.sinr, rtol=1e-12)
 
 
 def test_sandwich_invariant(hetero_cfg):
     for t in range(200):
-        table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t))
+        real = draw_realization(hetero_cfg, t)
+        table = compute_sinr(hetero_cfg, real)
+        s_lower, s_upper = sinr_bounds(hetero_cfg, real)
         tol = 1e-9 * np.abs(table.sinr)
-        assert np.all(table.s_lower <= table.sinr + tol)
-        assert np.all(table.sinr <= table.s_upper + tol)
+        assert np.all(s_lower <= table.sinr + tol)
+        assert np.all(table.sinr <= s_upper + tol)
 
 
 def test_order_statistic_interleaving(hetero_cfg):
     # Sorted rows of the bound tables bracket the sorted SINR row.
     for t in range(1000):
-        table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t))
-        lo = -np.sort(-table.s_lower, axis=1)
+        real = draw_realization(hetero_cfg, t)
+        table = compute_sinr(hetero_cfg, real)
+        s_lower, s_upper = sinr_bounds(hetero_cfg, real)
+        lo = -np.sort(-s_lower, axis=1)
         mid = -np.sort(-table.sinr, axis=1)
-        hi = -np.sort(-table.s_upper, axis=1)
+        hi = -np.sort(-s_upper, axis=1)
         tol = 1e-9 * np.abs(mid)
         assert np.all(lo <= mid + tol)
         assert np.all(mid <= hi + tol)
@@ -94,3 +101,5 @@ def test_dimension_mismatch_rejected(hetero_cfg):
     small = heterogeneous_config(num_secondary=10)
     with pytest.raises(ConfigError):
         compute_sinr(small, real)
+    with pytest.raises(ConfigError):
+        sinr_bounds(small, real)

@@ -157,3 +157,37 @@ def test_config_error_exit_code(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("N=4\nM=5\nK=1\nsnr_db=10\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("subcommand, extra_line, flags", [
+    ("simulate", "N = 10.7", ()),
+    ("simulate", "M = 1.5", ()),
+    ("simulate", "K = 2.5", ()),
+    ("simulate", "K = -1", ()),
+    ("simulate", "seed = 0.5", ()),
+    ("simulate", "trials = 2.5", ()),
+    ("validate", "samples = 20000.5", ()),
+    ("scaling", "n_values = 10,20.5", ()),
+    ("scaling", "n_values = ,", ()),
+    ("thresholds", "k_values = 1,2.5", ()),
+    ("simulate", "eta = inf", ()),
+    ("simulate", "gamma = inf", ()),
+    ("simulate", "pp_over_ps = inf", ()),
+    ("simulate", "snr_db = 1e400", ()),
+    ("simulate", "snr_db = 4000", ()),
+    ("thresholds", "rho_db_values = 0,4000", ()),
+    ("simulate", "seed = -1", ()),
+    ("simulate", "trials = 0", ()),
+    ("simulate", "trials = 1000000000", ()),
+    ("validate", "samples = 5000", ()),
+    ("simulate", "", ("--trials", "0")),
+    ("simulate", "", ("--trials", "-3")),
+    ("simulate", "", ("--seed", "-1")),
+])
+def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
+    # A later line overrides the same key in SMALL_DOC.
+    config = tmp_path / "bad.cfg"
+    config.write_text(SMALL_DOC + extra_line + "\n")
+    argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
+    assert main(argv) == 2
+    assert "configuration error" in capsys.readouterr().err

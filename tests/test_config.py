@@ -61,3 +61,16 @@ def test_equality_and_immutability():
     assert cfg != heterogeneous_config(seed=8)
     with pytest.raises(ValueError):
         cfg.eta[0] = 2.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"snr_db": 1e400},
+    {"snr_db": 4000.0},
+    {"eta": float("inf")},
+    {"primary_count": 2.5},
+    {"seed": -1},
+])
+def test_homogeneous_rejects_bad_values(kwargs):
+    args = {"num_secondary": 10, "num_bands": 2, "primary_count": 2, "snr_db": 10.0, **kwargs}
+    with pytest.raises(ConfigError):
+        NetworkConfig.homogeneous(**args)

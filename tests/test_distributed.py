@@ -11,7 +11,6 @@ from cogdiv import (
     build_candidate_sets,
     build_threshold_table,
     candidacy_probability,
-    claim_channel,
     compute_sinr,
     draw_realization,
     optimal_assignment_matching,
@@ -23,7 +22,7 @@ from conftest import heterogeneous_config
 
 def table_from(sinr):
     sinr = np.asarray(sinr, dtype=float)
-    return SinrTable(sinr=sinr, s_lower=sinr, s_upper=sinr)
+    return SinrTable(sinr=sinr)
 
 
 def thresholds(lam, big_n=10):
@@ -34,13 +33,13 @@ def test_claim_picks_largest_normalized():
     # ratios [0.5, 1.3] -> claims band 1
     t = table_from([[1.0], [1.3]])
     th = thresholds([[2.0], [1.0]])
-    assert claim_channel(0, t, th) == 1
+    assert list(build_candidate_sets(t, th).claims) == [1]
 
 
 def test_no_claim_when_all_below_threshold():
     t = table_from([[0.5], [0.9]])
     th = thresholds([[1.0], [1.0]])
-    assert claim_channel(0, t, th) is None
+    assert list(build_candidate_sets(t, th).claims) == [-1]
 
 
 def test_single_band_claim_probability():
@@ -71,15 +70,18 @@ def test_candidate_sets_disjoint_and_consistent(hetero_cfg):
     for t_idx in range(100):
         table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t_idx))
         cs = build_candidate_sets(table, th)
+        ratio = table.sinr / th.lam
         seen = set()
         for m, members in enumerate(cs.sets):
             for n in members:
                 assert n not in seen
                 seen.add(n)
-                ratio = table.sinr[:, n] / th.lam[:, n]
                 assert table.sinr[m, n] >= th.lam[m, n]
-                assert m == int(np.argmax(ratio))
-                assert claim_channel(n, table, th) == m
+                assert m == int(np.argmax(ratio[:, n]))
+                assert cs.claims[n] == m
+        assert len(seen) == np.count_nonzero(cs.claims >= 0)
+        for n in np.flatnonzero(cs.claims == -1):
+            assert ratio[:, n].max() < 1.0
 
 
 def test_resolve_contention_singleton():

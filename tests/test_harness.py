@@ -16,6 +16,7 @@ from cogdiv import (
     threshold_sweep,
     validate,
 )
+from cogdiv.channel import sinr_bounds
 from cogdiv.harness import (
     ResourceError,
     fit_double_log,
@@ -76,9 +77,9 @@ def test_mean_sandwiched_by_bound_order_statistics(hetero_cfg):
     lo_sum = np.empty(trials)
     hi_sum = np.empty(trials)
     for t in range(trials):
-        table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t))
-        lo_sum[t] = np.log2(1.0 + table.s_lower.max(axis=1)).sum()
-        hi_sum[t] = np.log2(1.0 + table.s_upper.max(axis=1)).sum()
+        s_lower, s_upper = sinr_bounds(hetero_cfg, draw_realization(hetero_cfg, t))
+        lo_sum[t] = np.log2(1.0 + s_lower.max(axis=1)).sum()
+        hi_sum[t] = np.log2(1.0 + s_upper.max(axis=1)).sum()
     agg = run_trials(hetero_cfg, "centralized", trials)
     lo_err = lo_sum.std(ddof=1) / math.sqrt(trials)
     hi_err = hi_sum.std(ddof=1) / math.sqrt(trials)
