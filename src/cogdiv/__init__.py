@@ -33,6 +33,7 @@ from .harness import (
     ScalingReport,
     TrialAggregate,
     ValidationReport,
+    run_schemes,
     run_trials,
     scaling_sweep,
     threshold_sweep,

@@ -87,6 +87,34 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
     return partial_binomial_sum(parent(x), big_n, i - 1)
 
 
+def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> np.ndarray:
+    """Row-wise root of g(x) = x * slope + sum_j log1p(coeff_j x) - log_n.
+
+    ``slope`` is (R,) and ``coeff`` (R, K).  g is increasing and concave
+    with g(0) < 0, so Newton's method from x = 0 rises monotonically to
+    the root; a row stops at its first iterate that does not increase.
+    Rows are independent, so a row's result does not depend on the
+    others it is solved with.
+    """
+    x = np.zeros(slope.shape)
+    active = np.ones(slope.shape, dtype=bool)
+    while True:
+        cx = coeff * x[:, None]
+        g = x * slope + np.sum(np.log1p(cx), axis=1) - log_n
+        step = x - g / (slope + np.sum(coeff / (1.0 + cx), axis=1))
+        active &= step > x
+        if not active.any():
+            return x
+        x = np.where(active, step, x)
+
+
+def _user_coefficients(cfg: NetworkConfig, k_m: int, users) -> tuple[np.ndarray, np.ndarray]:
+    """Newton slope 1/(rho eta_n) and c_nj = (Pp/Ps) gamma_nj / eta_n, j < K_m."""
+    eta = cfg.eta[users]
+    return (1.0 / (cfg.snr() * eta),
+            cfg.pp_over_ps() * cfg.gamma[users, :k_m] / eta[:, None])
+
+
 def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
     """Threshold lambda(m, n): the (1 - 1/N)-quantile of T(.; m, n).
 
@@ -95,22 +123,13 @@ def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
 
         g(x) = x / (rho * eta_n) + sum_j log1p(c_j x) - ln N = 0,
 
-    with c_j = (Pp/Ps) gamma_nj / eta_n.  g is increasing and concave
-    with g(0) < 0, so Newton's method from x = 0 rises monotonically to
-    the root; it stops at the first iterate that does not increase.
+    with c_j = (Pp/Ps) gamma_nj / eta_n, by the Newton iteration that
+    ``build_threshold_table`` runs on all users at once.
     """
     if big_n < 2:
         raise ConfigError("population size must be at least 2")
-    slope = 1.0 / (cfg.snr() * cfg.eta[n])
-    coeff = cfg.pp_over_ps() * cfg.gamma[n, :cfg.primary_count[m]] / cfg.eta[n]
-    log_n = math.log(big_n)
-    x = 0.0
-    while True:
-        g = x * slope + float(np.sum(np.log1p(coeff * x))) - log_n
-        step = x - g / (slope + float(np.sum(coeff / (1.0 + coeff * x))))
-        if not step > x:
-            return float(x)
-        x = step
+    slope, coeff = _user_coefficients(cfg, cfg.primary_count[m], [n])
+    return float(_newton_log_survival(slope, coeff, math.log(big_n))[0])
 
 
 @dataclass(frozen=True)
@@ -124,19 +143,22 @@ class ThresholdTable:
 def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> ThresholdTable:
     """Solve the threshold equation for all (m, n).
 
-    Results are cached per distinct (K_m, eta_n, gamma row), so a
-    homogeneous network costs M solves instead of M * N.
+    Bands with the same K_m share their thresholds, so each distinct K_m
+    costs one array Newton pass over the users, and over one user when
+    all users have the same path-loss factors; every entry equals
+    ``solve_threshold`` for its (m, n).
     """
     if big_n is None:
         big_n = cfg.num_secondary
+    if big_n < 2:
+        raise ConfigError("population size must be at least 2")
+    alike = bool(np.all(cfg.eta == cfg.eta[0]) and np.all(cfg.gamma == cfg.gamma[:1]))
+    users = np.arange(1 if alike else cfg.num_secondary)
+    counts = np.asarray(cfg.primary_count)
     lam = np.empty((cfg.num_bands, cfg.num_secondary))
-    cache: dict[tuple, float] = {}
-    for m, k_m in enumerate(cfg.primary_count):
-        for n in range(cfg.num_secondary):
-            key = (k_m, float(cfg.eta[n]), cfg.gamma[n, :k_m].tobytes())
-            if key not in cache:
-                cache[key] = solve_threshold(m, n, cfg, big_n)
-            lam[m, n] = cache[key]
+    for k_m in np.unique(counts):
+        lam[counts == k_m] = _newton_log_survival(
+            *_user_coefficients(cfg, int(k_m), users), math.log(big_n))
     lam.setflags(write=False)
     return ThresholdTable(lam=lam, population_size=big_n)
 

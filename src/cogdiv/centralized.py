@@ -32,7 +32,7 @@ def _rates(t: SinrTable) -> np.ndarray:
 
 def favorites(t: SinrTable) -> list[int]:
     """Most favorable user per band (ties go to the lowest user index)."""
-    return [int(i) for i in np.argmax(t.sinr, axis=1)]
+    return t.sinr.argmax(axis=1).tolist()
 
 
 def event_d(fav: list[int]) -> bool:
@@ -70,9 +70,13 @@ def optimal_assignment_matching(t: SinrTable) -> Assignment:
 
     The sum-rate objective is a linear assignment over per-pair rates,
     so Hungarian-style matching reaches the exhaustive optimum in
-    polynomial time.
+    polynomial time.  Under event D the matching is skipped: every band
+    gets its most favorable user, which is optimal because each band
+    then has its largest rate.
     """
-    rates = _rates(t)
-    rows, cols = linear_sum_assignment(rates, maximize=True)
-    pairs = tuple((int(b), int(u)) for b, u in zip(rows, cols))
-    return Assignment(pairs=pairs, sum_rate=float(rates[rows, cols].sum()))
+    m = t.sinr.shape[0]
+    users = t.sinr.argmax(axis=1)
+    if len(set(users.tolist())) < m:
+        _, users = linear_sum_assignment(_rates(t), maximize=True)
+    return Assignment(pairs=tuple(enumerate(users.tolist())),
+                      sum_rate=float(np.log2(1.0 + t.sinr[np.arange(m), users]).sum()))

@@ -58,6 +58,8 @@ def _interference(cfg: NetworkConfig, real: FadingRealization,
             f"realization shape {real.g_sq.shape}/{real.h_sq.shape} does not "
             f"match config ({m}, {n}, {k})"
         )
+    if len(set(cfg.primary_count)) == 1:   # every band sees all k terms
+        return np.sum(real.h_sq * weights, axis=2)
     sums = np.zeros((m, n))
     for band, k_m in enumerate(cfg.primary_count):
         if k_m:

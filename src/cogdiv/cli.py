@@ -190,8 +190,7 @@ def main(argv=None) -> int:
         probe.unlink()
 
         if args.subcommand == "simulate":
-            aggs = {scheme: harness.run_trials(cfg, scheme, trials)
-                    for scheme in harness.SCHEMES}
+            aggs = harness.run_schemes(cfg, harness.SCHEMES, trials)
             harness.write_rates_csv(
                 [(scheme, cfg.num_secondary, agg) for scheme, agg in aggs.items()],
                 cfg.num_bands, out_dir / "simulate.csv")

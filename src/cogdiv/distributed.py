@@ -42,13 +42,21 @@ def build_candidate_sets(t: SinrTable, th: ThresholdTable) -> CandidateSets:
     """
     num_bands, num_users = t.sinr.shape
     ratio = t.sinr / th.lam
-    m_dag = np.argmax(ratio, axis=0)
-    passed = ratio[m_dag, np.arange(num_users)] >= 1.0
-    claims = np.where(passed, m_dag, -1)
-    sets = tuple(tuple(int(u) for u in np.flatnonzero(claims == m))
-                 for m in range(num_bands))
+    claimants = np.flatnonzero(np.any(ratio >= 1.0, axis=0))
+    bands = np.argmax(ratio[:, claimants], axis=0)
+    claims = np.full(num_users, -1)
+    claims[claimants] = bands
+    members = [[] for _ in range(num_bands)]
+    for user, band in zip(claimants.tolist(), bands.tolist()):
+        members[band].append(user)
+    sets = tuple(map(tuple, members))
     claims.setflags(write=False)
     return CandidateSets(sets=sets, claims=claims)
+
+
+def first_expiry(timers: np.ndarray) -> np.ndarray:
+    """Position of the earliest backoff timer along the last axis (the winner)."""
+    return np.argmin(timers, axis=-1)
 
 
 def resolve_contention(candidates, rng: np.random.Generator) -> int:
@@ -57,26 +65,33 @@ def resolve_contention(candidates, rng: np.random.Generator) -> int:
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("cannot resolve contention over an empty candidate set")
-    timers = rng.random(len(candidates))
-    return candidates[int(np.argmin(timers))]
+    return candidates[int(first_expiry(rng.random(len(candidates))))]
 
 
 def allocate_distributed(t: SinrTable, th: ThresholdTable,
                          rng: np.random.Generator) -> AllocationOutcome:
-    """Run one full round of the distributed algorithm."""
+    """Run one full round of the distributed algorithm.
+
+    Every claimant's timer comes from one draw, in band order, which is
+    the stream that per-band ``resolve_contention`` calls would use.
+    """
     cs = build_candidate_sets(t, th)
     num_bands = t.sinr.shape[0]
+    claimants = sum(len(members) for members in cs.sets)
+    timers = rng.random(claimants)
     pairs = []
     sum_rate = 0.0
     idle = []
+    start = 0
     for m, members in enumerate(cs.sets):
         if not members:
             idle.append(m)
             continue
-        winner = resolve_contention(members, rng)
+        stop = start + len(members)
+        winner = members[int(first_expiry(timers[start:stop]))]
+        start = stop
         pairs.append((m, winner))
         sum_rate += math.log2(1.0 + t.sinr[m, winner])
-    claimants = int(np.count_nonzero(cs.claims >= 0))
     info_bits = claimants * math.log2(num_bands) if num_bands > 1 else 0.0
     return AllocationOutcome(
         assignment=Assignment(pairs=tuple(pairs), sum_rate=sum_rate),

@@ -55,15 +55,26 @@ def _contention_rng(cfg: NetworkConfig, trial: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, trial, 1))
 
 
-def run_trials(cfg: NetworkConfig, scheme: str, trials: int,
-               cell_budget: float = DEFAULT_CELL_BUDGET) -> TrialAggregate:
-    """Monte Carlo estimate of the sum rate under one allocation scheme.
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
+    stderr = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(np.mean(values)), stderr
 
-    Deterministic for fixed (cfg.seed, scheme, trials): every trial uses
-    substreams derived from (seed, trial_index) only.
+
+def run_schemes(cfg: NetworkConfig, schemes, trials: int,
+                cell_budget: float = DEFAULT_CELL_BUDGET) -> dict[str, TrialAggregate]:
+    """Monte Carlo estimate of the sum rate under each scheme, on shared trials.
+
+    Each trial draws one realization, builds one SINR table and counts
+    event D once; every requested scheme then runs on that table, so the
+    schemes' per-trial rates are paired (common random numbers).
+    Deterministic for fixed (cfg.seed, trials): every trial uses
+    substreams derived from (seed, trial_index) only, so a scheme's
+    aggregate does not depend on which other schemes run beside it.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    schemes = tuple(schemes)
+    if not schemes or any(s not in SCHEMES for s in schemes):
+        raise ValueError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     if cfg.num_secondary * cfg.num_bands * trials > cell_budget:
@@ -72,38 +83,57 @@ def run_trials(cfg: NetworkConfig, scheme: str, trials: int,
             f"exceeds the budget of {cell_budget:.3g}"
         )
     n, m = cfg.num_secondary, cfg.num_bands
-    sum_rates = np.empty(trials)
+    sum_rates = {scheme: np.empty(trials) for scheme in schemes}
+    cent_rates = sum_rates.get("centralized")
+    dist_rates = sum_rates.get("distributed")
     info_bits = np.zeros(trials)
     claim_counts = np.zeros(n)
     idle_counts = np.zeros(m)
     event_d_count = 0
-    th = analytics.build_threshold_table(cfg) if scheme == "distributed" else None
+    th = analytics.build_threshold_table(cfg) if dist_rates is not None else None
 
     for t in range(trials):
         table = compute_sinr(cfg, draw_realization(cfg, t))
         if centralized.event_d(centralized.favorites(table)):
             event_d_count += 1
-        if scheme == "centralized":
-            sum_rates[t] = centralized.optimal_assignment_matching(table).sum_rate
-        else:
+        if cent_rates is not None:
+            cent_rates[t] = centralized.optimal_assignment_matching(table).sum_rate
+        if dist_rates is not None:
             outcome = distributed.allocate_distributed(table, th, _contention_rng(cfg, t))
-            sum_rates[t] = outcome.assignment.sum_rate
+            dist_rates[t] = outcome.assignment.sum_rate
             info_bits[t] = outcome.info_bits
             claim_counts += outcome.candidate_sets.claims >= 0
             idle_counts[np.asarray(outcome.idle_bands, dtype=int)] += 1
 
-    stderr = float(np.std(sum_rates, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return TrialAggregate(
-        scheme=scheme,
-        trials=trials,
-        mean_sum_rate=float(np.mean(sum_rates)),
-        stderr_sum_rate=stderr,
-        mean_info_bits=float(np.mean(info_bits)),
-        per_user_candidacy=claim_counts / trials,
-        event_d_frequency=event_d_count / trials,
-        idle_band_frequency=idle_counts / trials,
-        trial_sum_rates=sum_rates,
-    )
+    aggregates = {}
+    for scheme, rates in sum_rates.items():
+        if scheme == "centralized":   # no claims, no exchange, no idle bands
+            bits, claims, idle = np.zeros(trials), np.zeros(n), np.zeros(m)
+        else:
+            bits, claims, idle = info_bits, claim_counts, idle_counts
+        mean, stderr = _mean_stderr(rates)
+        aggregates[scheme] = TrialAggregate(
+            scheme=scheme,
+            trials=trials,
+            mean_sum_rate=mean,
+            stderr_sum_rate=stderr,
+            mean_info_bits=float(np.mean(bits)),
+            per_user_candidacy=claims / trials,
+            event_d_frequency=event_d_count / trials,
+            idle_band_frequency=idle / trials,
+            trial_sum_rates=rates,
+        )
+    return aggregates
+
+
+def run_trials(cfg: NetworkConfig, scheme: str, trials: int,
+               cell_budget: float = DEFAULT_CELL_BUDGET) -> TrialAggregate:
+    """Monte Carlo estimate of the sum rate under one allocation scheme.
+
+    The one-scheme call of ``run_schemes``; deterministic for fixed
+    (cfg.seed, scheme, trials).
+    """
+    return run_schemes(cfg, (scheme,), trials, cell_budget)[scheme]
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +154,10 @@ class ScalingReport:
     distributed: tuple[TrialAggregate, ...]
     predicted: tuple[float, ...]        # M * log2 log2 N per point
     fit: FitResult
+    # Per point: mean and standard error of the per-trial differences
+    # centralized - distributed, over the trials both schemes shared.
+    gap_mean: tuple[float, ...]
+    gap_stderr: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -131,6 +165,8 @@ class ScalingReport:
             "centralized": [a.to_json_dict() for a in self.centralized],
             "distributed": [a.to_json_dict() for a in self.distributed],
             "predicted": list(self.predicted),
+            "gap_mean": list(self.gap_mean),
+            "gap_stderr": list(self.gap_stderr),
             "fit": {"a": self.fit.a, "b": self.fit.b, "r_squared": self.fit.r_squared},
         }
 
@@ -158,20 +194,26 @@ def fit_double_log(n_values, means) -> FitResult:
 
 
 def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> ScalingReport:
-    """Run both schemes across population sizes on shared per-N seeds."""
+    """Run both schemes across population sizes on shared per-N seeds.
+
+    At each N both schemes run on the same trials, so the report also
+    gives their paired gap.
+    """
     n_values = tuple(int(v) for v in n_values)
     if not n_values:
         raise ConfigError("n_values must not be empty")
     if any(b >= a for a, b in zip(n_values[1:], n_values)):
         raise ConfigError("n_values must be strictly increasing")
-    if n_values[0] < cfg_template.num_bands:
-        raise ConfigError("every population size must be at least M")
-    cent, dist = [], []
+    m = cfg_template.num_bands
+    if n_values[0] < max(2, m):
+        raise ConfigError(f"every population size must be at least 2 and at least M = {m}")
+    cent, dist, gaps = [], [], []
     for n in n_values:
         cfg_n = cfg_template.with_population(n, seed=_per_n_seed(cfg_template.seed, n))
-        cent.append(run_trials(cfg_n, "centralized", trials))
-        dist.append(run_trials(cfg_n, "distributed", trials))
-    m = cfg_template.num_bands
+        aggs = run_schemes(cfg_n, SCHEMES, trials)
+        cent.append(aggs["centralized"])
+        dist.append(aggs["distributed"])
+        gaps.append(_mean_stderr(cent[-1].trial_sum_rates - dist[-1].trial_sum_rates))
     predicted = tuple(m * math.log2(math.log2(n)) for n in n_values)
     fit_points = [(n, agg.mean_sum_rate) for n, agg in zip(n_values, cent)
                   if n >= FIT_MIN_POPULATION]
@@ -184,6 +226,8 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
         distributed=tuple(dist),
         predicted=predicted,
         fit=fit,
+        gap_mean=tuple(g[0] for g in gaps),
+        gap_stderr=tuple(g[1] for g in gaps),
     )
 
 
@@ -412,13 +456,10 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     checks.append(CheckResult("event_d_trend", freq_big + slack >= freq_small,
                               float(freq_big - freq_small), -slack))
 
-    # Contention winner uniformity (chi-square on the backoff mechanism).
-    pool = tuple(range(5))
-    wins = np.zeros(len(pool))
-    draws = 30_000
-    for _ in range(draws):
-        wins[distributed.resolve_contention(pool, rng)] += 1
-    p_value = stats.chisquare(wins).pvalue
+    # Contention winner uniformity (chi-square on the backoff mechanism):
+    # 30,000 contentions among 5 candidates, one row of timers each.
+    winners = distributed.first_expiry(rng.random((30_000, 5)))
+    p_value = stats.chisquare(np.bincount(winners, minlength=5)).pvalue
     checks.append(CheckResult("contention_uniform_p", p_value > 0.001,
                               float(p_value), 0.001))
 

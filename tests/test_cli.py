@@ -191,3 +191,34 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, f
     argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("scaling", "N = 10\nM = 1\nK = 2\nsnr_db = 10\nn_values = 1,10\n"),
+    ("simulate", "N = 1\nM = 1\nK = 2\nsnr_db = 10\n"),
+])
+def test_population_below_two_rejected_before_any_trial(tmp_path, capsys, monkeypatch,
+                                                         subcommand, doc):
+    # N = 1 has no (1 - 1/N) threshold; the run must stop before it draws.
+    from cogdiv import harness
+
+    def no_draw(*args):
+        raise AssertionError("a trial ran before the configuration was rejected")
+    monkeypatch.setattr(harness, "draw_realization", no_draw)
+    config = tmp_path / "net.cfg"
+    config.write_text(doc)
+    assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_scaling_json_reports_paired_gap(tmp_path):
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC + "n_values = 10,20\n")
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads((out / "scaling.json").read_text())
+    for i, _ in enumerate(doc["n_values"]):
+        cent, dist = doc["centralized"][i], doc["distributed"][i]
+        assert doc["gap_mean"][i] == pytest.approx(
+            cent["mean_sum_rate"] - dist["mean_sum_rate"], rel=0.0, abs=1e-12)
+        assert 0.0 < doc["gap_stderr"][i]

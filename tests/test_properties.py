@@ -8,25 +8,41 @@ import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.stats import binom
 
 from cogdiv import (
     NetworkConfig,
+    SinrTable,
+    ThresholdTable,
+    allocate_distributed,
+    build_threshold_table,
+    candidacy_probability,
     compute_sinr,
     draw_realization,
+    event_d,
+    favorites,
     optimal_assignment_exhaustive,
     optimal_assignment_matching,
+    resolve_contention,
+    run_trials,
+    scaling_sweep,
     solve_threshold,
 )
 from cogdiv.channel import sinr_bounds
+from cogdiv.harness import _per_n_seed
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 @st.composite
-def network_configs(draw, max_users=60, homogeneous=False):
+def network_configs(draw, max_users=60, homogeneous=False, min_users=1, equal_k=False):
     m = draw(st.integers(1, 4))
-    n = draw(st.integers(m, max_users))
-    counts = tuple(draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)))
+    n = draw(st.integers(max(m, min_users), max_users))
+    if equal_k:
+        counts = (draw(st.integers(0, 6)),) * m
+    else:
+        counts = tuple(draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)))
     snr_db = draw(st.floats(-10.0, 30.0))
     pp_over_ps = draw(st.floats(0.1, 10.0))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -92,3 +108,133 @@ def test_threshold_solves_log_survival_equation(cfg, data, log_n):
     log_surv = lam / (cfg.snr() * cfg.eta[n]) + float(np.sum(np.log1p(coeff * lam)))
     assert lam > 0
     assert abs(log_surv - math.log(big_n)) <= 1e-12 * math.log(big_n)
+
+
+@st.composite
+def sinr_tables(draw, max_users):
+    """SINR tables; about half are built to fail event D (repeated favorites)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, max_users))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sinr = rng.exponential(size=(m, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (m, n))
+    if m > 1 and draw(st.booleans()):
+        shared = rng.choice(m, size=draw(st.integers(2, m)), replace=False)
+        star = draw(st.integers(0, n - 1))
+        sinr[shared, star] = sinr[shared].max(axis=1) * rng.uniform(1.01, 2.0, shared.size)
+    return SinrTable(sinr=sinr)
+
+
+def _full_matching_sum(table):
+    rates = np.log2(1.0 + table.sinr)
+    rows, cols = linear_sum_assignment(rates, maximize=True)
+    return float(rates[rows, cols].sum())
+
+
+def _check_injective(table, assignment):
+    m = table.sinr.shape[0]
+    assert [b for b, _ in assignment.pairs] == list(range(m))
+    assert len({u for _, u in assignment.pairs}) == m
+
+
+@PROPERTY_SETTINGS
+@given(sinr_tables(max_users=12))
+def test_matching_equals_exhaustive_search_with_and_without_event_d(table):
+    fast = optimal_assignment_matching(table)
+    _check_injective(table, fast)
+    assert fast.sum_rate == optimal_assignment_exhaustive(table).sum_rate
+    assert fast.sum_rate == _full_matching_sum(table)
+
+
+@PROPERTY_SETTINGS
+@given(sinr_tables(max_users=80))
+def test_matching_equals_full_matching_with_and_without_event_d(table):
+    fast = optimal_assignment_matching(table)
+    _check_injective(table, fast)
+    assert fast.sum_rate == _full_matching_sum(table)
+    if event_d(favorites(table)):
+        assert [u for _, u in fast.pairs] == favorites(table)
+
+
+def _scalar_newton(m, n, cfg, big_n):
+    """One user's Newton iteration on the log-survival equation, in Python floats."""
+    slope = 1.0 / (cfg.snr() * cfg.eta[n])
+    coeff = cfg.pp_over_ps() * cfg.gamma[n, :cfg.primary_count[m]] / cfg.eta[n]
+    x = 0.0
+    while True:
+        g = x * slope + float(np.sum(np.log1p(coeff * x))) - math.log(big_n)
+        step = x - g / (slope + float(np.sum(coeff / (1.0 + coeff * x))))
+        if not step > x:
+            return x
+        x = step
+
+
+@PROPERTY_SETTINGS
+@given(network_configs(max_users=30, min_users=2),
+       st.floats(math.log(2.0), math.log(1e17)))
+def test_threshold_table_equals_scalar_solver(cfg, log_n):
+    big_n = max(2, int(math.exp(log_n)))
+    lam = build_threshold_table(cfg, big_n).lam
+    for m in range(cfg.num_bands):
+        for n in range(cfg.num_secondary):
+            expected = _scalar_newton(m, n, cfg, big_n)
+            assert lam[m, n] == solve_threshold(m, n, cfg, big_n) == expected
+
+
+@PROPERTY_SETTINGS
+@given(network_configs(max_users=40, min_users=2), st.integers(0, 1000),
+       st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+def test_allocation_draws_the_per_band_contention_stream(cfg, trial, scale, seed):
+    # Lowered thresholds give crowded bands; the one timer draw must pick
+    # the winners that per-band resolve_contention calls pick.
+    table = compute_sinr(cfg, draw_realization(cfg, trial))
+    th = ThresholdTable(lam=build_threshold_table(cfg).lam * scale,
+                        population_size=cfg.num_secondary)
+    out = allocate_distributed(table, th, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    assert out.assignment.pairs == tuple(
+        (m, resolve_contention(members, rng))
+        for m, members in enumerate(out.candidate_sets.sets) if members)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(network_configs(max_users=12), st.data())
+def test_paired_sweep_equals_one_scheme_runs(template, data):
+    low = max(2, template.num_bands)
+    n_values = sorted(data.draw(st.sets(st.integers(low, 40), min_size=1, max_size=3)))
+    trials = data.draw(st.integers(1, 25))
+    report = scaling_sweep(template, n_values, trials)
+    for i, n in enumerate(report.n_values):
+        cfg_n = template.with_population(n, seed=_per_n_seed(template.seed, n))
+        for scheme, paired in (("centralized", report.centralized[i]),
+                               ("distributed", report.distributed[i])):
+            alone = run_trials(cfg_n, scheme, trials)
+            assert paired.to_json_dict() == alone.to_json_dict()
+            assert np.array_equal(paired.trial_sum_rates, alone.trial_sum_rates)
+        cent, dist = report.centralized[i], report.distributed[i]
+        gap = cent.trial_sum_rates - dist.trial_sum_rates
+        assert abs(report.gap_mean[i] - (cent.mean_sum_rate - dist.mean_sum_rate)) <= 1e-12
+        assert report.gap_stderr[i] == (
+            float(np.std(gap, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
+
+
+def _binomial_two_sided_p(freq, trials, p):
+    """Exact two-sided binomial tail of each observed frequency (doubled smaller tail)."""
+    k = np.rint(np.asarray(freq) * trials)
+    return np.minimum(1.0, 2.0 * np.minimum(binom.cdf(k, trials, p), binom.sf(k - 1, trials, p)))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(network_configs(max_users=40, min_users=2, equal_k=True))
+def test_distributed_statistics_match_analysis(cfg):
+    # Each threshold is its own user's (1 - 1/N) quantile, so a user claims
+    # with probability omega whatever its path loss; with equal K_m a
+    # claimant's band is uniform, so a band is idle w.p. (1 - omega/M)^N.
+    # Each count is exactly binomial; a Bonferroni bound over the users
+    # (and over the bands) holds each example's false-alarm rate to 2e-6.
+    trials, alpha = 400, 1e-6
+    agg = run_trials(cfg, "distributed", trials)
+    n, m = cfg.num_secondary, cfg.num_bands
+    omega = candidacy_probability(n, m)
+    assert _binomial_two_sided_p(agg.per_user_candidacy, trials, omega).min() > alpha / n
+    idle = (1.0 - omega / m) ** n
+    assert _binomial_two_sided_p(agg.idle_band_frequency, trials, idle).min() > alpha / m
