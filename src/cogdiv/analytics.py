@@ -25,26 +25,35 @@ def _check_x(x):
     return x
 
 
+def _log_survival(x, slope, coeff):
+    """-log(1 - T(x)), the one SINR law every CDF and the solver evaluate.
+
+    ``coeff``'s last axis runs over the K_m primary users of the band;
+    ``x`` broadcasts against ``slope`` and the other axes of ``coeff``.
+    """
+    return x * slope + np.sum(np.log1p(coeff * x[..., None]), axis=-1)
+
+
+def _bound_cdf(x, m: int, cfg: NetworkConfig, upper: bool):
+    slope, c = cfg.bound_law(upper)
+    return -np.expm1(-_log_survival(_check_x(x), slope, np.full(cfg.primary_count[m], c)))
+
+
 def cdf_lower(x, m: int, cfg: NetworkConfig):
     """CDF of the lower-bound variable S_l on band m.
 
-    1 - exp(-x / (rho * eta_min)) / (1 + (Pp/Ps) * gamma_max * x)^K_m
+    The law of ``cdf_exact`` with the largest slope and coefficient of
+    any user (``NetworkConfig.bound_law``).
     """
-    x = _check_x(x)
-    k_m = cfg.primary_count[m]
-    expo = x / (cfg.snr() * cfg.eta_min()) + k_m * np.log1p(cfg.pp_over_ps() * cfg.gamma_max() * x)
-    return -np.expm1(-expo)
+    return _bound_cdf(x, m, cfg, upper=False)
 
 
 def cdf_upper(x, m: int, cfg: NetworkConfig):
-    """CDF of the upper-bound variable S_u on band m (eta_max, gamma_min)."""
-    x = _check_x(x)
-    k_m = cfg.primary_count[m]
-    expo = x / (cfg.snr() * cfg.eta_max()) + k_m * np.log1p(cfg.pp_over_ps() * cfg.gamma_min() * x)
-    return -np.expm1(-expo)
+    """CDF of the upper-bound variable S_u on band m (smallest slope and coefficient)."""
+    return _bound_cdf(x, m, cfg, upper=True)
 
 
-def cdf_exact(x, m: int, n: int, cfg: NetworkConfig):
+def cdf_exact(x, m: int, n, cfg: NetworkConfig):
     """Exact SINR CDF T(x; m, n) of user n on band m.
 
     Exponential secondary gain conditioned on the Gamma-type
@@ -52,16 +61,12 @@ def cdf_exact(x, m: int, n: int, cfg: NetworkConfig):
 
         T(x) = 1 - e^{-x/(rho*eta_n)} * prod_j 1/(1 + (Pp/Ps)(gamma_nj/eta_n) x)
 
-    with the product over the K_m primary users of band m.
+    with the product over the K_m primary users of band m.  ``n`` may be
+    an index array of users; ``x`` then broadcasts against it, so
+    ``cdf_exact(grid[:, None], m, users, cfg)`` has one column per user.
     """
-    x = _check_x(x)
-    k_m = cfg.primary_count[m]
-    eta_n = cfg.eta[n]
-    expo = x / (cfg.snr() * eta_n)
-    if k_m:
-        coeff = cfg.pp_over_ps() * cfg.gamma[n, :k_m] / eta_n
-        expo = expo + np.sum(np.log1p(np.multiply.outer(x, coeff)), axis=-1)
-    return -np.expm1(-expo)
+    slope, coeff = cfg.link_law
+    return -np.expm1(-_log_survival(_check_x(x), slope[n], coeff[n, :cfg.primary_count[m]]))
 
 
 def partial_binomial_sum(p, big_n: int, i: int):
@@ -88,7 +93,7 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
 
 
 def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> np.ndarray:
-    """Row-wise root of g(x) = x * slope + sum_j log1p(coeff_j x) - log_n.
+    """Row-wise root of g(x) = _log_survival(x, slope, coeff) - log_n.
 
     ``slope`` is (R,) and ``coeff`` (R, K).  g is increasing and concave
     with g(0) < 0, so Newton's method from x = 0 rises monotonically to
@@ -99,37 +104,26 @@ def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> 
     x = np.zeros(slope.shape)
     active = np.ones(slope.shape, dtype=bool)
     while True:
-        cx = coeff * x[:, None]
-        g = x * slope + np.sum(np.log1p(cx), axis=1) - log_n
-        step = x - g / (slope + np.sum(coeff / (1.0 + cx), axis=1))
+        g = _log_survival(x, slope, coeff) - log_n
+        step = x - g / (slope + np.sum(coeff / (1.0 + coeff * x[:, None]), axis=1))
         active &= step > x
         if not active.any():
             return x
         x = np.where(active, step, x)
 
 
-def _user_coefficients(cfg: NetworkConfig, k_m: int, users) -> tuple[np.ndarray, np.ndarray]:
-    """Newton slope 1/(rho eta_n) and c_nj = (Pp/Ps) gamma_nj / eta_n, j < K_m."""
-    eta = cfg.eta[users]
-    return (1.0 / (cfg.snr() * eta),
-            cfg.pp_over_ps() * cfg.gamma[users, :k_m] / eta[:, None])
-
-
 def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
     """Threshold lambda(m, n): the (1 - 1/N)-quantile of T(.; m, n).
 
-    T(x) = 1 - 1/N is solved in log-survival form, without the
-    cancellation in 1 - 1/N:
-
-        g(x) = x / (rho * eta_n) + sum_j log1p(c_j x) - ln N = 0,
-
-    with c_j = (Pp/Ps) gamma_nj / eta_n, by the Newton iteration that
+    T(x) = 1 - 1/N is solved in log-survival form, -log(1 - T(x)) = ln N,
+    without the cancellation in 1 - 1/N, by the Newton iteration that
     ``build_threshold_table`` runs on all users at once.
     """
     if big_n < 2:
         raise ConfigError("population size must be at least 2")
-    slope, coeff = _user_coefficients(cfg, cfg.primary_count[m], [n])
-    return float(_newton_log_survival(slope, coeff, math.log(big_n))[0])
+    slope, coeff = cfg.link_law
+    return float(_newton_log_survival(slope[[n]], coeff[[n], :cfg.primary_count[m]],
+                                      math.log(big_n))[0])
 
 
 @dataclass(frozen=True)
@@ -152,13 +146,14 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> Thres
         big_n = cfg.num_secondary
     if big_n < 2:
         raise ConfigError("population size must be at least 2")
-    alike = bool(np.all(cfg.eta == cfg.eta[0]) and np.all(cfg.gamma == cfg.gamma[:1]))
+    slope, coeff = cfg.link_law
+    alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))
     users = np.arange(1 if alike else cfg.num_secondary)
     counts = np.asarray(cfg.primary_count)
     lam = np.empty((cfg.num_bands, cfg.num_secondary))
     for k_m in np.unique(counts):
-        lam[counts == k_m] = _newton_log_survival(
-            *_user_coefficients(cfg, int(k_m), users), math.log(big_n))
+        lam[counts == k_m] = _newton_log_survival(slope[users], coeff[users, :k_m],
+                                                  math.log(big_n))
     lam.setflags(write=False)
     return ThresholdTable(lam=lam, population_size=big_n)
 

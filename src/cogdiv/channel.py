@@ -81,13 +81,11 @@ def sinr_bounds(cfg: NetworkConfig,
                 real: FadingRealization) -> tuple[np.ndarray, np.ndarray]:
     """Analytic bound variables (S_l, S_u) with S_l <= SINR <= S_u.
 
-    Each uses the extreme path-loss factors (eta_min with gamma_max, and
-    eta_max with gamma_min), so its entries are i.i.d. across users.
-    Only the validation of the analysis needs them.
+    SINR = g / (slope_n + sum_j coeff_nj |h_j|^2) with the coefficients of
+    ``cfg.link_law``; each bound puts in their extremes
+    (``cfg.bound_law``), so its entries are i.i.d. across users.  Only
+    the validation of the analysis needs them.
     """
     raw = _interference(cfg, real, np.ones_like(cfg.gamma))
-    rho = cfg.snr()
-    ratio = cfg.pp_over_ps()
-    s_lower = real.g_sq / (1.0 / (rho * cfg.eta_min()) + ratio * cfg.gamma_max() * raw)
-    s_upper = real.g_sq / (1.0 / (rho * cfg.eta_max()) + ratio * cfg.gamma_min() * raw)
-    return s_lower, s_upper
+    (slope_l, c_l), (slope_u, c_u) = cfg.bound_law(upper=False), cfg.bound_law(upper=True)
+    return real.g_sq / (slope_l + c_l * raw), real.g_sq / (slope_u + c_u * raw)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,23 +104,28 @@ class NetworkConfig:
     def k_max(self) -> int:
         return max(self.primary_count) if self.primary_count else 0
 
-    def eta_min(self) -> float:
-        return float(self.eta.min())
+    @functools.cached_property
+    def link_law(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients (slope, coeff) of every user's SINR law.
 
-    def eta_max(self) -> float:
-        return float(self.eta.max())
+        User n's SINR on band m has the log-survival function
+        x * slope[n] + sum_{j < K_m} log1p(coeff[n, j] * x), with
+        slope[n] = 1 / (rho * eta_n), shape (N,), and
+        coeff[n, j] = (Pp/Ps) * gamma_nj / eta_n, shape (N, max K_m).
+        """
+        return (_frozen_array(1.0 / (self.snr() * self.eta)),
+                _frozen_array(self.pp_over_ps() * self.gamma / self.eta[:, None]))
 
-    def gamma_min(self) -> float:
-        """Smallest gamma[n, j] / eta[n]; 0 when no primary users exist."""
-        if self.k_max() == 0:
-            return 0.0
-        return float((self.gamma / self.eta[:, None]).min())
+    def bound_law(self, upper: bool) -> tuple[float, float]:
+        """(slope, coefficient) of the bound variable S_u or S_l.
 
-    def gamma_max(self) -> float:
-        """Largest gamma[n, j] / eta[n]; 0 when no primary users exist."""
-        if self.k_max() == 0:
-            return 0.0
-        return float((self.gamma / self.eta[:, None]).max())
+        The extremes of ``link_law``: S_l takes the largest slope and
+        coefficient of any user, S_u the smallest.  The coefficient is 0
+        when no primary users exist.
+        """
+        pick = np.min if upper else np.max
+        slope, coeff = self.link_law
+        return float(pick(slope)), float(pick(coeff)) if coeff.size else 0.0
 
     # -- construction helpers ----------------------------------------------
 

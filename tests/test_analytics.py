@@ -62,7 +62,15 @@ def test_homogeneous_cdfs_collapse(homog_cfg):
     hi = cdf_upper(GRID, 0, homog_cfg)
     ex = cdf_exact(GRID, 0, 17, homog_cfg)
     assert np.array_equal(lo, hi)
-    assert np.allclose(ex, lo, rtol=1e-12, atol=0)
+    assert np.array_equal(ex, lo)
+
+
+def test_cdf_exact_takes_user_blocks(hetero_cfg):
+    users = np.array([0, 3, 7, 49])
+    block = cdf_exact(GRID[:, None], 2, users, hetero_cfg)
+    assert block.shape == (GRID.size, users.size)
+    for column, n in enumerate(users):
+        assert np.array_equal(block[:, column], cdf_exact(GRID, 2, n, hetero_cfg))
 
 
 def test_cdf_dominance(hetero_cfg):

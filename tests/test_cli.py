@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cogdiv
 from cogdiv import ConfigError
 from cogdiv.cli import main, parse_config, render_config
 
@@ -133,6 +138,31 @@ def test_validate_subcommand(tmp_path, capsys):
     assert doc["passed"] is True
     printed = capsys.readouterr().out
     assert "exact_cdf_ks" in printed
+
+
+def test_validate_recorded_homogeneous_config_passes(tmp_path):
+    # Non-unit eta, gamma and Pp/Ps; its exact and bound CDFs must agree exactly.
+    config = tmp_path / "net.cfg"
+    config.write_text("N = 50\nM = 2\nK = 5\nsnr_db = 2.5\npp_over_ps = 1.53\n"
+                      "eta = 5.167\ngamma = 9.51\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "validate.json").read_text())["checks"]}
+    assert checks["homogeneous_cdf_identity"]["statistic"] == 0.0
+    assert checks["cdf_dominance"]["statistic"] == 0.0
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m cogdiv.cli` must run the CLI, not import it and exit 0.
+    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-m", "cogdiv.cli", "validate",
+         "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 2
+    assert "error" in result.stderr
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -26,17 +26,20 @@ def test_primary_count_length_checked():
 def test_accessors():
     cfg = heterogeneous_config()
     assert cfg.snr() == cfg.power_secondary / cfg.noise_power
-    ratios = cfg.gamma / cfg.eta[:, None]
-    assert cfg.gamma_min() == pytest.approx(ratios.min())
-    assert cfg.gamma_max() == pytest.approx(ratios.max())
-    assert cfg.eta_min() <= cfg.eta.min() <= cfg.eta.max() <= cfg.eta_max()
+    slope, coeff = cfg.link_law
+    assert np.array_equal(slope, 1.0 / (cfg.snr() * cfg.eta))
+    assert np.array_equal(coeff, cfg.pp_over_ps() * cfg.gamma / cfg.eta[:, None])
+    assert not slope.flags.writeable and not coeff.flags.writeable
+    assert cfg.bound_law(upper=False) == (slope.max(), coeff.max())
+    assert cfg.bound_law(upper=True) == (slope.min(), coeff.min())
 
 
-def test_no_primary_users_gamma_accessors_zero():
+def test_no_primary_users_bound_coefficient_zero():
     cfg = NetworkConfig.homogeneous(5, 2, 0, 10.0)
     assert cfg.k_max() == 0
-    assert cfg.gamma_min() == 0.0
-    assert cfg.gamma_max() == 0.0
+    assert cfg.link_law[1].shape == (5, 0)
+    assert cfg.bound_law(upper=False) == (0.1, 0.0)
+    assert cfg.bound_law(upper=True) == (0.1, 0.0)
 
 
 def test_with_population_keeps_homogeneity():

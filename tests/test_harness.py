@@ -88,9 +88,10 @@ def test_mean_sandwiched_by_bound_order_statistics(hetero_cfg):
 
 
 def test_resource_guard():
+    # 2.0e10 cells, just over DEFAULT_CELL_BUDGET; rejected before any allocation.
     cfg = NetworkConfig.homogeneous(1000, 4, 0, 10.0)
     with pytest.raises(ResourceError):
-        run_trials(cfg, "centralized", 10, cell_budget=1e3)
+        run_trials(cfg, "centralized", 5_000_001)
 
 
 def test_unknown_scheme_rejected(hetero_cfg):
@@ -165,6 +166,19 @@ def test_threshold_sweep_monotonicity(homog_cfg):
     assert sweep.increasing_in_n
     assert sweep.increasing_in_rho
     assert sweep.decreasing_in_k
+
+
+def test_threshold_sweep_reads_only_user_zero():
+    # lambda(0, 0) depends on user 0's path loss alone, also where the sweep's
+    # K exceeds the template's gamma columns.
+    def sweep(others_gamma):
+        gamma = np.full((100, 1), others_gamma)
+        gamma[0] = 1.0
+        cfg = NetworkConfig(num_secondary=100, num_bands=1, primary_count=(1,),
+                            power_secondary=1.0, power_primary=1.0, noise_power=1.0,
+                            eta=np.ones(100), gamma=gamma)
+        return threshold_sweep(cfg, [10, 100], [0.0, 10.0], [1, 2, 4]).rows
+    assert sweep(8.0) == sweep(2.0) == sweep(1.0)
 
 
 def test_threshold_sweep_rejects_empty(homog_cfg):

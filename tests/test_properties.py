@@ -7,7 +7,7 @@ suite gives the same verdict on every run.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
@@ -18,6 +18,9 @@ from cogdiv import (
     allocate_distributed,
     build_threshold_table,
     candidacy_probability,
+    cdf_exact,
+    cdf_lower,
+    cdf_upper,
     compute_sinr,
     draw_realization,
     event_d,
@@ -28,6 +31,7 @@ from cogdiv import (
     run_trials,
     scaling_sweep,
     solve_threshold,
+    validate,
 )
 from cogdiv.channel import sinr_bounds
 from cogdiv.harness import _per_n_seed
@@ -85,6 +89,28 @@ def test_homogeneous_bounds_equal_sinr(cfg, trial):
     s_lower, s_upper = sinr_bounds(cfg, real)
     assert np.allclose(s_lower, sinr, rtol=1e-12, atol=0.0)
     assert np.allclose(s_upper, sinr, rtol=1e-12, atol=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(network_configs(homogeneous=True), st.data())
+def test_homogeneous_user_law_equals_bound_laws(cfg, data):
+    # Equal bit for bit, not within a tolerance: one law, one coefficient source.
+    m = data.draw(st.integers(0, cfg.num_bands - 1))
+    n = data.draw(st.integers(0, cfg.num_secondary - 1))
+    grid = np.logspace(-3, 3, 400)
+    exact = cdf_exact(grid, m, n, cfg)
+    assert np.array_equal(exact, cdf_lower(grid, m, cfg))
+    assert np.array_equal(exact, cdf_upper(grid, m, cfg))
+
+
+# No shrinking: each example runs the whole validation suite, and shrinking a
+# failure through it takes minutes.
+@settings(PROPERTY_SETTINGS, max_examples=8, phases=(Phase.explicit, Phase.generate))
+@given(network_configs(homogeneous=True))
+def test_validate_homogeneous_cdf_checks_read_zero(cfg):
+    checks = {c.name: c for c in validate(cfg, samples=10_000).checks}
+    assert checks["homogeneous_cdf_identity"].statistic == 0.0
+    assert checks["cdf_dominance"].statistic == 0.0
 
 
 @PROPERTY_SETTINGS
