@@ -26,18 +26,29 @@ class Assignment:
     sum_rate: float
 
 
-def _rates(t: SinrTable) -> np.ndarray:
-    return np.log2(1.0 + t.sinr)
+def _rates(sinr: np.ndarray) -> np.ndarray:
+    return np.log2(1.0 + sinr)
+
+
+def favorite_users(sinr: np.ndarray) -> np.ndarray:
+    """(..., M) most favorable user per band (ties go to the lowest user index)."""
+    return sinr.argmax(axis=-1)
+
+
+def all_distinct(fav: np.ndarray) -> np.ndarray:
+    """(...) event D of each row of favorites: every band's favorite differs."""
+    ordered = np.sort(fav, axis=-1)
+    return np.all(ordered[..., 1:] != ordered[..., :-1], axis=-1)
 
 
 def favorites(t: SinrTable) -> list[int]:
     """Most favorable user per band (ties go to the lowest user index)."""
-    return t.sinr.argmax(axis=1).tolist()
+    return favorite_users(t.sinr).tolist()
 
 
 def event_d(fav: list[int]) -> bool:
     """True iff all bands have distinct most favorable users."""
-    return len(set(fav)) == len(fav)
+    return bool(all_distinct(np.asarray(fav)))
 
 
 def optimal_assignment_exhaustive(t: SinrTable) -> Assignment:
@@ -53,7 +64,7 @@ def optimal_assignment_exhaustive(t: SinrTable) -> Assignment:
             f"M <= {EXHAUSTIVE_MAX_BANDS} (got N={n}, M={m}); "
             "use optimal_assignment_matching instead"
         )
-    rates = _rates(t)
+    rates = _rates(t.sinr)
     best_users = None
     best_rate = -np.inf
     for users in itertools.permutations(range(n), m):
@@ -65,8 +76,9 @@ def optimal_assignment_exhaustive(t: SinrTable) -> Assignment:
     return Assignment(pairs=pairs, sum_rate=best_rate)
 
 
-def optimal_assignment_matching(t: SinrTable) -> Assignment:
-    """Optimal assignment via max-weight bipartite matching.
+def matched_users(sinr: np.ndarray, fav: np.ndarray) -> np.ndarray:
+    """(B, M) optimal user per band of each (M, N) table in ``sinr``,
+    given the tables' favorites ``fav``.
 
     The sum-rate objective is a linear assignment over per-pair rates,
     so Hungarian-style matching reaches the exhaustive optimum in
@@ -74,9 +86,20 @@ def optimal_assignment_matching(t: SinrTable) -> Assignment:
     gets its most favorable user, which is optimal because each band
     then has its largest rate.
     """
-    m = t.sinr.shape[0]
-    users = t.sinr.argmax(axis=1)
-    if len(set(users.tolist())) < m:
-        _, users = linear_sum_assignment(_rates(t), maximize=True)
+    users = fav.copy()
+    for b in np.flatnonzero(~all_distinct(fav)).tolist():
+        users[b] = linear_sum_assignment(_rates(sinr[b]), maximize=True)[1]
+    return users
+
+
+def assignment_rates(sinr: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """(...) sum rate of giving band m to ``users[..., m]``."""
+    picked = np.take_along_axis(sinr, users[..., None], axis=-1)[..., 0]
+    return _rates(picked).sum(axis=-1)
+
+
+def optimal_assignment_matching(t: SinrTable) -> Assignment:
+    """Optimal assignment via max-weight bipartite matching (``matched_users``)."""
+    users = matched_users(t.sinr[None], favorite_users(t.sinr)[None])[0]
     return Assignment(pairs=tuple(enumerate(users.tolist())),
-                      sum_rate=float(np.log2(1.0 + t.sinr[np.arange(m), users]).sum()))
+                      sum_rate=float(assignment_rates(t.sinr, users)))

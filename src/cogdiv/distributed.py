@@ -34,23 +34,30 @@ class AllocationOutcome:
     idle_bands: tuple[int, ...]         # bands with empty H_m
 
 
-def build_candidate_sets(t: SinrTable, th: ThresholdTable) -> CandidateSets:
-    """Group all users' claims by band; sets are disjoint by construction.
+def claim_bands(sinr: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """(..., N) band each user claims, -1 for none.
 
     User n claims the band maximizing SINR / lambda (ties to the lowest
     band index) if SINR >= lambda there, and claims nothing otherwise.
     """
-    num_bands, num_users = t.sinr.shape
-    ratio = t.sinr / th.lam
-    claimants = np.flatnonzero(np.any(ratio >= 1.0, axis=0))
-    bands = np.argmax(ratio[:, claimants], axis=0)
-    claims = np.full(num_users, -1)
-    claims[claimants] = bands
-    members = [[] for _ in range(num_bands)]
-    for user, band in zip(claimants.tolist(), bands.tolist()):
-        members[band].append(user)
-    sets = tuple(map(tuple, members))
+    ratio = sinr / lam
+    claims = np.full(ratio.shape[:-2] + ratio.shape[-1:], -1)
+    claimants = np.nonzero(np.any(ratio >= 1.0, axis=-2))
+    claims[claimants] = np.argmax(np.swapaxes(ratio, -1, -2)[claimants], axis=-1)
+    return claims
+
+
+def membership(claims: np.ndarray, num_bands: int) -> np.ndarray:
+    """(..., M, N) mask of the candidate sets: user n is in H_m."""
+    return claims[..., None, :] == np.arange(num_bands)[:, None]
+
+
+def build_candidate_sets(t: SinrTable, th: ThresholdTable) -> CandidateSets:
+    """Group all users' claims by band; sets are disjoint by construction."""
+    claims = claim_bands(t.sinr, th.lam)
     claims.setflags(write=False)
+    sets = tuple(tuple(np.flatnonzero(row).tolist())
+                 for row in membership(claims, t.sinr.shape[0]))
     return CandidateSets(sets=sets, claims=claims)
 
 
@@ -68,6 +75,34 @@ def resolve_contention(candidates, rng: np.random.Generator) -> int:
     return candidates[int(first_expiry(rng.random(len(candidates))))]
 
 
+def contention_winners(member: np.ndarray, timers: np.ndarray) -> np.ndarray:
+    """(..., M) winning user of every band, -1 where the band is idle.
+
+    ``member`` is the (..., M, N) candidate mask and ``timers`` holds one
+    timer per member in the mask's C order (trial, band, user), which is
+    the order of per-band ``resolve_contention`` calls.  Each band's
+    winner is its first earliest timer: a stable sort by (band, timer)
+    puts it first in its band's run.
+    """
+    cell, users = np.divmod(np.flatnonzero(member), member.shape[-1])
+    first = np.lexsort((timers, cell))[np.flatnonzero(np.diff(cell, prepend=-1))]
+    winners = np.full(member.shape[:-1], -1)
+    winners.flat[cell[first]] = users[first]
+    return winners
+
+
+def winner_rates(sinr: np.ndarray, winners: np.ndarray) -> np.ndarray:
+    """(...) sum over bands of log2(1 + SINR) of each band's winner.
+
+    The terms are ``math.log2`` values added in band order from 0.0 (an
+    idle band adds 0.0), one arithmetic for a trial and for a block.
+    """
+    won = np.nonzero(winners >= 0)
+    terms = np.zeros(winners.shape)
+    terms[won] = [math.log2(1.0 + x) for x in sinr[won + (winners[won],)].tolist()]
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def allocate_distributed(t: SinrTable, th: ThresholdTable,
                          rng: np.random.Generator) -> AllocationOutcome:
     """Run one full round of the distributed algorithm.
@@ -77,27 +112,16 @@ def allocate_distributed(t: SinrTable, th: ThresholdTable,
     """
     cs = build_candidate_sets(t, th)
     num_bands = t.sinr.shape[0]
-    claimants = sum(len(members) for members in cs.sets)
-    timers = rng.random(claimants)
-    pairs = []
-    sum_rate = 0.0
-    idle = []
-    start = 0
-    for m, members in enumerate(cs.sets):
-        if not members:
-            idle.append(m)
-            continue
-        stop = start + len(members)
-        winner = members[int(first_expiry(timers[start:stop]))]
-        start = stop
-        pairs.append((m, winner))
-        sum_rate += math.log2(1.0 + t.sinr[m, winner])
+    claimants = int(np.count_nonzero(cs.claims >= 0))
+    winners = contention_winners(membership(cs.claims, num_bands), rng.random(claimants))
     info_bits = claimants * math.log2(num_bands) if num_bands > 1 else 0.0
     return AllocationOutcome(
-        assignment=Assignment(pairs=tuple(pairs), sum_rate=sum_rate),
+        assignment=Assignment(
+            pairs=tuple((m, w) for m, w in enumerate(winners.tolist()) if w >= 0),
+            sum_rate=float(winner_rates(t.sinr, winners))),
         candidate_sets=cs,
         info_bits=info_bits,
-        idle_bands=tuple(idle),
+        idle_bands=tuple(np.flatnonzero(winners < 0).tolist()),
     )
 
 

@@ -10,13 +10,18 @@ import numpy as np
 from scipy import stats
 
 from . import analytics, centralized, distributed
-from .channel import compute_sinr, draw_realization, sinr_bounds
-from .config import ConfigError, NetworkConfig, power_from_db
+from .channel import compute_sinr, draw_block, draw_realization, sinr_block, sinr_bounds
+from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
 
 #: Guard against accidentally huge runs (N * M * trials cells).
 DEFAULT_CELL_BUDGET = 2e10
+
+#: Trials run as one array pass: as many as keep the block's (B, M, N, K)
+#: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
+BLOCK_BYTES = 1 << 19
+MAX_BLOCK_TRIALS = 64
 
 
 class ResourceError(ConfigError):
@@ -61,6 +66,12 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), stderr
 
 
+def block_trials(cfg: NetworkConfig) -> int:
+    """Trials per block of ``run_schemes`` under ``BLOCK_BYTES``."""
+    per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
+    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
+
+
 def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggregate]:
     """Monte Carlo estimate of the sum rate under each scheme, on shared trials.
 
@@ -70,10 +81,17 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     Deterministic for fixed (cfg.seed, trials): every trial uses
     substreams derived from (seed, trial_index) only, so a scheme's
     aggregate does not depend on which other schemes run beside it.
+
+    Trials run in blocks of ``block_trials(cfg)``: each stage is one array
+    call per block, and only the contention timers, the matching of
+    trials without event D and the distributed rate's ``math.log2``
+    terms are per trial.  Results equal a loop over the one-trial entry
+    points bit for bit, whatever the block size.
     """
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ValueError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
+    trials = as_int("trials", trials)
     if trials < 1:
         raise ConfigError("trials must be at least 1")
     if cfg.num_secondary * cfg.num_bands * trials > DEFAULT_CELL_BUDGET:
@@ -90,19 +108,34 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     idle_counts = np.zeros(m)
     event_d_count = 0
     th = analytics.build_threshold_table(cfg) if dist_rates is not None else None
+    bits_per_claim = math.log2(m) if m > 1 else 0.0
 
-    for t in range(trials):
-        table = compute_sinr(cfg, draw_realization(cfg, t))
-        if centralized.event_d(centralized.favorites(table)):
-            event_d_count += 1
+    step = block_trials(cfg)
+    for start in range(0, trials, step):
+        block = slice(start, min(trials, start + step))
+        sinr = sinr_block(cfg, *draw_block(cfg, start, block.stop - start))
+        fav = centralized.favorite_users(sinr)
+        event_d_count += int(np.count_nonzero(centralized.all_distinct(fav)))
         if cent_rates is not None:
-            cent_rates[t] = centralized.optimal_assignment_matching(table).sum_rate
+            users = centralized.matched_users(sinr, fav)
+            cent_rates[block] = centralized.assignment_rates(sinr, users)
         if dist_rates is not None:
-            outcome = distributed.allocate_distributed(table, th, _contention_rng(cfg, t))
-            dist_rates[t] = outcome.assignment.sum_rate
-            info_bits[t] = outcome.info_bits
-            claim_counts += outcome.candidate_sets.claims >= 0
-            idle_counts[np.asarray(outcome.idle_bands, dtype=int)] += 1
+            claims = distributed.claim_bands(sinr, th.lam)
+            member = distributed.membership(claims, m)
+            per_band = member.sum(axis=-1)
+            per_trial = per_band.sum(axis=-1)
+            # A lone claimant wins whatever its timer: only trials with a
+            # contested band need their contention generator.
+            timers = np.zeros(int(per_trial.sum()))
+            stops = np.cumsum(per_trial).tolist()
+            for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
+                count = int(per_trial[b])
+                timers[stops[b] - count:stops[b]] = _contention_rng(cfg, start + b).random(count)
+            winners = distributed.contention_winners(member, timers)
+            dist_rates[block] = distributed.winner_rates(sinr, winners)
+            info_bits[block] = per_trial * bits_per_claim
+            claim_counts += np.count_nonzero(claims >= 0, axis=0)
+            idle_counts += np.count_nonzero(winners < 0, axis=0)
 
     aggregates = {}
     for scheme, rates in sum_rates.items():
@@ -198,6 +231,7 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     gives their paired gap.
     """
     n_values = tuple(int(v) for v in n_values)
+    trials = as_int("trials", trials)
     if not n_values:
         raise ConfigError("n_values must not be empty")
     if any(b >= a for a, b in zip(n_values[1:], n_values)):
@@ -371,6 +405,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
 
     Failures are reported as data, not raised.
     """
+    samples = as_int("samples", samples)
     if samples < 10_000:
         raise ConfigError("validation needs at least 1e4 samples")
     rng = np.random.default_rng((cfg.seed, 0xA11))

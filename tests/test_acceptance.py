@@ -322,6 +322,19 @@ def test_information_exchange():
         f"mean info bits {agg.mean_info_bits:.4f} vs {target:.0f} "
         f"({100 * rel:.2f}% off)",
     )
+    # Exact: on a homogeneous network the claimants of a trial are
+    # Binomial(N, omega), so the mean bits are N * omega * log2 M.
+    n, trials = cfg.num_secondary, agg.trials
+    omega = distributed.candidacy_probability(n, cfg.num_bands)
+    bits = math.log2(cfg.num_bands)
+    stderr = bits * math.sqrt(n * omega * (1.0 - omega) / trials)
+    z = (agg.mean_info_bits - n * omega * bits) / stderr
+    _report(
+        "information-exchange-exact",
+        abs(z) <= 4.0,
+        f"mean info bits {agg.mean_info_bits:.4f} vs N*omega*log2 M = "
+        f"{n * omega * bits:.4f} (z = {z:.2f})",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cogdiv import (
+    ConfigError,
     NetworkConfig,
     build_threshold_table,
     compute_sinr,
@@ -92,6 +93,16 @@ def test_resource_guard():
     cfg = NetworkConfig.homogeneous(1000, 4, 0, 10.0)
     with pytest.raises(ResourceError):
         run_trials(cfg, "centralized", 5_000_001)
+
+
+def test_non_integer_counts_rejected(hetero_cfg):
+    with pytest.raises(ConfigError):
+        run_trials(hetero_cfg, "distributed", 2.5)
+    with pytest.raises(ConfigError):
+        scaling_sweep(NetworkConfig.homogeneous(10, 2, 2, 10.0), [10, 20], trials=2.5)
+    with pytest.raises(ConfigError):
+        validate(hetero_cfg, samples=10_000.5)
+    assert run_trials(hetero_cfg, "distributed", 3.0).trials == 3
 
 
 def test_unknown_scheme_rejected(hetero_cfg):

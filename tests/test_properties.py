@@ -5,9 +5,10 @@ them, and spread-out path-loss factors.  Examples are derandomized so the
 suite gives the same verdict on every run.
 """
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
@@ -28,11 +29,13 @@ from cogdiv import (
     optimal_assignment_exhaustive,
     optimal_assignment_matching,
     resolve_contention,
+    run_schemes,
     run_trials,
     scaling_sweep,
     solve_threshold,
     validate,
 )
+from cogdiv import harness
 from cogdiv.channel import sinr_bounds
 from cogdiv.harness import _per_n_seed
 
@@ -264,3 +267,53 @@ def test_distributed_statistics_match_analysis(cfg):
     assert _binomial_two_sided_p(agg.per_user_candidacy, trials, omega).min() > alpha / n
     idle = (1.0 - omega / m) ** n
     assert _binomial_two_sided_p(agg.idle_band_frequency, trials, idle).min() > alpha / m
+
+
+def _trial_loop(cfg, trials):
+    """run_schemes redone one trial at a time through the one-trial entry points."""
+    th = build_threshold_table(cfg)
+    cent, dist, bits = np.empty(trials), np.empty(trials), np.empty(trials)
+    claims, idle, hits = np.zeros(cfg.num_secondary), np.zeros(cfg.num_bands), 0
+    for t in range(trials):
+        table = compute_sinr(cfg, draw_realization(cfg, t))
+        hits += event_d(favorites(table))
+        cent[t] = optimal_assignment_matching(table).sum_rate
+        out = allocate_distributed(table, th, np.random.default_rng((cfg.seed, t, 1)))
+        dist[t], bits[t] = out.assignment.sum_rate, out.info_bits
+        claims += out.candidate_sets.claims >= 0
+        idle[list(out.idle_bands)] += 1
+    return cent, dist, bits, claims / trials, idle / trials, hits / trials
+
+
+def _check_block_run(cfg, trials):
+    cent, dist, bits, candidacy, idle, d_freq = _trial_loop(cfg, trials)
+    paired = run_schemes(cfg, harness.SCHEMES, trials)
+    for aggs in (paired, {scheme: run_trials(cfg, scheme, trials) for scheme in harness.SCHEMES}):
+        c, d = aggs["centralized"], aggs["distributed"]
+        assert np.array_equal(c.trial_sum_rates, cent)
+        assert np.array_equal(d.trial_sum_rates, dist)
+        assert d.mean_info_bits == float(np.mean(bits))
+        assert np.array_equal(d.per_user_candidacy, candidacy)
+        assert np.array_equal(d.idle_band_frequency, idle)
+        assert c.event_d_frequency == d.event_d_frequency == d_freq
+    return paired
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(network_configs(max_users=40, min_users=2), st.integers(1, 5))
+@example(NetworkConfig.homogeneous(30, 3, 0, 10.0, seed=1), 3)              # K = 0
+@example(NetworkConfig.homogeneous(20, 1, 4, 0.0, seed=2), 4)               # M = 1
+@example(NetworkConfig.homogeneous(4, 4, 2, 20.0, seed=3), 2)               # N = M
+@example(NetworkConfig.homogeneous(12, 4, (0, 3, 0, 6), 5.0, seed=4), 5)    # K_m = 0 bands
+def test_block_engine_equals_trial_loop(cfg, block):
+    # Blocks of `block` trials; the trial counts put block edges everywhere.
+    per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
+    reference = run_schemes(cfg, harness.SCHEMES, 2 * block + 3)
+    with mock.patch.object(harness, "BLOCK_BYTES", block * per_trial):
+        assert harness.block_trials(cfg) == block
+        for trials in sorted({1, max(1, block - 1), block, block + 1, 2 * block + 3}):
+            paired = _check_block_run(cfg, trials)
+    for scheme in harness.SCHEMES:   # and the default block size gives the same
+        assert np.array_equal(paired[scheme].trial_sum_rates,
+                              reference[scheme].trial_sum_rates)
+        assert paired[scheme].to_json_dict() == reference[scheme].to_json_dict()
