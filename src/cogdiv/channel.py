@@ -6,6 +6,8 @@ identical to drawing complex Gaussians and cheaper.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,30 +30,195 @@ class SinrTable:
     sinr: np.ndarray      # (M, N)
 
 
-def draw_block(cfg: NetworkConfig, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
+_U32 = np.uint32
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = _U32(0xCA01F9DD), _U32(0x4973F715), _U32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@functools.cache
+def _chain(init: int, mult: int, length: int) -> np.ndarray:
+    """(length, 1) hash constants init * mult**i mod 2**32, one per hash call."""
+    out = [init]
+    for _ in range(length - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(out, dtype=_U32)[:, None]
+    consts.setflags(write=False)
+    return consts
+
+
+# Pool word src is mixed into word dst by hash call 4 + 3 src + (dst's
+# place among the other words), in (src, dst) order.  The diagonal is
+# unused: a word is never mixed into itself.
+_CROSS = np.array([[4 + 3 * src + dst - (dst > src) if dst != src else 0
+                    for dst in range(_POOL)] for src in range(_POOL)])
+_CROSS_XOR = _chain(_INIT_A, _MULT_A, 17)[_CROSS]       # (4, 4, 1)
+_CROSS_MUL = _chain(_INIT_A, _MULT_A, 17)[_CROSS + 1]
+
+
+def _hash(x: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of x: call i takes the chain's constants i and i + 1."""
+    x = x ^ xor
+    x *= mul
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _XSHIFT
+    return x
+
+
+def _key_words(value: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative int, low first."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _seed_states(seed: int, start: int, count: int) -> np.ndarray:
+    """(2 count, 4) ``SeedSequence(key).generate_state(4, np.uint64)`` of
+    the keys (seed, t) and then (seed, t, 1), start <= t < start + count.
+
+    numpy's entropy mixing and state generation run on whole columns of
+    keys.  Keys shorter than the pool are zero-padded, as SeedSequence
+    pads them; a key longer than the pool takes the extra mixing rounds
+    of its own words only.
+    """
+    head = _key_words(seed)
+    h = len(head)
+    t = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    hi = (t >> np.uint64(32)).astype(_U32)
+    wide = hi != 0                            # t has two words
+    tail = np.array([[0], [1]], dtype=_U32)   # no tail, then the tail 1
+    words = np.zeros((h + 3, 2, count), dtype=_U32)
+    words[:h] = np.array(head, dtype=_U32)[:, None, None]
+    words[h] = t.astype(_U32)
+    words[h + 1] = np.where(wide, hi, tail)
+    words[h + 2] = wide * tail
+    words = words.reshape(h + 3, 2 * count)
+    lengths = (h + 1 + wide + tail).ravel()
+
+    # Entropy mixing hashes 4 + 12 times, plus 4 times per word beyond the pool.
+    rounds = int(lengths.max()) - _POOL
+    hash_a = _chain(_INIT_A, _MULT_A, 17 + _POOL * max(0, rounds))
+    pool = _hash(words[:_POOL], hash_a[:_POOL], hash_a[1:_POOL + 1])
+    for src in range(_POOL):    # mix every pool word into every other one
+        own = pool[src].copy()
+        pool = _mix(pool, _hash(own, _CROSS_XOR[src], _CROSS_MUL[src]))
+        pool[src] = own
+    for j in range(_POOL, _POOL + rounds):   # words beyond the pool
+        k = 16 + _POOL * (j - _POOL)
+        mixed = _mix(pool, _hash(words[j], hash_a[k:k + _POOL], hash_a[k + 1:k + _POOL + 1]))
+        pool = np.where(lengths > j, mixed, pool)
+    hash_b = _chain(_INIT_B, _MULT_B, 9)
+    state = _hash(np.concatenate((pool, pool)), hash_b[:-1], hash_b[1:])
+    # Word pairs, low word first, are the uint64 words.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def _pcg64_state(words) -> tuple[int, int]:
+    """PCG64's (state, inc) after seeding with generate_state words ``words``."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    return ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+
+
+@functools.cache
+def _check_seeding() -> None:
+    """RuntimeError unless the pass seeds a long key as ``default_rng`` does."""
+    seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5   # every mixing round
+    for words, key in zip(_seed_states(seed, t, 1).tolist(), ((seed, t), (seed, t, 1))):
+        state = np.random.default_rng(key).bit_generator.state["state"]
+        if _pcg64_state(words) != (state["state"], state["inc"]):
+            raise RuntimeError("this numpy seeds PCG64 differently from the trial "
+                               "seeding pass; trial streams would diverge")
+
+
+_THREAD = threading.local()
+
+
+class TrialStreams:
+    """The random streams of trials ``start`` to ``start + count - 1``.
+
+    Trial t draws its fading from the stream ``np.random.default_rng(
+    (seed, t))`` and its contention timers from ``np.random.default_rng(
+    (seed, t, 1))``; that is the stream contract, and ``draw_realization``
+    and the tests use ``default_rng`` as its definition.  Here the keys of
+    every trial are seeded in one array pass, and each stream is this
+    thread's one reused PCG64 set to the state that ``default_rng(key)``
+    would hold.  A returned generator is therefore valid only until the
+    next stream is asked for: draw from it at once.
+    """
+
+    def __init__(self, seed: int, start: int, count: int):
+        if start < 0:
+            raise ConfigError("trial_index must be non-negative")
+        if start + count > 1 << 64:
+            raise ConfigError("trial indices must be below 2**64")
+        _check_seeding()
+        self.start, self.count = start, count
+        self._states = _seed_states(seed, start, count)
+
+    def _stream(self, row: int) -> np.random.Generator:
+        gen = getattr(_THREAD, "generator", None)
+        if gen is None:
+            gen = _THREAD.generator = np.random.Generator(np.random.PCG64(0))
+        state, inc = _pcg64_state(self._states[row].tolist())
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        return gen
+
+    def fading(self, t: int) -> np.random.Generator:
+        """Trial t's fading stream, (seed, t)."""
+        return self._stream(t - self.start)
+
+    def contention(self, t: int) -> np.random.Generator:
+        """Trial t's contention stream, (seed, t, 1)."""
+        return self._stream(self.count + t - self.start)
+
+
+def _draw(rng: np.random.Generator, g_sq: np.ndarray, h_sq: np.ndarray) -> None:
+    rng.standard_exponential(out=g_sq)
+    if h_sq.size:
+        rng.standard_exponential(out=h_sq)
+
+
+def _empty_draws(cfg: NetworkConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
+    m, n, k = cfg.num_bands, cfg.num_secondary, cfg.k_max()
+    return np.empty((count, m, n)), np.empty((count, m, n, k))
+
+
+def draw_block(cfg: NetworkConfig, streams: TrialStreams, start: int,
+               count: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked fading draws of trials ``start`` to ``start + count - 1``.
 
     Returns the (count, M, N) secondary-link and (count, M, N, max K_m)
-    interference gains.  Each trial is drawn from its own counter-derived
-    substream (cfg.seed, trial_index), so slice b is trial start + b
-    whatever the block it sits in.
+    interference gains.  Each trial is drawn from its own fading stream in
+    ``streams`` (which must hold those trials), so slice b is trial
+    start + b whatever the block it sits in.
     """
-    if start < 0:
-        raise ConfigError("trial_index must be non-negative")
-    m, n, k = cfg.num_bands, cfg.num_secondary, cfg.k_max()
-    g_sq = np.empty((count, m, n))
-    h_sq = np.empty((count, m, n, k))
+    g_sq, h_sq = _empty_draws(cfg, count)
     for b in range(count):
-        rng = np.random.default_rng((cfg.seed, start + b))
-        rng.standard_exponential(out=g_sq[b])
-        if k:
-            rng.standard_exponential(out=h_sq[b])
+        _draw(streams.fading(start + b), g_sq[b], h_sq[b])
     return g_sq, h_sq
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
-    """Draw one fading realization: trial ``trial_index`` of ``draw_block``."""
-    g_sq, h_sq = (a[0] for a in draw_block(cfg, trial_index, 1))
+    """Draw one fading realization from ``np.random.default_rng((cfg.seed,
+    trial_index))``, the stream ``TrialStreams`` gives the trial."""
+    if trial_index < 0:
+        raise ConfigError("trial_index must be non-negative")
+    g_sq, h_sq = (a[0] for a in _empty_draws(cfg, 1))
+    _draw(np.random.default_rng((cfg.seed, trial_index)), g_sq, h_sq)
     g_sq.setflags(write=False)
     h_sq.setflags(write=False)
     return FadingRealization(g_sq=g_sq, h_sq=h_sq)
@@ -125,7 +292,8 @@ def sinr_bounds(cfg: NetworkConfig,
     SINR = g / (slope_n + sum_j coeff_nj |h_j|^2) with the coefficients of
     ``cfg.link_law``; each bound puts in their extremes
     (``cfg.bound_law``), so its entries are i.i.d. across users.  Only
-    the validation of the analysis needs them.
+    the validation of the analysis needs them.  ``real`` may hold stacked
+    realizations, leading axes being trials, as ``sinr_block`` takes them.
     """
     _check_shapes(cfg, real.g_sq, real.h_sq)
     raw = _interference(cfg, real.h_sq, np.ones_like(cfg.gamma))

@@ -10,7 +10,7 @@ import numpy as np
 from scipy import stats
 
 from . import analytics, centralized, distributed
-from .channel import compute_sinr, draw_block, draw_realization, sinr_block, sinr_bounds
+from .channel import FadingRealization, TrialStreams, draw_block, sinr_block, sinr_bounds
 from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
@@ -20,6 +20,7 @@ DEFAULT_CELL_BUDGET = 2e10
 
 #: Trials run as one array pass: as many as keep the block's (B, M, N, K)
 #: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
+#: Trials are seeded in chunks whose stream states fit it too.
 BLOCK_BYTES = 1 << 19
 MAX_BLOCK_TRIALS = 64
 
@@ -55,11 +56,6 @@ class TrialAggregate:
         }
 
 
-def _contention_rng(cfg: NetworkConfig, trial: int) -> np.random.Generator:
-    # Separate substream from the fading draw of the same trial.
-    return np.random.default_rng((cfg.seed, trial, 1))
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (0 for a single value)."""
     stderr = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
@@ -70,6 +66,26 @@ def block_trials(cfg: NetworkConfig) -> int:
     """Trials per block of ``run_schemes`` under ``BLOCK_BYTES``."""
     per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
     return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
+
+
+def chunk_trials(cfg: NetworkConfig) -> int:
+    """Trials per seeding pass: as many whole blocks as keep the trials'
+    stream states (two streams of 4 uint64 words each) within ``BLOCK_BYTES``."""
+    step = block_trials(cfg)
+    return max(1, BLOCK_BYTES // (64 * step)) * step
+
+
+def _blocks(cfg: NetworkConfig, trials: int):
+    """Yield (first trial, streams, g_sq, h_sq) for each block of trials 0 to
+    ``trials - 1``: its stacked draws, and the ``TrialStreams`` of its chunk,
+    which also hold the block's contention streams.
+    """
+    step, chunk = block_trials(cfg), chunk_trials(cfg)
+    for first in range(0, trials, chunk):
+        streams = TrialStreams(cfg.seed, first, min(trials - first, chunk))
+        for start in range(first, first + streams.count, step):
+            count = min(step, first + streams.count - start)
+            yield start, streams, *draw_block(cfg, streams, start, count)
 
 
 def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggregate]:
@@ -90,7 +106,7 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     """
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
-        raise ValueError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
+        raise ConfigError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
     trials = as_int("trials", trials)
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -110,10 +126,9 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     th = analytics.build_threshold_table(cfg) if dist_rates is not None else None
     bits_per_claim = math.log2(m) if m > 1 else 0.0
 
-    step = block_trials(cfg)
-    for start in range(0, trials, step):
-        block = slice(start, min(trials, start + step))
-        sinr = sinr_block(cfg, *draw_block(cfg, start, block.stop - start))
+    for start, streams, g_sq, h_sq in _blocks(cfg, trials):
+        block = slice(start, start + len(g_sq))
+        sinr = sinr_block(cfg, g_sq, h_sq)
         fav = centralized.favorite_users(sinr)
         event_d_count += int(np.count_nonzero(centralized.all_distinct(fav)))
         if cent_rates is not None:
@@ -125,12 +140,12 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
             per_band = member.sum(axis=-1)
             per_trial = per_band.sum(axis=-1)
             # A lone claimant wins whatever its timer: only trials with a
-            # contested band need their contention generator.
+            # contested band need their contention stream.
             timers = np.zeros(int(per_trial.sum()))
             stops = np.cumsum(per_trial).tolist()
             for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
                 count = int(per_trial[b])
-                timers[stops[b] - count:stops[b]] = _contention_rng(cfg, start + b).random(count)
+                timers[stops[b] - count:stops[b]] = streams.contention(start + b).random(count)
             winners = distributed.contention_winners(member, timers)
             dist_rates[block] = distributed.winner_rates(sinr, winners)
             info_bits[block] = per_trial * bits_per_claim
@@ -230,7 +245,7 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     At each N both schemes run on the same trials, so the report also
     gives their paired gap.
     """
-    n_values = tuple(int(v) for v in n_values)
+    n_values = tuple(as_int("n_values", v) for v in n_values)
     trials = as_int("trials", trials)
     if not n_values:
         raise ConfigError("n_values must not be empty")
@@ -308,7 +323,10 @@ class ThresholdSweep:
 def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
                     k_values) -> ThresholdSweep:
     """Tabulate lambda(0, 0) over population size, SNR and primary count."""
-    if not (len(tuple(n_values)) and len(tuple(rho_values_db)) and len(tuple(k_values))):
+    n_values = tuple(as_int("n_values", n) for n in n_values)
+    k_values = tuple(as_int("k_values", k) for k in k_values)
+    rho_values_db = tuple(rho_values_db)
+    if not (n_values and rho_values_db and k_values):
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
@@ -317,16 +335,15 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
             for n in n_values:
                 cfg = dataclasses.replace(
                     cfg_template,
-                    primary_count=(int(k),) * cfg_template.num_bands,
+                    primary_count=(k,) * cfg_template.num_bands,
                     power_secondary=rho * cfg_template.noise_power,
                     power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
                     # lambda(0, 0) reads user 0's row only: cycle it to K entries.
                     gamma=np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
-                                    (cfg_template.num_secondary, int(k))),
+                                    (cfg_template.num_secondary, k)),
                 )
-                lam = analytics.solve_threshold(0, 0, cfg, big_n=int(n))
-                rows.append({"N": int(n), "rho_db": float(rho_db),
-                             "K": int(k), "lam": lam})
+                lam = analytics.solve_threshold(0, 0, cfg, big_n=n)
+                rows.append({"N": n, "rho_db": float(rho_db), "K": k, "lam": lam})
 
     def monotone(key, sign):
         groups: dict[tuple, list] = {}
@@ -400,6 +417,19 @@ def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,
     )
 
 
+def _order_violations(lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> int:
+    """Over stacked (..., M, N) tables, the trials with lower > mid anywhere
+    plus those with mid > upper anywhere, beyond a 1e-9 relative tolerance."""
+    tol = 1e-9 * np.maximum(1.0, np.abs(mid))
+    return int(np.count_nonzero(np.any(lower > mid + tol, axis=(-2, -1)))
+               + np.count_nonzero(np.any(mid > upper + tol, axis=(-2, -1))))
+
+
+def _event_d_count(sinr: np.ndarray) -> int:
+    """Trials of stacked (..., M, N) SINR tables with event D."""
+    return int(np.count_nonzero(centralized.all_distinct(centralized.favorite_users(sinr))))
+
+
 def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """Run the statistical validation suite against one configuration.
 
@@ -420,23 +450,17 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     sandwich_bad = 0
     interleave_bad = 0
     event_d_big = 0
-    for t in range(max(n_pooled, n_real)):
-        real = draw_realization(cfg, t)
-        if t < n_pooled:
-            pooled.append(real.g_sq.ravel())
-        if t >= n_real:
+    for start, _, g_sq, h_sq in _blocks(cfg, max(n_pooled, n_real)):
+        pooled.append(g_sq[:max(0, n_pooled - start)].ravel())
+        real = FadingRealization(g_sq=g_sq[:max(0, n_real - start)],
+                                 h_sq=h_sq[:max(0, n_real - start)])
+        if not len(real.g_sq):
             continue
-        table = compute_sinr(cfg, real)
+        sinr = sinr_block(cfg, real.g_sq, real.h_sq)
         s_lower, s_upper = sinr_bounds(cfg, real)
-        tol = 1e-9 * np.maximum(1.0, np.abs(table.sinr))
-        sandwich_bad += int(np.any(s_lower > table.sinr + tol)
-                            + np.any(table.sinr > s_upper + tol))
-        lo = -np.sort(-s_lower, axis=1)
-        mid = -np.sort(-table.sinr, axis=1)
-        hi = -np.sort(-s_upper, axis=1)
-        tol = 1e-9 * np.maximum(1.0, np.abs(mid))
-        interleave_bad += int(np.any(lo > mid + tol) + np.any(mid > hi + tol))
-        event_d_big += centralized.event_d(centralized.favorites(table))
+        sandwich_bad += _order_violations(s_lower, sinr, s_upper)
+        interleave_bad += _order_violations(*(-np.sort(-a, axis=-1) for a in (s_lower, sinr, s_upper)))
+        event_d_big += _event_d_count(sinr)
 
     # Exp(1) marginals of the raw fading draws.  Only the KS statistic
     # is kept, so the cheap asymptotic p-value is asked for.
@@ -478,9 +502,8 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     # Event D frequency should not degrade as the population grows.
     small = cfg.with_population(max(cfg.num_bands, cfg.num_secondary // 10),
                                 seed=cfg.seed + 1)
-    freq_small = np.mean([
-        centralized.event_d(centralized.favorites(compute_sinr(small, draw_realization(small, t))))
-        for t in range(n_real)])
+    freq_small = sum(_event_d_count(sinr_block(small, g_sq, h_sq))
+                     for _, _, g_sq, h_sq in _blocks(small, n_real)) / n_real
     freq_big = event_d_big / n_real
     slack = 3.0 * math.sqrt(0.25 / n_real)
     checks.append(CheckResult("event_d_trend", freq_big + slack >= freq_small,

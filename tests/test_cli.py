@@ -234,7 +234,7 @@ def test_population_below_two_rejected_before_any_trial(tmp_path, capsys, monkey
 
     def no_draw(*args):
         raise AssertionError("a trial ran before the configuration was rejected")
-    monkeypatch.setattr(harness, "draw_realization", no_draw)
+    monkeypatch.setattr(harness, "draw_block", no_draw)
     config = tmp_path / "net.cfg"
     config.write_text(doc)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2

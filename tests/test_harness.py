@@ -12,6 +12,7 @@ from cogdiv import (
     draw_realization,
     expected_log_max,
     optimal_assignment_matching,
+    run_schemes,
     run_trials,
     scaling_sweep,
     threshold_sweep,
@@ -106,8 +107,23 @@ def test_non_integer_counts_rejected(hetero_cfg):
 
 
 def test_unknown_scheme_rejected(hetero_cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         run_trials(hetero_cfg, "optimal", 1)
+    with pytest.raises(ConfigError):
+        run_schemes(hetero_cfg, (), 1)
+
+
+def test_non_integer_sweep_entries_rejected():
+    # Sweep entries are counts: 10.7 must not run as N = 10.
+    cfg = NetworkConfig.homogeneous(10, 2, 2, 10.0)
+    with pytest.raises(ConfigError):
+        scaling_sweep(cfg, [10.7, 20.2], trials=3)
+    with pytest.raises(ConfigError):
+        threshold_sweep(cfg, [10.5], [10.0], [1])
+    with pytest.raises(ConfigError):
+        threshold_sweep(cfg, [10], [10.0], [1.5])
+    assert scaling_sweep(cfg, [10.0, 20.0], trials=3).n_values == (10, 20)
+    assert [(r["N"], r["K"]) for r in threshold_sweep(cfg, [10.0], [10.0], [2.0]).rows] == [(10, 2)]
 
 
 # -- scaling sweep ----------------------------------------------------------

@@ -8,11 +8,13 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
 from cogdiv import (
+    ConfigError,
     NetworkConfig,
     SinrTable,
     ThresholdTable,
@@ -35,8 +37,8 @@ from cogdiv import (
     solve_threshold,
     validate,
 )
-from cogdiv import harness
-from cogdiv.channel import sinr_bounds
+from cogdiv import channel, harness
+from cogdiv.channel import TrialStreams, sinr_bounds
 from cogdiv.harness import _per_n_seed
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -317,3 +319,53 @@ def test_block_engine_equals_trial_loop(cfg, block):
         assert np.array_equal(paired[scheme].trial_sum_rates,
                               reference[scheme].trial_sum_rates)
         assert paired[scheme].to_json_dict() == reference[scheme].to_json_dict()
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(network_configs(max_users=40, min_users=2), st.integers(1, 8))
+@example(NetworkConfig.homogeneous(4, 1, 4, 10.0, seed=6), 6)    # chunks of two 3-trial blocks
+@example(NetworkConfig.homogeneous(8, 2, 3, 0.0, seed=7), 8)     # chunks of eight 1-trial blocks
+@example(NetworkConfig.homogeneous(2, 1, 0, 5.0, seed=8), 1)     # a chunk is one 4-trial block
+def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
+    # Seeding chunks of a few trials, so the runs cross chunk edges.
+    with mock.patch.object(harness, "BLOCK_BYTES", 64 * words):
+        chunk, block = harness.chunk_trials(cfg), harness.block_trials(cfg)
+        assert chunk % block == 0
+        for trials in (chunk + 1, 2 * chunk + block + 1):
+            _check_block_run(cfg, trials)
+
+
+# Seeds of one to four SeedSequence words, with trial indices of one or two.
+@PROPERTY_SETTINGS
+@given(st.sampled_from((0, 2**32, 2**64, 2**96)), st.integers(-2, 2),
+       st.sampled_from((0, 2**32)), st.integers(-3, 3), st.integers(1, 6))
+@example(0, 0, 0, 0, 1)
+@example(2**96, 0, 2**32, 0, 1)               # the longest keys: 7 words with the tail
+@example(2**64 - 1, 0, 2**32, -2, 4)          # one pass over one- and two-word t
+@example(5, 0, 2**33, -2, 4)                  # t's high word steps from 1 to 2
+@example(2**32, 0, 2**64, -3, 3)              # up to t = 2**64 - 1
+def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift, count):
+    seed, start = max(0, seed_base + seed_shift), max(0, t_base + t_shift)
+    streams = TrialStreams(seed, start, count)
+    for t in range(start, start + count):
+        assert np.array_equal(streams.fading(t).standard_exponential(6),
+                              np.random.default_rng((seed, t)).standard_exponential(6))
+        assert np.array_equal(streams.contention(t).random(6),
+                              np.random.default_rng((seed, t, 1)).random(6))
+    # A stream asked for again starts over.
+    assert np.array_equal(streams.fading(start).random(3),
+                          np.random.default_rng((seed, start)).random(3))
+
+
+def test_trial_streams_reject_indices_out_of_range():
+    with pytest.raises(ConfigError):
+        TrialStreams(0, -1, 2)
+    with pytest.raises(ConfigError):
+        TrialStreams(0, 2**64 - 1, 2)
+
+
+def test_seeding_check_raises_when_streams_would_diverge():
+    channel._check_seeding.__wrapped__()
+    with mock.patch.object(channel, "_PCG_MULT", channel._PCG_MULT + 2):
+        with pytest.raises(RuntimeError):
+            channel._check_seeding.__wrapped__()
