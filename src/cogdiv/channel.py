@@ -144,6 +144,12 @@ def _check_seeding() -> None:
 
 _THREAD = threading.local()
 
+#: Trials run as one array pass: as many as keep the block's (B, M, N, K)
+#: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
+#: Trials are seeded in chunks whose stream states fit it too.
+BLOCK_BYTES = 1 << 19
+MAX_BLOCK_TRIALS = 64
+
 
 class TrialStreams:
     """The random streams of trials ``start`` to ``start + count - 1``.
@@ -197,19 +203,36 @@ def _empty_draws(cfg: NetworkConfig, count: int) -> tuple[np.ndarray, np.ndarray
     return np.empty((count, m, n)), np.empty((count, m, n, k))
 
 
-def draw_block(cfg: NetworkConfig, streams: TrialStreams, start: int,
-               count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked fading draws of trials ``start`` to ``start + count - 1``.
+def block_trials(cfg: NetworkConfig) -> int:
+    """Trials per block of ``trial_blocks`` under ``BLOCK_BYTES``."""
+    per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
+    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 
-    Returns the (count, M, N) secondary-link and (count, M, N, max K_m)
-    interference gains.  Each trial is drawn from its own fading stream in
-    ``streams`` (which must hold those trials), so slice b is trial
-    start + b whatever the block it sits in.
+
+def chunk_trials(cfg: NetworkConfig) -> int:
+    """Trials per seeding pass: as many whole blocks as keep the trials'
+    stream states (two streams of 4 uint64 words each) within ``BLOCK_BYTES``."""
+    step = block_trials(cfg)
+    return max(1, BLOCK_BYTES // (64 * step)) * step
+
+
+def trial_blocks(cfg: NetworkConfig, trials: int):
+    """Yield (start, g_sq, h_sq, contention) for each block of trials 0 to
+    ``trials - 1``, ``block_trials(cfg)`` trials a block.
+
+    ``g_sq`` and ``h_sq`` are the block's stacked (B, M, N) and
+    (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
+    own fading stream.  ``contention(t)`` is trial t's contention stream,
+    for the trials of this block; draw from it before asking for another.
     """
-    g_sq, h_sq = _empty_draws(cfg, count)
-    for b in range(count):
-        _draw(streams.fading(start + b), g_sq[b], h_sq[b])
-    return g_sq, h_sq
+    step, chunk = block_trials(cfg), chunk_trials(cfg)
+    for first in range(0, trials, chunk):
+        streams = TrialStreams(cfg.seed, first, min(trials - first, chunk))
+        for start in range(first, first + streams.count, step):
+            g_sq, h_sq = _empty_draws(cfg, min(step, first + streams.count - start))
+            for b in range(len(g_sq)):
+                _draw(streams.fading(start + b), g_sq[b], h_sq[b])
+            yield start, g_sq, h_sq, streams.contention
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:

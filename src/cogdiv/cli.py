@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Configuration is a flat ``key = value`` document, one pair per line,
-``#`` comments allowed.  Lists are comma-separated; gamma may give one
-row per user with rows separated by ``;``.  Powers are configured in dB
-(``snr_db``) with ``pp_over_ps`` as a linear ratio.
+``#`` comments allowed; a key unknown or given twice is an error.  Lists
+are comma-separated; gamma may give one row per user with rows separated
+by ``;``.  A single value of K, eta or gamma fills its whole shape, as
+``NetworkConfig`` fills it.  Powers are configured in dB (``snr_db``)
+with ``pp_over_ps`` as a linear ratio.
 """
 from __future__ import annotations
 
@@ -13,10 +15,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
-from .config import ConfigError, NetworkConfig, as_int, power_from_db
+from .config import ConfigError, NetworkConfig, power_from_db
 
 DEFAULT_TRIALS = 2000
 DEFAULT_SAMPLES = 100_000
@@ -24,7 +24,8 @@ DEFAULT_N_VALUES = (10, 20, 50, 100, 200, 500, 1000)
 DEFAULT_RHO_DB_VALUES = (0.0, 5.0, 10.0, 15.0, 20.0)
 DEFAULT_K_VALUES = (1, 2, 3, 4)
 
-_NETWORK_KEYS = {"N", "M", "K", "snr_db", "eta", "gamma", "pp_over_ps", "seed"}
+_KEYS = {"N", "M", "K", "snr_db", "eta", "gamma", "pp_over_ps", "seed",
+         "trials", "samples", "n_values", "rho_db_values", "k_values"}
 
 
 def _parse_pairs(text: str) -> dict[str, str]:
@@ -35,91 +36,56 @@ def _parse_pairs(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in pairs:
+            raise ConfigError(f"line {lineno}: key {key!r} is given twice")
+        pairs[key] = value
     return pairs
 
 
-def _number(pairs, key, required=True, default=None):
+def _scalar(text: str):
+    """An integer literal as an exact int, any other number as a float."""
+    return int(text) if text.strip().lstrip("+-").isdigit() else float(text)
+
+
+def _list(text: str) -> list:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _rows(text: str) -> list:
+    return [_list(row) for row in text.split(";") if row.strip()]
+
+
+def _value(pairs, key, parse, default=None):
+    """``parse(pairs[key])``; ``default`` if the key is absent, and
+    ConfigError if it is absent with no default or does not parse."""
     if key not in pairs:
-        if required:
+        if default is None:
             raise ConfigError(f"missing required key '{key}'")
         return default
     try:
-        return float(pairs[key])
+        return parse(pairs[key])
     except ValueError:
-        raise ConfigError(f"malformed number for key '{key}': {pairs[key]!r}") from None
-
-
-def _integer(pairs, key, required=True, default=None):
-    return as_int(f"key '{key}'", _number(pairs, key, required, default))
-
-
-def _number_list(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return [float(v) for v in pairs[key].split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"malformed list for key '{key}': {pairs[key]!r}") from None
+        raise ConfigError(f"malformed value for key '{key}': {pairs[key]!r}") from None
 
 
 def parse_config(text: str) -> NetworkConfig:
-    """Parse and fully validate a network configuration document."""
+    """Parse a network configuration document; ``NetworkConfig`` checks it."""
     pairs = _parse_pairs(text)
-    n = _integer(pairs, "N")
-    m = _integer(pairs, "M")
-    k_list = _number_list(pairs, "K")
-    if k_list is None:
-        raise ConfigError("missing required key 'K'")
-    counts = tuple(as_int("key 'K'", k) for k in (k_list * m if len(k_list) == 1 else k_list))
-    if len(counts) != m:
-        raise ConfigError(f"key 'K' needs 1 or {m} entries, got {len(k_list)}")
-    if any(k < 0 for k in counts):
-        raise ConfigError("key 'K' entries must be non-negative")
-    snr_db = _number(pairs, "snr_db")
-    pp_over_ps = _number(pairs, "pp_over_ps", required=False, default=1.0)
-    if pp_over_ps <= 0:
-        raise ConfigError("key 'pp_over_ps' must be strictly positive")
-    p_s = power_from_db(snr_db)
-
-    eta = _number_list(pairs, "eta", default=[1.0])
-    eta = np.full(n, eta[0]) if len(eta) == 1 else np.asarray(eta)
-    if eta.shape != (n,):
-        raise ConfigError(f"key 'eta' needs 1 or {n} entries, got {eta.size}")
-
-    k_max = max(counts) if counts else 0
-    if "gamma" in pairs:
-        try:
-            rows = [[float(v) for v in row.split(",") if v.strip()]
-                    for row in pairs["gamma"].split(";") if row.strip()]
-        except ValueError:
-            raise ConfigError(f"malformed matrix for key 'gamma': {pairs['gamma']!r}") from None
-    else:
-        rows = [[1.0]]
-    if len(rows) == 1 and len(rows[0]) == 1:
-        gamma = np.full((n, k_max), rows[0][0])
-    else:
-        gamma = np.asarray(rows)
-        if gamma.shape != (n, k_max):
-            raise ConfigError(f"key 'gamma' must be {n}x{k_max}, got {gamma.shape}")
-
-    try:
-        return NetworkConfig(
-            num_secondary=n,
-            num_bands=m,
-            primary_count=counts,
-            power_secondary=p_s,
-            power_primary=pp_over_ps * p_s,
-            noise_power=1.0,
-            eta=eta,
-            gamma=gamma,
-            seed=_integer(pairs, "seed", required=False, default=0),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    p_s = power_from_db(_value(pairs, "snr_db", float))
+    return NetworkConfig(
+        num_secondary=_value(pairs, "N", _scalar),
+        num_bands=_value(pairs, "M", _scalar),
+        primary_count=_value(pairs, "K", _list),
+        power_secondary=p_s,
+        power_primary=_value(pairs, "pp_over_ps", float, 1.0) * p_s,
+        noise_power=1.0,
+        eta=_value(pairs, "eta", _list, 1.0),
+        gamma=_value(pairs, "gamma", _rows, 1.0),
+        seed=_value(pairs, "seed", _scalar, 0),
+    )
 
 
 def render_config(cfg: NetworkConfig) -> str:
@@ -142,16 +108,9 @@ def render_config(cfg: NetworkConfig) -> str:
 def _run_settings(text: str) -> dict:
     """Experiment keys (trial counts, sweep lists) from the same document."""
     pairs = _parse_pairs(text)
-    out = {}
-    for key in ("trials", "samples"):
-        if key in pairs:
-            out[key] = _integer(pairs, key)
-    for key in ("n_values", "rho_db_values", "k_values"):
-        values = _number_list(pairs, key)
-        if values is not None:
-            out[key] = values if key == "rho_db_values" else [
-                as_int(f"key '{key}'", v) for v in values]
-    return out
+    return {key: _value(pairs, key, _scalar if key in ("trials", "samples") else _list)
+            for key in ("trials", "samples", "n_values", "rho_db_values", "k_values")
+            if key in pairs}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,6 +197,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

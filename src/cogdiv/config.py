@@ -15,9 +15,14 @@ class ConfigError(ValueError):
 
 def as_int(name: str, value) -> int:
     """``value`` as an int; ConfigError unless it is a whole number."""
-    if not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except OverflowError:   # an int beyond the float range
+        return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def power_from_db(db: float) -> float:
@@ -28,12 +33,22 @@ def power_from_db(db: float) -> float:
         raise ConfigError(f"{db!r} dB is out of range") from None
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if shape is not None:
-        arr = arr.reshape(shape)
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _filled(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a read-only float array of ``shape``; one value fills it."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be numbers, in rows of equal length") from None
+    if arr.size == 1 and arr.shape != shape:
+        arr = np.full(shape, arr.item())
+    if arr.shape != shape:
+        raise ConfigError(f"{name} needs 1 value or shape {shape}, got shape {arr.shape}")
+    return _frozen(arr)
 
 
 def _positive_finite(arr: np.ndarray) -> bool:
@@ -46,7 +61,9 @@ class NetworkConfig:
 
     Powers are in linear watts.  ``eta[n]`` is the path-loss/shadowing
     factor of the n-th secondary link; ``gamma[n, j]`` the factor from
-    the j-th primary transmitter to the n-th secondary receiver.  Fading
+    the j-th primary transmitter to the n-th secondary receiver.  A single
+    value of ``primary_count``, ``eta`` or ``gamma`` fills its whole shape;
+    any other shape, ragged rows or non-numbers raise ConfigError.  Fading
     itself is drawn per trial, not stored here.
     """
 
@@ -69,19 +86,20 @@ class NetworkConfig:
             raise ConfigError("num_bands must be positive")
         if m > n:
             raise ConfigError(f"num_bands ({m}) must not exceed num_secondary ({n})")
-        counts = tuple(as_int("primary_count", k) for k in np.atleast_1d(self.primary_count))
-        if len(counts) != m:
-            raise ConfigError(f"primary_count needs {m} entries, got {len(counts)}")
+        counts = tuple(as_int("primary_count", k)
+                       for k in _filled("primary_count", self.primary_count, (m,)))
         if any(k < 0 for k in counts):
             raise ConfigError("primary_count entries must be non-negative")
         for name in ("power_secondary", "power_primary", "noise_power"):
-            if not 0 < getattr(self, name) < math.inf:
+            power = float(_filled(name, getattr(self, name), ()))
+            if not 0 < power < math.inf:
                 raise ConfigError(f"{name} must be strictly positive and finite")
-        eta = _frozen_array(self.eta, (n,))
+            object.__setattr__(self, name, power)
+        eta = _filled("eta", self.eta, (n,))
         if not _positive_finite(eta):
             raise ConfigError("eta entries must be strictly positive and finite")
-        k_max = max(counts) if counts else 0
-        gamma = _frozen_array(self.gamma, (n, k_max))
+        k_max = max(counts)
+        gamma = _filled("gamma", self.gamma, (n, k_max))
         if not _positive_finite(gamma):
             raise ConfigError("gamma entries must be strictly positive and finite")
         seed = as_int("seed", self.seed)
@@ -102,7 +120,7 @@ class NetworkConfig:
         return self.power_primary / self.power_secondary
 
     def k_max(self) -> int:
-        return max(self.primary_count) if self.primary_count else 0
+        return max(self.primary_count)
 
     @functools.cached_property
     def link_law(self) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +131,8 @@ class NetworkConfig:
         slope[n] = 1 / (rho * eta_n), shape (N,), and
         coeff[n, j] = (Pp/Ps) * gamma_nj / eta_n, shape (N, max K_m).
         """
-        return (_frozen_array(1.0 / (self.snr() * self.eta)),
-                _frozen_array(self.pp_over_ps() * self.gamma / self.eta[:, None]))
+        return (_frozen(1.0 / (self.snr() * self.eta)),
+                _frozen(self.pp_over_ps() * self.gamma / self.eta[:, None]))
 
     def bound_law(self, upper: bool) -> tuple[float, float]:
         """(slope, coefficient) of the bound variable S_u or S_l.
@@ -133,19 +151,16 @@ class NetworkConfig:
     def homogeneous(cls, num_secondary, num_bands, primary_count, snr_db,
                     pp_over_ps=1.0, eta=1.0, gamma=1.0, seed=0) -> "NetworkConfig":
         """Build a config with identical path-loss factors for every link."""
-        if np.ndim(primary_count) == 0:
-            primary_count = (as_int("primary_count", primary_count),) * num_bands
-        k_max = max(primary_count) if len(primary_count) else 0
         p_s = power_from_db(snr_db)
         return cls(
             num_secondary=num_secondary,
             num_bands=num_bands,
-            primary_count=tuple(primary_count),
+            primary_count=primary_count,
             power_secondary=p_s,
             power_primary=pp_over_ps * p_s,
             noise_power=1.0,
-            eta=np.full(num_secondary, float(eta)),
-            gamma=np.full((num_secondary, k_max), float(gamma)),
+            eta=eta,
+            gamma=gamma,
             seed=seed,
         )
 

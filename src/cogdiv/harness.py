@@ -10,19 +10,13 @@ import numpy as np
 from scipy import stats
 
 from . import analytics, centralized, distributed
-from .channel import FadingRealization, TrialStreams, draw_block, sinr_block, sinr_bounds
+from .channel import FadingRealization, sinr_block, sinr_bounds, trial_blocks
 from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
 
 #: Guard against accidentally huge runs (N * M * trials cells).
 DEFAULT_CELL_BUDGET = 2e10
-
-#: Trials run as one array pass: as many as keep the block's (B, M, N, K)
-#: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
-#: Trials are seeded in chunks whose stream states fit it too.
-BLOCK_BYTES = 1 << 19
-MAX_BLOCK_TRIALS = 64
 
 
 class ResourceError(ConfigError):
@@ -62,32 +56,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), stderr
 
 
-def block_trials(cfg: NetworkConfig) -> int:
-    """Trials per block of ``run_schemes`` under ``BLOCK_BYTES``."""
-    per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
-    return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
-
-
-def chunk_trials(cfg: NetworkConfig) -> int:
-    """Trials per seeding pass: as many whole blocks as keep the trials'
-    stream states (two streams of 4 uint64 words each) within ``BLOCK_BYTES``."""
-    step = block_trials(cfg)
-    return max(1, BLOCK_BYTES // (64 * step)) * step
-
-
-def _blocks(cfg: NetworkConfig, trials: int):
-    """Yield (first trial, streams, g_sq, h_sq) for each block of trials 0 to
-    ``trials - 1``: its stacked draws, and the ``TrialStreams`` of its chunk,
-    which also hold the block's contention streams.
-    """
-    step, chunk = block_trials(cfg), chunk_trials(cfg)
-    for first in range(0, trials, chunk):
-        streams = TrialStreams(cfg.seed, first, min(trials - first, chunk))
-        for start in range(first, first + streams.count, step):
-            count = min(step, first + streams.count - start)
-            yield start, streams, *draw_block(cfg, streams, start, count)
-
-
 def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggregate]:
     """Monte Carlo estimate of the sum rate under each scheme, on shared trials.
 
@@ -98,11 +66,11 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     substreams derived from (seed, trial_index) only, so a scheme's
     aggregate does not depend on which other schemes run beside it.
 
-    Trials run in blocks of ``block_trials(cfg)``: each stage is one array
-    call per block, and only the contention timers, the matching of
-    trials without event D and the distributed rate's ``math.log2``
-    terms are per trial.  Results equal a loop over the one-trial entry
-    points bit for bit, whatever the block size.
+    Trials run in the blocks of ``channel.trial_blocks``: each stage is
+    one array call per block, and only the contention timers, the
+    matching of trials without event D and the distributed rate's
+    ``math.log2`` terms are per trial.  Results equal a loop over the
+    one-trial entry points bit for bit, whatever the block size.
     """
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
@@ -126,7 +94,7 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     th = analytics.build_threshold_table(cfg) if dist_rates is not None else None
     bits_per_claim = math.log2(m) if m > 1 else 0.0
 
-    for start, streams, g_sq, h_sq in _blocks(cfg, trials):
+    for start, g_sq, h_sq, contention in trial_blocks(cfg, trials):
         block = slice(start, start + len(g_sq))
         sinr = sinr_block(cfg, g_sq, h_sq)
         fav = centralized.favorite_users(sinr)
@@ -145,7 +113,7 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
             stops = np.cumsum(per_trial).tolist()
             for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
                 count = int(per_trial[b])
-                timers[stops[b] - count:stops[b]] = streams.contention(start + b).random(count)
+                timers[stops[b] - count:stops[b]] = contention(start + b).random(count)
             winners = distributed.contention_winners(member, timers)
             dist_rates[block] = distributed.winner_rates(sinr, winners)
             info_bits[block] = per_trial * bits_per_claim
@@ -332,16 +300,16 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
     for k in k_values:
         for rho_db in rho_values_db:
             rho = power_from_db(rho_db)
+            cfg = dataclasses.replace(
+                cfg_template,
+                primary_count=(k,) * cfg_template.num_bands,
+                power_secondary=rho * cfg_template.noise_power,
+                power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
+                # lambda(0, 0) reads user 0's row only: cycle it to K entries.
+                gamma=np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
+                                (cfg_template.num_secondary, k)),
+            )
             for n in n_values:
-                cfg = dataclasses.replace(
-                    cfg_template,
-                    primary_count=(k,) * cfg_template.num_bands,
-                    power_secondary=rho * cfg_template.noise_power,
-                    power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
-                    # lambda(0, 0) reads user 0's row only: cycle it to K entries.
-                    gamma=np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
-                                    (cfg_template.num_secondary, k)),
-                )
                 lam = analytics.solve_threshold(0, 0, cfg, big_n=n)
                 rows.append({"N": n, "rho_db": float(rho_db), "K": k, "lam": lam})
 
@@ -438,6 +406,9 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     samples = as_int("samples", samples)
     if samples < 10_000:
         raise ConfigError("validation needs at least 1e4 samples")
+    if samples > DEFAULT_CELL_BUDGET:
+        raise ResourceError(f"samples = {samples:.3g} exceeds the budget of "
+                            f"{DEFAULT_CELL_BUDGET:.3g}")
     rng = np.random.default_rng((cfg.seed, 0xA11))
     checks = []
 
@@ -450,7 +421,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     sandwich_bad = 0
     interleave_bad = 0
     event_d_big = 0
-    for start, _, g_sq, h_sq in _blocks(cfg, max(n_pooled, n_real)):
+    for start, g_sq, h_sq, _ in trial_blocks(cfg, max(n_pooled, n_real)):
         pooled.append(g_sq[:max(0, n_pooled - start)].ravel())
         real = FadingRealization(g_sq=g_sq[:max(0, n_real - start)],
                                  h_sq=h_sq[:max(0, n_real - start)])
@@ -503,7 +474,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     small = cfg.with_population(max(cfg.num_bands, cfg.num_secondary // 10),
                                 seed=cfg.seed + 1)
     freq_small = sum(_event_d_count(sinr_block(small, g_sq, h_sq))
-                     for _, _, g_sq, h_sq in _blocks(small, n_real)) / n_real
+                     for _, g_sq, h_sq, _ in trial_blocks(small, n_real)) / n_real
     freq_big = event_d_big / n_real
     slack = 3.0 * math.sqrt(0.25 / n_real)
     checks.append(CheckResult("event_d_trend", freq_big + slack >= freq_small,

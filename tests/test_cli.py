@@ -77,9 +77,23 @@ def test_heterogeneous_lists():
 
 def test_round_trip():
     for doc in (FIG1_DOC, SMALL_DOC,
-                "N=3\nM=2\nK=1,2\nsnr_db=7.5\neta=1,2,0.5\ngamma=1,2;0.5,1;2,4\nseed=9\n"):
+                "N=3\nM=2\nK=1,2\nsnr_db=7.5\neta=1,2,0.5\ngamma=1,2;0.5,1;2,4\nseed=9\n",
+                f"N=5\nM=1\nK=1\nsnr_db=10\nseed={2**53 + 1}\n",
+                f"N=5\nM=1\nK=1\nsnr_db=10\nseed={2**1100 + 3}\n"):
         cfg = parse_config(doc)
         assert parse_config(render_config(cfg)) == cfg
+    for seed in (2**53 + 1, 2**1100 + 3):   # integers are read exactly
+        assert parse_config(f"N=5\nM=1\nK=1\nsnr_db=10\nseed={seed}\n").seed == seed
+
+
+@pytest.mark.parametrize("extra_line, message", [
+    ("pp_over_Ps = 100", "unknown key"),
+    ("N = 30", "given twice"),
+    ("trials = 50", "given twice"),
+])
+def test_unknown_or_repeated_key_rejected(extra_line, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(SMALL_DOC + extra_line + "\n")
 
 
 def test_simulate_end_to_end(tmp_path):
@@ -215,9 +229,11 @@ def test_config_error_exit_code(tmp_path):
     ("simulate", "", ("--seed", "-1")),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
-    # A later line overrides the same key in SMALL_DOC.
+    # The extra line replaces the same key's line in SMALL_DOC.
+    key = extra_line.split("=")[0].strip()
+    kept = [line for line in SMALL_DOC.splitlines() if line.split("=")[0].strip() != key]
     config = tmp_path / "bad.cfg"
-    config.write_text(SMALL_DOC + extra_line + "\n")
+    config.write_text("\n".join(kept + [extra_line]) + "\n")
     argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -234,11 +250,38 @@ def test_population_below_two_rejected_before_any_trial(tmp_path, capsys, monkey
 
     def no_draw(*args):
         raise AssertionError("a trial ran before the configuration was rejected")
-    monkeypatch.setattr(harness, "draw_block", no_draw)
+    monkeypatch.setattr(harness, "trial_blocks", no_draw)
     config = tmp_path / "net.cfg"
     config.write_text(doc)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    "N = 1e12\nM = 1\nK = 1\nsnr_db = 10\n",
+    "N = 20\nM = 2\nK = 1e9\nsnr_db = 10\n",
+])
+def test_oversized_network_exits_2(tmp_path, capsys, doc):
+    # Arrays this large cannot be allocated; the CLI reports it without a traceback.
+    config = tmp_path / "big.cfg"
+    config.write_text(doc)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "out of memory" in capsys.readouterr().err
+
+
+def test_validate_huge_sample_count_exits_2_at_once(tmp_path):
+    # A sample count beyond the cell budget is rejected before any sampling.
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC + "samples = 1e13\n")
+    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-m", "cogdiv.cli", "validate",
+         "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert result.returncode == 2
+    assert "configuration error" in result.stderr and "samples" in result.stderr
 
 
 def test_scaling_json_reports_paired_gap(tmp_path):

@@ -23,6 +23,35 @@ def test_primary_count_length_checked():
         NetworkConfig.homogeneous(10, 2, (1, 2, 3), 10.0)
 
 
+def _direct_config(**kwargs):
+    args = {"num_secondary": 3, "num_bands": 2, "primary_count": (1, 2),
+            "power_secondary": 10.0, "power_primary": 10.0, "noise_power": 1.0,
+            "eta": [1.0, 2.0, 0.5], "gamma": [[1, 2], [0.5, 1], [2, 4]], **kwargs}
+    return NetworkConfig(**args)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eta": [1.0, 2.0]},                       # wrong-size eta
+    {"gamma": [[1, 2, 3], [0.5, 1, 2]]},       # wrong-shape gamma
+    {"gamma": [[1, 2], [0.5], [2, 4]]},        # ragged gamma
+    {"eta": ["one", "two", "three"]},          # non-numeric eta
+    {"primary_count": (1, 2, 3)},              # wrong-size primary_count
+    {"primary_count": [[1, 2], [3]]},          # ragged primary_count
+    {"power_secondary": "ten"},                # non-numeric power
+])
+def test_direct_construction_rejects_bad_shapes_and_values(kwargs):
+    with pytest.raises(ConfigError):
+        _direct_config(**kwargs)
+
+
+def test_single_value_fills_its_shape():
+    cfg = _direct_config(primary_count=[2], eta=1.5, gamma=[[0.5]])
+    assert cfg.primary_count == (2, 2)
+    assert np.array_equal(cfg.eta, np.full(3, 1.5))
+    assert np.array_equal(cfg.gamma, np.full((3, 2), 0.5))
+    assert cfg == NetworkConfig.homogeneous(3, 2, 2, 10.0, eta=1.5, gamma=0.5)
+
+
 def test_accessors():
     cfg = heterogeneous_config()
     assert cfg.snr() == cfg.power_secondary / cfg.noise_power

@@ -311,8 +311,8 @@ def test_block_engine_equals_trial_loop(cfg, block):
     # Blocks of `block` trials; the trial counts put block edges everywhere.
     per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
     reference = run_schemes(cfg, harness.SCHEMES, 2 * block + 3)
-    with mock.patch.object(harness, "BLOCK_BYTES", block * per_trial):
-        assert harness.block_trials(cfg) == block
+    with mock.patch.object(channel, "BLOCK_BYTES", block * per_trial):
+        assert channel.block_trials(cfg) == block
         for trials in sorted({1, max(1, block - 1), block, block + 1, 2 * block + 3}):
             paired = _check_block_run(cfg, trials)
     for scheme in harness.SCHEMES:   # and the default block size gives the same
@@ -328,8 +328,8 @@ def test_block_engine_equals_trial_loop(cfg, block):
 @example(NetworkConfig.homogeneous(2, 1, 0, 5.0, seed=8), 1)     # a chunk is one 4-trial block
 def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
     # Seeding chunks of a few trials, so the runs cross chunk edges.
-    with mock.patch.object(harness, "BLOCK_BYTES", 64 * words):
-        chunk, block = harness.chunk_trials(cfg), harness.block_trials(cfg)
+    with mock.patch.object(channel, "BLOCK_BYTES", 64 * words):
+        chunk, block = channel.chunk_trials(cfg), channel.block_trials(cfg)
         assert chunk % block == 0
         for trials in (chunk + 1, 2 * chunk + block + 1):
             _check_block_run(cfg, trials)
