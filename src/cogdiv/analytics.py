@@ -5,6 +5,7 @@ variables.  Rates are in bits/s/Hz (base-2 logs).
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -112,6 +113,15 @@ def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> 
         x = np.where(active, step, x)
 
 
+@functools.lru_cache(maxsize=1024)
+def _law_threshold(slope: float, coeff: tuple[float, ...], big_n: int) -> float:
+    """The (1 - 1/big_n)-quantile of one law, solved once per process.
+
+    One ``_newton_log_survival`` row, so it equals that row of an array pass.
+    """
+    return float(_newton_log_survival(np.array([slope]), np.array([coeff]), math.log(big_n))[0])
+
+
 def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
     """Threshold lambda(m, n): the (1 - 1/N)-quantile of T(.; m, n).
 
@@ -121,9 +131,12 @@ def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
     """
     if big_n < 2:
         raise ConfigError("population size must be at least 2")
+    if not (0 <= m < cfg.num_bands and 0 <= n < cfg.num_secondary):
+        raise ConfigError(f"band {m} and user {n} must lie in [0, {cfg.num_bands}) "
+                          f"and [0, {cfg.num_secondary})")
     slope, coeff = cfg.link_law
-    return float(_newton_log_survival(slope[[n]], coeff[[n], :cfg.primary_count[m]],
-                                      math.log(big_n))[0])
+    return _law_threshold(float(slope[n]), tuple(coeff[n, :cfg.primary_count[m]].tolist()),
+                          big_n)
 
 
 @dataclass(frozen=True)
@@ -138,9 +151,9 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> Thres
     """Solve the threshold equation for all (m, n).
 
     Bands with the same K_m share their thresholds, so each distinct K_m
-    costs one array Newton pass over the users, and over one user when
-    all users have the same path-loss factors; every entry equals
-    ``solve_threshold`` for its (m, n).
+    costs one array Newton pass over the users.  When all users have the
+    same path-loss factors, it is one law's ``_law_threshold``, solved
+    once per process; every entry equals ``solve_threshold`` for its (m, n).
     """
     if big_n is None:
         big_n = cfg.num_secondary
@@ -148,12 +161,12 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> Thres
         raise ConfigError("population size must be at least 2")
     slope, coeff = cfg.link_law
     alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))
-    users = np.arange(1 if alike else cfg.num_secondary)
     counts = np.asarray(cfg.primary_count)
     lam = np.empty((cfg.num_bands, cfg.num_secondary))
     for k_m in np.unique(counts):
-        lam[counts == k_m] = _newton_log_survival(slope[users], coeff[users, :k_m],
-                                                  math.log(big_n))
+        lam[counts == k_m] = (
+            _law_threshold(float(slope[0]), tuple(coeff[0, :k_m].tolist()), big_n) if alike
+            else _newton_log_survival(slope, coeff[:, :k_m], math.log(big_n)))
     lam.setflags(write=False)
     return ThresholdTable(lam=lam, population_size=big_n)
 

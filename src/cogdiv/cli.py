@@ -72,10 +72,11 @@ def _value(pairs, key, parse, default=None):
 
 
 def parse_config(text: str) -> NetworkConfig:
-    """Parse a network configuration document; ``NetworkConfig`` checks it."""
+    """Parse a network configuration document; ``NetworkConfig`` checks it,
+    and its errors name the document's keys, not its own fields."""
     pairs = _parse_pairs(text)
     p_s = power_from_db(_value(pairs, "snr_db", float))
-    return NetworkConfig(
+    fields = dict(
         num_secondary=_value(pairs, "N", _scalar),
         num_bands=_value(pairs, "M", _scalar),
         primary_count=_value(pairs, "K", _list),
@@ -86,6 +87,13 @@ def parse_config(text: str) -> NetworkConfig:
         gamma=_value(pairs, "gamma", _rows, 1.0),
         seed=_value(pairs, "seed", _scalar, 0),
     )
+    try:
+        return NetworkConfig(**fields)
+    except ConfigError as exc:
+        message = str(exc)
+        for field, key in (("num_secondary", "N"), ("num_bands", "M"), ("primary_count", "K")):
+            message = message.replace(field, key)
+        raise ConfigError(message) from None
 
 
 def render_config(cfg: NetworkConfig) -> str:

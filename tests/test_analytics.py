@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cogdiv import (
+    ConfigError,
     NetworkConfig,
     build_threshold_table,
     cdf_exact,
@@ -16,8 +19,10 @@ from cogdiv import (
     expected_log_max,
     harmonic_moments,
     order_stat_cdf,
+    scaling_sweep,
     solve_threshold,
 )
+from cogdiv import analytics
 from cogdiv.analytics import partial_binomial_sum
 
 from conftest import heterogeneous_config
@@ -227,6 +232,43 @@ def test_threshold_table_residuals(hetero_cfg):
         for n in range(hetero_cfg.num_secondary):
             err = abs(float(cdf_exact(table.lam[m, n], m, n, hetero_cfg)) - target)
             assert err <= 1e-10
+
+
+@pytest.mark.parametrize("m, n", [(0, -1), (0, 50), (-1, 0), (4, 0)])
+def test_solve_threshold_rejects_out_of_range_index(hetero_cfg, m, n):
+    # A negative index would wrap to another user's row; none reaches the cache.
+    analytics._law_threshold.cache_clear()
+    with pytest.raises(ConfigError):
+        solve_threshold(m, n, hetero_cfg, 10)
+    info = analytics._law_threshold.cache_info()
+    assert info.hits == info.misses == 0
+
+
+def test_figure_sweep_solves_each_law_once():
+    # The figure's M = 1..4 curves share their laws: each (law, K_m, N) is
+    # solved once per process, whatever the number of bands or the seed.
+    n_values = (10, 20, 50)
+    templates = [NetworkConfig.homogeneous(n_values[0], m, (4, 2, 4, 2)[:m], 10.0)
+                 for m in (1, 2, 3, 4)]
+    analytics._law_threshold.cache_clear()
+    with mock.patch.object(analytics, "_newton_log_survival",
+                           wraps=analytics._newton_log_survival) as solve:
+        for seed in (0, 1):
+            for template in templates:
+                scaling_sweep(dataclasses.replace(template, seed=seed), n_values, 2)
+    assert solve.call_count == 2 * len(n_values)   # K_m in {2, 4} at each N
+
+
+def test_threshold_tables_share_no_storage(homog_cfg):
+    lam = build_threshold_table(homog_cfg).lam
+    solved = lam.copy()
+    with pytest.raises(ValueError):
+        lam *= 2.0
+    lam.setflags(write=True)
+    lam *= 2.0
+    later = build_threshold_table(homog_cfg)
+    assert not later.lam.flags.writeable
+    assert later.lam.tobytes() == solved.tobytes()
 
 
 # -- exponential order-statistic moments ------------------------------------

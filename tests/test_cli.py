@@ -239,6 +239,21 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, f
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("N = 10.7\nM = 2\nK = 1\nsnr_db = 10\n", "N must be an integer, got 10.7"),
+    ("N = 10\nM = 2\nK = 1,2,3\nsnr_db = 10\n", "K needs 1 value or shape (2,), got shape (3,)"),
+    ("N = 3\nM = 4\nK = 1\nsnr_db = 10\n", "M (4) must not exceed N (3)"),
+    # Messages that quote the document are not rewritten.
+    ("num_bands = 2\n", "line 1: unknown key 'num_bands'"),
+    ("num_bands 2\n", "line 1: expected 'key = value', got 'num_bands 2'"),
+])
+def test_config_error_names_the_document_keys(tmp_path, capsys, doc, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(doc)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 @pytest.mark.parametrize("subcommand, doc", [
     ("scaling", "N = 10\nM = 1\nK = 2\nsnr_db = 10\nn_values = 1,10\n"),
     ("simulate", "N = 1\nM = 1\nK = 2\nsnr_db = 10\n"),

@@ -37,7 +37,7 @@ from cogdiv import (
     solve_threshold,
     validate,
 )
-from cogdiv import channel, harness
+from cogdiv import analytics, channel, harness
 from cogdiv.channel import TrialStreams, sinr_bounds
 from cogdiv.harness import _per_n_seed
 
@@ -209,6 +209,19 @@ def test_threshold_table_equals_scalar_solver(cfg, log_n):
         for n in range(cfg.num_secondary):
             expected = _scalar_newton(m, n, cfg, big_n)
             assert lam[m, n] == solve_threshold(m, n, cfg, big_n) == expected
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(network_configs(), network_configs(homogeneous=True)),
+       st.one_of(st.integers(2, 1000), st.integers(2, 10**17)))
+def test_threshold_table_equals_uncached_array_pass(cfg, big_n):
+    # Homogeneous tables come from the per-process law cache; every row must
+    # still equal the one array pass over all users that solves it uncached.
+    slope, coeff = cfg.link_law
+    lam = build_threshold_table(cfg, big_n).lam
+    for m, k_m in enumerate(cfg.primary_count):
+        expected = analytics._newton_log_survival(slope, coeff[:, :k_m], math.log(big_n))
+        assert lam[m].tobytes() == expected.tobytes()
 
 
 @PROPERTY_SETTINGS
