@@ -6,6 +6,7 @@ identical to drawing complex Gaussians and cheaper.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import threading
 from dataclasses import dataclass
@@ -31,12 +32,12 @@ class SinrTable:
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants.
-_U32 = np.uint32
+_U32, _U64 = np.uint32, np.uint64
 _POOL = 4
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _XSHIFT = _U32(0xCA01F9DD), _U32(0x4973F715), _U32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_LOW32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
 
 
 @functools.cache
@@ -124,25 +125,107 @@ def _seed_states(seed: int, start: int, count: int) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
-def _pcg64_state(words) -> tuple[int, int]:
-    """PCG64's (state, inc) after seeding with generate_state words ``words``."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    return ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc
+def _add(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of (a + b) mod 2**128 as (high, low) uint64 words."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
 
 
-@functools.cache
-def _check_seeding() -> None:
-    """RuntimeError unless the pass seeds a long key as ``default_rng`` does."""
-    seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5   # every mixing round
-    for words, key in zip(_seed_states(seed, t, 1).tolist(), ((seed, t), (seed, t, 1))):
-        state = np.random.default_rng(key).bit_generator.state["state"]
-        if _pcg64_state(words) != (state["state"], state["inc"]):
-            raise RuntimeError("this numpy seeds PCG64 differently from the trial "
-                               "seeding pass; trial streams would diverge")
+def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of a * b for uint64 columns a, from 32-bit limbs."""
+    a0, a1 = a & _LOW32, a >> _SHIFT32
+    b0, b1 = _U64(b & 0xFFFFFFFF), _U64(b >> 32)
+    t = a1 * b0 + (a0 * b0 >> _SHIFT32)
+    w = (t & _LOW32) + a0 * b1
+    return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32)
+
+
+def _pcg64_images(states: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
+    """(rows, 4) uint64 PCG64 states after seeding with the generate_state
+    rows ``states``: state = (s + inc) * MULT + inc mod 2**128, inc = 2 i + 1.
+
+    Column c holds word ``layout[c]`` of (state low, state high, inc low,
+    inc high): the generator's memory order (see ``_memory_layout``).
+    """
+    s_hi, s_lo, i_hi, i_lo = states.T
+    inc_hi, inc_lo = i_hi << _U64(1) | i_lo >> _U64(63), i_lo << _U64(1) | _U64(1)
+    a_hi, a_lo = _add(s_hi, s_lo, inc_hi, inc_lo)
+    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & 0xFFFFFFFFFFFFFFFF
+    p_hi = _mul_high(a_lo, m_lo) + a_lo * _U64(m_hi) + a_hi * _U64(m_lo)
+    st_hi, st_lo = _add(p_hi, a_lo * _U64(m_lo), inc_hi, inc_lo)
+    words, images = (st_lo, st_hi, inc_lo, inc_hi), np.empty_like(states)
+    for column, k in enumerate(layout):
+        images[:, column] = words[k]
+    return images
+
+
+class _Pcg64State(ctypes.Structure):
+    """numpy's ``pcg64_state``, at ``PCG64.ctypes.state_address``."""
+
+    _fields_ = [("pcg_state", ctypes.c_void_p),   # the 32 bytes {state, inc}
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+def _state_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, _Pcg64State]:
+    """Writable views of a PCG64's four state words and of its 32-bit buffer;
+    they are valid while ``bit_generator`` lives."""
+    head = _Pcg64State.from_address(bit_generator.ctypes.state_address)
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(head.pcg_state)), head
 
 
 _THREAD = threading.local()
+
+
+def _set_stream(image: np.ndarray) -> np.random.Generator:
+    """This thread's reused generator, its PCG64 state set to ``image`` with
+    no buffered 32-bit draw, as the documented ``state`` setter leaves it."""
+    try:
+        gen, words, head = _THREAD.stream
+    except AttributeError:
+        gen = np.random.Generator(np.random.PCG64(0))
+        gen, words, head = _THREAD.stream = (gen, *_state_views(gen.bit_generator))
+    words[...] = image
+    head.has_uint32 = head.uinteger = 0
+    return gen
+
+
+def _memory_layout(bit_generator: np.random.PCG64) -> tuple[int, ...]:
+    """Which of the words (state low, state high, inc low, inc high) each of
+    PCG64's four state words in memory is, learned by a round trip through
+    the documented ``state`` setter: low word first for a native 128-bit
+    integer, high word first in numpy's emulated one."""
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": 1 << 64 | 0, "inc": 3 << 64 | 2},
+                           "has_uint32": 1, "uinteger": 5}
+    words, head = _state_views(bit_generator)
+    layout = tuple(words.tolist())
+    if sorted(layout) != [0, 1, 2, 3] or (head.has_uint32, head.uinteger) != (1, 5):
+        raise RuntimeError("this numpy lays out PCG64's state differently from "
+                           "the trial streams' state write")
+    return layout
+
+
+@functools.cache
+def _check_seeding() -> tuple[int, ...]:
+    """The ``_memory_layout`` of PCG64 in this process; RuntimeError unless
+    streams set from the seeding pass draw as ``default_rng`` does.
+
+    The key takes every mixing round, and the second stream is set while
+    the first still buffers a 32-bit draw, so the hashing, the seeding step
+    and the state write are checked together.
+    """
+    layout = _memory_layout(np.random.PCG64(0))
+    seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5
+    images = _pcg64_images(_seed_states(seed, t, 1), layout)
+    def draws(gen: np.random.Generator) -> list:
+        return gen.integers(0, 2**32, 3, dtype=np.uint32).tolist() + gen.random(2).tolist()
+
+    for image, key in zip(images, ((seed, t), (seed, t, 1))):
+        if draws(_set_stream(image)) != draws(np.random.default_rng(key)):
+            raise RuntimeError("this numpy seeds PCG64 differently from the trial "
+                               "seeding pass; trial streams would diverge")
+    return layout
+
 
 #: Trials run as one array pass: as many as keep the block's (B, M, N, K)
 #: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
@@ -158,9 +241,10 @@ class TrialStreams:
     (seed, t))`` and its contention timers from ``np.random.default_rng(
     (seed, t, 1))``; that is the stream contract, and ``draw_realization``
     and the tests use ``default_rng`` as its definition.  Here the keys of
-    every trial are seeded in one array pass, and each stream is this
-    thread's one reused PCG64 set to the state that ``default_rng(key)``
-    would hold.  A returned generator is therefore valid only until the
+    every trial are seeded in one array pass, PCG64's seeding step
+    included, and each stream is this thread's one reused PCG64 with its 32
+    bytes of state overwritten by those ``default_rng(key)`` would hold.
+    A returned generator is therefore valid only until the
     next stream is asked for: draw from it at once.
     """
 
@@ -169,19 +253,11 @@ class TrialStreams:
             raise ConfigError("trial_index must be non-negative")
         if start + count > 1 << 64:
             raise ConfigError("trial indices must be below 2**64")
-        _check_seeding()
         self.start, self.count = start, count
-        self._states = _seed_states(seed, start, count)
+        self._images = _pcg64_images(_seed_states(seed, start, count), _check_seeding())
 
     def _stream(self, row: int) -> np.random.Generator:
-        gen = getattr(_THREAD, "generator", None)
-        if gen is None:
-            gen = _THREAD.generator = np.random.Generator(np.random.PCG64(0))
-        state, inc = _pcg64_state(self._states[row].tolist())
-        gen.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        return gen
+        return _set_stream(self._images[row])
 
     def fading(self, t: int) -> np.random.Generator:
         """Trial t's fading stream, (seed, t)."""

@@ -398,6 +398,13 @@ def _event_d_count(sinr: np.ndarray) -> int:
     return int(np.count_nonzero(centralized.all_distinct(centralized.favorite_users(sinr))))
 
 
+def _ks_limit(samples: int) -> float:
+    """The KS distance that ``samples`` draws of the tested law exceed with
+    probability 1e-3 (Kolmogorov's limit law), the level of
+    ``contention_uniform_p``."""
+    return float(stats.kstwobign.isf(1e-3)) / math.sqrt(samples)
+
+
 def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """Run the statistical validation suite against one configuration.
 
@@ -439,7 +446,8 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     checks.append(CheckResult("exp1_mean", abs(pooled.mean() - 1.0) < 0.02,
                               float(pooled.mean()), 0.02))
     ks = stats.kstest(pooled, "expon", method="asymp").statistic
-    checks.append(CheckResult("exp1_ks", ks < 0.01, float(ks), 0.01))
+    limit = _ks_limit(pooled.size)
+    checks.append(CheckResult("exp1_ks", ks < limit, float(ks), limit))
 
     # Sandwich and Lemma-2 interleaving over whole realizations.
     checks.append(CheckResult("sandwich_violations", sandwich_bad == 0,
@@ -452,7 +460,8 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     sinr_samples = _simulate_sinr_samples(cfg, m0, n0, samples, rng)
     ks_exact = stats.ks_1samp(
         sinr_samples, lambda x: analytics.cdf_exact(x, m0, n0, cfg), method="asymp").statistic
-    checks.append(CheckResult("exact_cdf_ks", ks_exact < 0.01, float(ks_exact), 0.01))
+    limit = _ks_limit(sinr_samples.size)
+    checks.append(CheckResult("exact_cdf_ks", ks_exact < limit, float(ks_exact), limit))
 
     # One column per user, in blocks of 64 users so the array stays small.
     grid = np.logspace(-3, 3, 400)[:, None]

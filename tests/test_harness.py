@@ -18,6 +18,7 @@ from cogdiv import (
     threshold_sweep,
     validate,
 )
+from cogdiv import channel, harness
 from cogdiv.channel import sinr_bounds
 from cogdiv.harness import (
     ResourceError,
@@ -229,6 +230,32 @@ def test_validate_heterogeneous_passes(hetero_cfg):
     report = validate(hetero_cfg, samples=30_000)
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.statistic} vs {check.threshold}"
+
+
+def test_validate_ks_limits_scale_with_the_samples():
+    # At 10^4 samples correct draws reach a KS distance of 0.0102 here,
+    # beyond a fixed 0.01; the limit is the 1e-3 quantile at that count.
+    report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=10_000)
+    checks = {c.name: c for c in report.checks}
+    assert checks["exp1_ks"].statistic > 0.01
+    for name in ("exp1_ks", "exact_cdf_ks"):
+        assert checks[name].threshold == pytest.approx(1.9494746 / math.sqrt(10_000))
+    assert report.passed
+
+
+def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
+    def scaled_blocks(cfg, trials):
+        for start, g_sq, h_sq, contention in channel.trial_blocks(cfg, trials):
+            yield start, 1.05 * g_sq, h_sq, contention
+
+    simulate = harness._simulate_sinr_samples
+    monkeypatch.setattr(harness, "trial_blocks", scaled_blocks)
+    monkeypatch.setattr(harness, "_simulate_sinr_samples",
+                        lambda *args: 1.05 * simulate(*args))
+    report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=100_000)
+    checks = {c.name: c for c in report.checks}
+    for name in ("exp1_ks", "exact_cdf_ks"):
+        assert not checks[name].passed, f"{name}: {checks[name].statistic}"
 
 
 def test_validate_rejects_tiny_sample_count(hetero_cfg):

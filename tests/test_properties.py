@@ -5,6 +5,7 @@ them, and spread-out path-loss factors.  Examples are derandomized so the
 suite gives the same verdict on every run.
 """
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -368,6 +369,41 @@ def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift,
     # A stream asked for again starts over.
     assert np.array_equal(streams.fading(start).random(3),
                           np.random.default_rng((seed, start)).random(3))
+    # Three 32-bit draws leave half of a 64-bit output buffered; the next
+    # stream must start without it, as default_rng does.
+    for t in range(start, start + count):
+        streams.fading(t).integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(
+            streams.contention(t).integers(0, 2**32, size=5, dtype=np.uint32),
+            np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
+
+
+def test_trial_streams_of_interleaved_threads_equal_default_rng():
+    # Every thread sets its stream before any draws from it.
+    seeds, count = (11, 12, 2**70 + 5), 40
+    barrier = threading.Barrier(len(seeds), timeout=60)
+    drawn = {}
+
+    def run(seed):
+        streams, rows = TrialStreams(seed, 0, count), []
+        for t in range(count):
+            for stream in (streams.fading, streams.contention):
+                gen = stream(t)
+                barrier.wait()
+                rows.append(gen.random(3))
+                barrier.wait()
+        drawn[seed] = rows
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    for seed in seeds:
+        expected = [np.random.default_rng(key).random(3)
+                    for t in range(count) for key in ((seed, t), (seed, t, 1))]
+        assert np.array_equal(drawn[seed], expected)
 
 
 def test_trial_streams_reject_indices_out_of_range():
@@ -380,5 +416,11 @@ def test_trial_streams_reject_indices_out_of_range():
 def test_seeding_check_raises_when_streams_would_diverge():
     channel._check_seeding.__wrapped__()
     with mock.patch.object(channel, "_PCG_MULT", channel._PCG_MULT + 2):
+        with pytest.raises(RuntimeError):
+            channel._check_seeding.__wrapped__()
+    # The state written with its 64-bit words in the other order.
+    layout = channel._memory_layout(np.random.PCG64(0))
+    swapped = tuple(layout[c ^ 1] for c in range(4))
+    with mock.patch.object(channel, "_memory_layout", return_value=swapped):
         with pytest.raises(RuntimeError):
             channel._check_seeding.__wrapped__()
