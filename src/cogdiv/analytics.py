@@ -14,6 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy.stats import binom
 
+from .channel import _sum_terms
 from .config import ConfigError, NetworkConfig
 
 LN2 = math.log(2.0)
@@ -31,8 +32,9 @@ def _log_survival(x, slope, coeff):
 
     ``coeff``'s last axis runs over the K_m primary users of the band;
     ``x`` broadcasts against ``slope`` and the other axes of ``coeff``.
+    Its terms are summed by ``channel._sum_terms``, ``np.sum`` bit for bit.
     """
-    return x * slope + np.sum(np.log1p(coeff * x[..., None]), axis=-1)
+    return x * slope + _sum_terms(np.log1p(coeff * x[..., None]))
 
 
 def _bound_cdf(x, m: int, cfg: NetworkConfig, upper: bool):
@@ -106,7 +108,7 @@ def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> 
     active = np.ones(slope.shape, dtype=bool)
     while True:
         g = _log_survival(x, slope, coeff) - log_n
-        step = x - g / (slope + np.sum(coeff / (1.0 + coeff * x[:, None]), axis=1))
+        step = x - g / (slope + _sum_terms(coeff / (1.0 + coeff * x[:, None])))
         active &= step > x
         if not active.any():
             return x

@@ -333,18 +333,20 @@ def _check_shapes(cfg: NetworkConfig, g_sq: np.ndarray, h_sq: np.ndarray) -> Non
         )
 
 
-def _interference(cfg: NetworkConfig, h_sq: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _interference(cfg: NetworkConfig, h_sq: np.ndarray,
+                  weights: np.ndarray | None) -> np.ndarray:
     """(..., M, N) per-band interference sums, sum_j weights[n, j] * |h_mnj|^2.
 
-    Bands with fewer primary users than max K_m only see their first
-    K_m interference terms.
+    ``weights`` None sums the raw |h|^2.  Bands with fewer primary users
+    than max K_m only see their first K_m interference terms.
     """
     if len(set(cfg.primary_count)) == 1:   # every band sees all k terms
-        return _sum_terms(h_sq * weights)
+        return _sum_terms(h_sq if weights is None else h_sq * weights)
     sums = np.zeros(h_sq.shape[:-1])
     for band, k_m in enumerate(cfg.primary_count):
         if k_m:
-            sums[..., band, :] = _sum_terms(h_sq[..., band, :, :k_m] * weights[:, :k_m])
+            h = h_sq[..., band, :, :k_m]
+            sums[..., band, :] = _sum_terms(h if weights is None else h * weights[:, :k_m])
     return sums
 
 
@@ -395,6 +397,6 @@ def sinr_bounds(cfg: NetworkConfig,
     realizations, leading axes being trials, as ``sinr_block`` takes them.
     """
     _check_shapes(cfg, real.g_sq, real.h_sq)
-    raw = _interference(cfg, real.h_sq, np.ones_like(cfg.gamma))
+    raw = _interference(cfg, real.h_sq, None)
     (slope_l, c_l), (slope_u, c_u) = cfg.bound_law(upper=False), cfg.bound_law(upper=True)
     return real.g_sq / (slope_l + c_l * raw), real.g_sq / (slope_u + c_u * raw)

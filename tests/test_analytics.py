@@ -87,6 +87,14 @@ def test_cdf_dominance(hetero_cfg):
         assert np.all(ex <= lo + 1e-15)
 
 
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_log_survival_equals_np_sum_form(k):
+    slope, coeff = heterogeneous_config(num_secondary=64, k=k).link_law
+    x = GRID[:, None]
+    expected = x * slope + np.sum(np.log1p(coeff * x[..., None]), axis=-1)
+    assert analytics._log_survival(x, slope, coeff).tobytes() == expected.tobytes()
+
+
 def test_cdfs_valid(hetero_cfg):
     for values in (cdf_lower(GRID, 0, hetero_cfg),
                    cdf_upper(GRID, 0, hetero_cfg),

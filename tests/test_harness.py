@@ -1,13 +1,16 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from cogdiv import (
     ConfigError,
     NetworkConfig,
     build_threshold_table,
+    cdf_exact,
     compute_sinr,
     draw_realization,
     expected_log_max,
@@ -256,6 +259,40 @@ def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
     checks = {c.name: c for c in report.checks}
     for name in ("exp1_ks", "exact_cdf_ks"):
         assert not checks[name].passed, f"{name}: {checks[name].statistic}"
+
+
+@pytest.mark.parametrize("size", [10_000, 100_000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_ks_distance_equals_scipy_statistic(size, ties):
+    cfg = heterogeneous_config(k=(0, 2, 4, 8))
+    rng = np.random.default_rng(size)
+    exp1 = rng.exponential(size=size)
+    sinr = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    if ties:
+        exp1, sinr = np.round(exp1, 2), np.round(sinr, 2)
+    exact = functools.partial(cdf_exact, m=2, n=5, cfg=cfg)
+    assert (harness._ks_distance(exp1, lambda x: -special.expm1(-x))
+            == stats.kstest(exp1, "expon", method="asymp").statistic)
+    assert (harness._ks_distance(sinr, exact)
+            == stats.ks_1samp(sinr, exact, method="asymp").statistic)
+
+
+def test_ks_distance_and_exp1_ks_fail_on_a_nan(monkeypatch):
+    sample = np.random.default_rng(0).exponential(size=10_000)
+    sample[123] = np.nan
+    assert math.isnan(harness._ks_distance(sample, stats.expon.cdf))
+
+    def nan_blocks(cfg, trials):
+        for start, g_sq, h_sq, contention in channel.trial_blocks(cfg, trials):
+            if start == 0:
+                g_sq = g_sq.copy()
+                g_sq[0, 0, 0] = np.nan
+            yield start, g_sq, h_sq, contention
+
+    monkeypatch.setattr(harness, "trial_blocks", nan_blocks)
+    report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=10_000)
+    exp1_ks = {c.name: c for c in report.checks}["exp1_ks"]
+    assert math.isnan(exp1_ks.statistic) and not exp1_ks.passed
 
 
 def test_validate_rejects_tiny_sample_count(hetero_cfg):

@@ -88,6 +88,23 @@ def test_bounds_sandwich_and_interleave_sinr(cfg, trial):
 
 
 @PROPERTY_SETTINGS
+@given(st.integers(1, 7), st.integers(1, 5), st.integers(1, 40), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@example(3, 1, 1, False, 0)     # np.sum's own reduction loop runs over the terms
+def test_sum_terms_equals_np_sum(k, rows, cols, fortran, seed):
+    # Terms of either sign spread over 1e-8..1e8, where adding them in
+    # another order rounds differently.
+    rng = np.random.default_rng(seed)
+    size = (rows, cols, k)
+    terms = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+    if fortran:
+        terms = np.asfortranarray(terms)
+    total, expected = channel._sum_terms(terms), np.sum(terms, axis=-1)
+    assert total.shape == expected.shape
+    assert total.tobytes() == expected.tobytes()
+
+
+@PROPERTY_SETTINGS
 @given(network_configs(homogeneous=True), st.integers(0, 1000))
 def test_homogeneous_bounds_equal_sinr(cfg, trial):
     real = draw_realization(cfg, trial)
