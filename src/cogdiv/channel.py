@@ -38,6 +38,7 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _XSHIFT = _U32(0xCA01F9DD), _U32(0x4973F715), _U32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
+_TAIL = np.array([[0], [1]], dtype=_U32)   # a key's last word: none, then 1
 
 
 @functools.cache
@@ -84,28 +85,34 @@ def _key_words(value: int) -> list[int]:
     return words
 
 
-def _seed_states(seed: int, start: int, count: int) -> np.ndarray:
-    """(2 count, 4) ``SeedSequence(key).generate_state(4, np.uint64)`` of
-    the keys (seed, t) and then (seed, t, 1), start <= t < start + count.
+def _seed_states(keys) -> np.ndarray:
+    """(2 R, 4) ``SeedSequence(key).generate_state(4, np.uint64)`` of the
+    R keys (seed, t), for each (seed, ts) of ``keys`` and each uint64 t of
+    ts in order, and then of the keys (seed, t, 1) in the same order.
 
     numpy's entropy mixing and state generation run on whole columns of
-    keys.  Keys shorter than the pool are zero-padded, as SeedSequence
-    pads them; a key longer than the pool takes the extra mixing rounds
-    of its own words only.
+    keys, each column with its own seed and trial index.  Keys shorter
+    than the pool are zero-padded, as SeedSequence pads them; a key longer
+    than the pool takes the extra mixing rounds of its own words only.
     """
-    head = _key_words(seed)
-    h = len(head)
-    t = np.arange(count, dtype=np.uint64) + np.uint64(start)
-    hi = (t >> np.uint64(32)).astype(_U32)
-    wide = hi != 0                            # t has two words
-    tail = np.array([[0], [1]], dtype=_U32)   # no tail, then the tail 1
-    words = np.zeros((h + 3, 2, count), dtype=_U32)
-    words[:h] = np.array(head, dtype=_U32)[:, None, None]
-    words[h] = t.astype(_U32)
-    words[h + 1] = np.where(wide, hi, tail)
-    words[h + 2] = wide * tail
-    words = words.reshape(h + 3, 2 * count)
-    lengths = (h + 1 + wide + tail).ravel()
+    heads = [_key_words(seed) for seed, _ in keys]
+    count = sum(len(ts) for _, ts in keys)
+    width = max(map(len, heads)) + 3
+    words = np.zeros((width, 2, count), dtype=_U32)
+    lengths = np.empty((2, count), dtype=np.intp)
+    first = 0
+    for head, (_, t) in zip(heads, keys):
+        h, cols = len(head), slice(first, first + len(t))
+        first += len(t)
+        hi = (t >> np.uint64(32)).astype(_U32)
+        wide = hi != 0                        # t has two words
+        words[:h, :, cols] = np.array(head, dtype=_U32)[:, None, None]
+        words[h, :, cols] = t.astype(_U32)
+        words[h + 1, :, cols] = np.where(wide, hi, _TAIL)
+        words[h + 2, :, cols] = wide * _TAIL
+        lengths[:, cols] = h + 1 + wide + _TAIL
+    words = words.reshape(width, 2 * count)
+    lengths = lengths.ravel()
 
     # Entropy mixing hashes 4 + 12 times, plus 4 times per word beyond the pool.
     rounds = int(lengths.max()) - _POOL
@@ -123,6 +130,15 @@ def _seed_states(seed: int, start: int, count: int) -> np.ndarray:
     state = _hash(np.concatenate((pool, pool)), hash_b[:-1], hash_b[1:])
     # Word pairs, low word first, are the uint64 words.
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
+
+
+def key_seeds(seed: int, values) -> list[int]:
+    """``SeedSequence((seed, v)).generate_state(1)[0]`` of each v in
+    ``values`` (non-negative, below 2**64), from one seeding pass: the
+    first uint32 word of a key's state is the low half of its first
+    uint64 word."""
+    t = np.array(values, dtype=np.uint64)
+    return (_seed_states([(seed, t)])[:len(t), 0] & _LOW32).tolist()
 
 
 def _add(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +232,7 @@ def _check_seeding() -> tuple[int, ...]:
     """
     layout = _memory_layout(np.random.PCG64(0))
     seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5
-    images = _pcg64_images(_seed_states(seed, t, 1), layout)
+    images = _pcg64_images(_seed_states([(seed, _trials(t, 1))]), layout)
     def draws(gen: np.random.Generator) -> list:
         return gen.integers(0, 2**32, 3, dtype=np.uint32).tolist() + gen.random(2).tolist()
 
@@ -229,9 +245,22 @@ def _check_seeding() -> tuple[int, ...]:
 
 #: Trials run as one array pass: as many as keep the block's (B, M, N, K)
 #: interference gains within this many bytes, and at most MAX_BLOCK_TRIALS.
-#: Trials are seeded in chunks whose stream states fit it too.
+#: One seeding pass takes as many whole blocks as keep their stream states
+#: (two streams of 4 uint64 words a trial) within it too.
 BLOCK_BYTES = 1 << 19
 MAX_BLOCK_TRIALS = 64
+
+
+def _trials(start: int, count: int) -> np.ndarray:
+    """The uint64 trial indices start to start + count - 1."""
+    return np.arange(count, dtype=np.uint64) + np.uint64(start)
+
+
+def _stream_images(keys) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 images of the fading and the contention streams of the keys
+    of ``_seed_states(keys)``, from one seeding pass."""
+    images = _pcg64_images(_seed_states(keys), _check_seeding())
+    return images[:len(images) // 2], images[len(images) // 2:]
 
 
 class TrialStreams:
@@ -245,7 +274,9 @@ class TrialStreams:
     included, and each stream is this thread's one reused PCG64 with its 32
     bytes of state overwritten by those ``default_rng(key)`` would hold.
     A returned generator is therefore valid only until the
-    next stream is asked for: draw from it at once.
+    next stream is asked for: draw from it at once.  ``trial_blocks``
+    sets its streams from the same pass, run over the trials of many
+    configs at once.
     """
 
     def __init__(self, seed: int, start: int, count: int):
@@ -253,19 +284,16 @@ class TrialStreams:
             raise ConfigError("trial_index must be non-negative")
         if start + count > 1 << 64:
             raise ConfigError("trial indices must be below 2**64")
-        self.start, self.count = start, count
-        self._images = _pcg64_images(_seed_states(seed, start, count), _check_seeding())
-
-    def _stream(self, row: int) -> np.random.Generator:
-        return _set_stream(self._images[row])
+        self.start = start
+        self._fading, self._contention = _stream_images([(seed, _trials(start, count))])
 
     def fading(self, t: int) -> np.random.Generator:
         """Trial t's fading stream, (seed, t)."""
-        return self._stream(t - self.start)
+        return _set_stream(self._fading[t - self.start])
 
     def contention(self, t: int) -> np.random.Generator:
         """Trial t's contention stream, (seed, t, 1)."""
-        return self._stream(self.count + t - self.start)
+        return _set_stream(self._contention[t - self.start])
 
 
 def _draw(rng: np.random.Generator, g_sq: np.ndarray, h_sq: np.ndarray) -> None:
@@ -285,30 +313,54 @@ def block_trials(cfg: NetworkConfig) -> int:
     return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 
 
-def chunk_trials(cfg: NetworkConfig) -> int:
-    """Trials per seeding pass: as many whole blocks as keep the trials'
-    stream states (two streams of 4 uint64 words each) within ``BLOCK_BYTES``."""
-    step = block_trials(cfg)
-    return max(1, BLOCK_BYTES // (64 * step)) * step
+def seeding_passes(cfgs, trials: int):
+    """Yield the spans (point, start, count) of each seeding pass of
+    ``trial_blocks(cfgs, trials)``: whole blocks of config ``cfgs[point]``,
+    in order, as many as keep the pass's stream states within
+    ``BLOCK_BYTES``, and at least one block."""
+    room, spans, used = max(1, BLOCK_BYTES // 64), [], 0
+    for point, cfg in enumerate(cfgs):
+        step, start = block_trials(cfg), 0
+        while start < trials:
+            fits = (room - used) // step   # whole blocks that fit this pass
+            if spans and fits < 1:
+                yield spans
+                spans, used = [], 0
+                continue
+            take = min(trials - start, max(fits, 1) * step)
+            spans.append((point, start, take))
+            used, start = used + take, start + take
+    if spans:
+        yield spans
 
 
-def trial_blocks(cfg: NetworkConfig, trials: int):
-    """Yield (start, g_sq, h_sq, contention) for each block of trials 0 to
-    ``trials - 1``, ``block_trials(cfg)`` trials a block.
+def trial_blocks(cfgs, trials: int):
+    """Yield (point, start, g_sq, h_sq, contention) for each block of trials
+    0 to ``trials - 1`` of each config ``cfgs[point]`` in turn,
+    ``block_trials`` of that config a block.
 
     ``g_sq`` and ``h_sq`` are the block's stacked (B, M, N) and
     (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
     own fading stream.  ``contention(t)`` is trial t's contention stream,
     for the trials of this block; draw from it before asking for another.
+    The streams of every config are seeded together, one pass per list of
+    ``seeding_passes``: a sweep's points share their passes.
     """
-    step, chunk = block_trials(cfg), chunk_trials(cfg)
-    for first in range(0, trials, chunk):
-        streams = TrialStreams(cfg.seed, first, min(trials - first, chunk))
-        for start in range(first, first + streams.count, step):
-            g_sq, h_sq = _empty_draws(cfg, min(step, first + streams.count - start))
-            for b in range(len(g_sq)):
-                _draw(streams.fading(start + b), g_sq[b], h_sq[b])
-            yield start, g_sq, h_sq, streams.contention
+    for spans in seeding_passes(cfgs, trials):
+        fading, contention = _stream_images(
+            [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
+        for point, first, count in spans:
+            cfg, step = cfgs[point], block_trials(cfgs[point])
+            # The span's own rows of the pass: trial t is row t - first.
+            own, fading = fading[:count], fading[count:]
+            def stream(t, rows=contention[:count], first=first):
+                return _set_stream(rows[t - first])
+            contention = contention[count:]
+            for start in range(first, first + count, step):
+                g_sq, h_sq = _empty_draws(cfg, min(step, first + count - start))
+                for b in range(len(g_sq)):
+                    _draw(_set_stream(own[start - first + b]), g_sq[b], h_sq[b])
+                yield point, start, g_sq, h_sq, stream
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:

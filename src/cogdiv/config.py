@@ -45,7 +45,10 @@ def _filled(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be numbers, in rows of equal length") from None
     if arr.size == 1 and arr.shape != shape:
-        arr = np.full(shape, arr.item())
+        try:
+            arr = np.full(shape, arr.item())
+        except (ValueError, OverflowError):   # more elements or bytes than numpy can index
+            raise ConfigError(f"{name} of shape {shape} is beyond numpy's index range") from None
     if arr.shape != shape:
         raise ConfigError(f"{name} needs 1 value or shape {shape}, got shape {arr.shape}")
     return _frozen(arr)

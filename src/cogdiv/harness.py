@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 from scipy import special, stats
 
 from . import analytics, centralized, distributed
-from .channel import FadingRealization, _sum_terms, sinr_block, sinr_bounds, trial_blocks
+from .channel import (FadingRealization, _sum_terms, key_seeds, sinr_block, sinr_bounds,
+                      trial_blocks)
 from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
@@ -56,6 +59,19 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), stderr
 
 
+def _checked_trials(trials, sizes) -> int:
+    """``trials`` as an int; ConfigError below 1, and ResourceError if
+    N*M*trials exceeds the budget for any (N, M) of ``sizes``."""
+    trials = as_int("trials", trials)
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+    cells = max(n * m for n, m in sizes) * trials
+    if cells > DEFAULT_CELL_BUDGET:
+        raise ResourceError(   # Decimal: cells may be beyond the float range
+            f"N*M*trials = {Decimal(cells):.3g} exceeds the budget of {DEFAULT_CELL_BUDGET:.3g}")
+    return trials
+
+
 def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggregate]:
     """Monte Carlo estimate of the sum rate under each scheme, on shared trials.
 
@@ -70,19 +86,34 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     one array call per block, and only the contention timers, the
     matching of trials without event D and the distributed rate's
     ``math.log2`` terms are per trial.  Results equal a loop over the
-    one-trial entry points bit for bit, whatever the block size.
+    one-trial entry points bit for bit, whatever the block size.  This is
+    the one-point call of ``_run_points``.
+    """
+    return _run_points([cfg], schemes, trials)[0]
+
+
+def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
+    """``run_schemes`` of each config of ``cfgs``, bit for bit, with the
+    trial streams of every config seeded together by ``trial_blocks``.
+
+    Every config is checked, and its thresholds solved, before any trial
+    runs.
     """
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ConfigError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
-    trials = as_int("trials", trials)
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if cfg.num_secondary * cfg.num_bands * trials > DEFAULT_CELL_BUDGET:
-        raise ResourceError(
-            f"N*M*trials = {cfg.num_secondary * cfg.num_bands * trials:.3g} "
-            f"exceeds the budget of {DEFAULT_CELL_BUDGET:.3g}"
-        )
+    trials = _checked_trials(trials, [(cfg.num_secondary, cfg.num_bands) for cfg in cfgs])
+    tables = [analytics.build_threshold_table(cfg) if "distributed" in schemes else None
+              for cfg in cfgs]
+    points = itertools.groupby(trial_blocks(cfgs, trials), key=lambda block: block[0])
+    return [_run_point(cfgs[point], schemes, trials, tables[point], blocks)
+            for point, blocks in points]
+
+
+def _run_point(cfg: NetworkConfig, schemes, trials: int, th,
+               blocks) -> dict[str, TrialAggregate]:
+    """One config's aggregates from its ``trial_blocks`` ``blocks``, with
+    the threshold table ``th`` if ``schemes`` has the distributed one."""
     n, m = cfg.num_secondary, cfg.num_bands
     sum_rates = {scheme: np.empty(trials) for scheme in schemes}
     cent_rates = sum_rates.get("centralized")
@@ -91,10 +122,9 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     claim_counts = np.zeros(n)
     idle_counts = np.zeros(m)
     event_d_count = 0
-    th = analytics.build_threshold_table(cfg) if dist_rates is not None else None
     bits_per_claim = math.log2(m) if m > 1 else 0.0
 
-    for start, g_sq, h_sq, contention in trial_blocks(cfg, trials):
+    for _, start, g_sq, h_sq, contention in blocks:
         block = slice(start, start + len(g_sq))
         sinr = sinr_block(cfg, g_sq, h_sq)
         fav = centralized.favorite_users(sinr)
@@ -189,11 +219,6 @@ class ScalingReport:
 FIT_MIN_POPULATION = 50
 
 
-def _per_n_seed(master_seed: int, n: int) -> int:
-    # Stable per-N derivation: adding an N value never perturbs others.
-    return int(np.random.SeedSequence((master_seed, n)).generate_state(1)[0])
-
-
 def fit_double_log(n_values, means) -> FitResult:
     """Least squares of mean rate against log2 log2 N."""
     x = np.log2(np.log2(np.asarray(n_values, dtype=float)))
@@ -211,10 +236,13 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     """Run both schemes across population sizes on shared per-N seeds.
 
     At each N both schemes run on the same trials, so the report also
-    gives their paired gap.
+    gives their paired gap.  Point N runs the template's population
+    resized to N with the seed ``SeedSequence((cfg_template.seed,
+    N)).generate_state(1)[0]``, so adding an N value never perturbs the
+    others.  Every point is checked before any runs, and the trial streams
+    of all points are seeded together.
     """
     n_values = tuple(as_int("n_values", v) for v in n_values)
-    trials = as_int("trials", trials)
     if not n_values:
         raise ConfigError("n_values must not be empty")
     if any(b >= a for a, b in zip(n_values[1:], n_values)):
@@ -222,10 +250,11 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     m = cfg_template.num_bands
     if n_values[0] < max(2, m):
         raise ConfigError(f"every population size must be at least 2 and at least M = {m}")
+    trials = _checked_trials(trials, [(n, m) for n in n_values])
+    cfgs = [cfg_template.with_population(n, seed=seed)
+            for n, seed in zip(n_values, key_seeds(cfg_template.seed, n_values))]
     cent, dist, gaps = [], [], []
-    for n in n_values:
-        cfg_n = cfg_template.with_population(n, seed=_per_n_seed(cfg_template.seed, n))
-        aggs = run_schemes(cfg_n, SCHEMES, trials)
+    for aggs in _run_points(cfgs, SCHEMES, trials):
         cent.append(aggs["centralized"])
         dist.append(aggs["distributed"])
         gaps.append(_mean_stderr(cent[-1].trial_sum_rates - dist[-1].trial_sum_rates))
@@ -426,7 +455,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     if samples < 10_000:
         raise ConfigError("validation needs at least 1e4 samples")
     if samples > DEFAULT_CELL_BUDGET:
-        raise ResourceError(f"samples = {samples:.3g} exceeds the budget of "
+        raise ResourceError(f"samples = {Decimal(samples):.3g} exceeds the budget of "
                             f"{DEFAULT_CELL_BUDGET:.3g}")
     rng = np.random.default_rng((cfg.seed, 0xA11))
     checks = []
@@ -440,7 +469,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     sandwich_bad = 0
     interleave_bad = 0
     event_d_big = 0
-    for start, g_sq, h_sq, _ in trial_blocks(cfg, max(n_pooled, n_real)):
+    for _, start, g_sq, h_sq, _ in trial_blocks([cfg], max(n_pooled, n_real)):
         pooled.append(g_sq[:max(0, n_pooled - start)].ravel())
         real = FadingRealization(g_sq=g_sq[:max(0, n_real - start)],
                                  h_sq=h_sq[:max(0, n_real - start)])
@@ -494,7 +523,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     small = cfg.with_population(max(cfg.num_bands, cfg.num_secondary // 10),
                                 seed=cfg.seed + 1)
     freq_small = sum(_event_d_count(sinr_block(small, g_sq, h_sq))
-                     for _, g_sq, h_sq, _ in trial_blocks(small, n_real)) / n_real
+                     for _, _, g_sq, h_sq, _ in trial_blocks([small], n_real)) / n_real
     freq_big = event_d_big / n_real
     slack = 3.0 * math.sqrt(0.25 / n_real)
     checks.append(CheckResult("event_d_trend", freq_big + slack >= freq_small,

@@ -227,6 +227,14 @@ def test_config_error_exit_code(tmp_path):
     ("simulate", "", ("--trials", "0")),
     ("simulate", "", ("--trials", "-3")),
     ("simulate", "", ("--seed", "-1")),
+    ("simulate", "N = 1e19", ()),            # arrays beyond numpy's index range
+    ("simulate", "N = 1e20", ()),
+    ("simulate", "K = 1e19", ()),
+    ("scaling", "n_values = 10, 1e20", ()),  # sweep points beyond the budget
+    ("scaling", "n_values = 10, 1e13", ()),
+    ("scaling", "n_values = 10, 1e308", ()),     # budget counts beyond the float range
+    pytest.param("simulate", "trials = 1" + "0" * 400, (), id="simulate-trials=10**400"),
+    pytest.param("validate", "samples = 1" + "0" * 400, (), id="validate-samples=10**400"),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
     # The extra line replaces the same key's line in SMALL_DOC.

@@ -101,6 +101,10 @@ def test_equality_and_immutability():
     {"eta": float("inf")},
     {"primary_count": 2.5},
     {"seed": -1},
+    {"num_secondary": 10**19},                 # beyond numpy's index range
+    {"num_secondary": 10**20},
+    {"num_secondary": 2 * 10**18},             # indexable, but 1.6e19 bytes
+    {"primary_count": 10**19},
 ])
 def test_homogeneous_rejects_bad_values(kwargs):
     args = {"num_secondary": 10, "num_bands": 2, "primary_count": 2, "snr_db": 10.0, **kwargs}

@@ -152,6 +152,20 @@ def test_scaling_sweep_rejects_bad_n_values():
         scaling_sweep(cfg, [1, 10], trials=5)
 
 
+def test_scaling_sweep_checks_every_point_before_running_any(monkeypatch):
+    # The N = 3e6 point is over the budget; the N = 1000 point must not run first.
+    def no_draw(*args):
+        raise AssertionError("a sweep point ran before the sweep was checked")
+    monkeypatch.setattr(harness, "trial_blocks", no_draw)
+    cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)
+    with pytest.raises(ResourceError):
+        scaling_sweep(cfg, [1000, 3_000_000], 2000)
+    with pytest.raises(ResourceError):
+        scaling_sweep(cfg, [10, 10**20], 1)
+    with pytest.raises(ConfigError):
+        scaling_sweep(cfg, [10, 20], 0)
+
+
 def test_scaling_sweep_per_n_seeds_stable():
     cfg = NetworkConfig.homogeneous(10, 2, 2, 10.0, seed=2)
     a = scaling_sweep(cfg, [10, 50], trials=30)
@@ -247,9 +261,9 @@ def test_validate_ks_limits_scale_with_the_samples():
 
 
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
-    def scaled_blocks(cfg, trials):
-        for start, g_sq, h_sq, contention in channel.trial_blocks(cfg, trials):
-            yield start, 1.05 * g_sq, h_sq, contention
+    def scaled_blocks(cfgs, trials):
+        for point, start, g_sq, h_sq, contention in channel.trial_blocks(cfgs, trials):
+            yield point, start, 1.05 * g_sq, h_sq, contention
 
     simulate = harness._simulate_sinr_samples
     monkeypatch.setattr(harness, "trial_blocks", scaled_blocks)
@@ -282,12 +296,12 @@ def test_ks_distance_and_exp1_ks_fail_on_a_nan(monkeypatch):
     sample[123] = np.nan
     assert math.isnan(harness._ks_distance(sample, stats.expon.cdf))
 
-    def nan_blocks(cfg, trials):
-        for start, g_sq, h_sq, contention in channel.trial_blocks(cfg, trials):
+    def nan_blocks(cfgs, trials):
+        for point, start, g_sq, h_sq, contention in channel.trial_blocks(cfgs, trials):
             if start == 0:
                 g_sq = g_sq.copy()
                 g_sq[0, 0, 0] = np.nan
-            yield start, g_sq, h_sq, contention
+            yield point, start, g_sq, h_sq, contention
 
     monkeypatch.setattr(harness, "trial_blocks", nan_blocks)
     report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=10_000)

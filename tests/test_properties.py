@@ -40,9 +40,13 @@ from cogdiv import (
 )
 from cogdiv import analytics, channel, harness
 from cogdiv.channel import TrialStreams, sinr_bounds
-from cogdiv.harness import _per_n_seed
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def _per_n_seed(master_seed: int, n: int) -> int:
+    """The seed of a scaling sweep's point N, by its definition."""
+    return int(np.random.SeedSequence((master_seed, n)).generate_state(1)[0])
 
 
 @st.composite
@@ -360,7 +364,8 @@ def test_block_engine_equals_trial_loop(cfg, block):
 def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
     # Seeding chunks of a few trials, so the runs cross chunk edges.
     with mock.patch.object(channel, "BLOCK_BYTES", 64 * words):
-        chunk, block = channel.chunk_trials(cfg), channel.block_trials(cfg)
+        block = channel.block_trials(cfg)
+        (_, _, chunk), = next(channel.seeding_passes([cfg], 10**6))
         assert chunk % block == 0
         for trials in (chunk + 1, 2 * chunk + block + 1):
             _check_block_run(cfg, trials)
@@ -393,6 +398,67 @@ def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift,
         assert np.array_equal(
             streams.contention(t).integers(0, 2**32, size=5, dtype=np.uint32),
             np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
+
+
+# Seeds of one, two, three and four SeedSequence words.
+KEY_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 3)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(st.sampled_from(KEY_SEEDS), st.sampled_from((0, 2**32)),
+                          st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=6))
+@example([(seed, 0, 0, 2) for seed in KEY_SEEDS])
+@example([(seed, 2**32, -1, 2) for seed in reversed(KEY_SEEDS)])   # t's second word appears
+@example([(2**96 + 3, 2**32, 0, 1), (0, 0, 0, 3), (2**96 + 3, 0, 2, 1)])
+def test_one_seeding_pass_over_mixed_keys_equals_default_rng(spans):
+    keys = [(seed, channel._trials(max(0, base + shift), count))
+            for seed, base, shift, count in spans]
+    fading, contention = channel._stream_images(keys)
+    rows = [(seed, int(t)) for seed, ts in keys for t in ts]
+    assert len(fading) == len(contention) == len(rows)
+    for fading_image, contention_image, (seed, t) in zip(fading, contention, rows):
+        assert np.array_equal(channel._set_stream(fading_image).random(3),
+                              np.random.default_rng((seed, t)).random(3))
+        assert np.array_equal(channel._set_stream(contention_image).random(3),
+                              np.random.default_rng((seed, t, 1)).random(3))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(KEY_SEEDS + (2**200 + 7,)),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+@example(2**200 + 7, [2, 2**32 - 1, 2**32, 2**64 - 1])
+def test_key_seeds_equal_the_per_n_seed(master, values):
+    assert channel.key_seeds(master, values) == [_per_n_seed(master, v) for v in values]
+
+
+@pytest.mark.parametrize("template, n_values, trials, room", [
+    (NetworkConfig.homogeneous(10, 2, 3, 10.0, seed=5), (10, 20, 50), 7, 5),
+    (NetworkConfig.homogeneous(4, 4, (0, 2, 1, 3), 0.0, seed=2**70 + 1), (4, 9, 16, 30), 5, 3),
+    (NetworkConfig.homogeneous(2, 1, 0, 5.0, seed=2**32), (20, 30, 45), 9, 6),
+])
+def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
+    # Passes of `room` trials: one splits a point's trials, another joins two points.
+    cfgs = [template.with_population(n, seed=_per_n_seed(template.seed, n)) for n in n_values]
+    with mock.patch.object(channel, "BLOCK_BYTES", 64 * room):
+        passes = list(channel.seeding_passes(cfgs, trials))
+        assert any(len({point for point, _, _ in spans}) > 1 for spans in passes)
+        assert any(start > 0 for spans in passes for _, start, _ in spans)
+        # Every trial once, in order; a pass over its room holds one block.
+        spans = [span for spans in passes for span in spans]
+        assert [point for point, _, _ in spans] == sorted(point for point, _, _ in spans)
+        for point, cfg in enumerate(cfgs):
+            assert [t for p, start, count in spans if p == point
+                    for t in range(start, start + count)] == list(range(trials))
+        for spans in passes:
+            assert (sum(count for _, _, count in spans) <= room
+                    or [count for _, _, count in spans] == [channel.block_trials(cfgs[spans[0][0]])])
+        report = scaling_sweep(template, n_values, trials)
+    for i, cfg in enumerate(cfgs):
+        for scheme, paired in (("centralized", report.centralized[i]),
+                               ("distributed", report.distributed[i])):
+            alone = run_trials(cfg, scheme, trials)
+            assert paired.to_json_dict() == alone.to_json_dict()
+            assert np.array_equal(paired.trial_sum_rates, alone.trial_sum_rates)
 
 
 def test_trial_streams_of_interleaved_threads_equal_default_rng():
