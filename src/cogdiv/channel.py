@@ -263,39 +263,6 @@ def _stream_images(keys) -> tuple[np.ndarray, np.ndarray]:
     return images[:len(images) // 2], images[len(images) // 2:]
 
 
-class TrialStreams:
-    """The random streams of trials ``start`` to ``start + count - 1``.
-
-    Trial t draws its fading from the stream ``np.random.default_rng(
-    (seed, t))`` and its contention timers from ``np.random.default_rng(
-    (seed, t, 1))``; that is the stream contract, and ``draw_realization``
-    and the tests use ``default_rng`` as its definition.  Here the keys of
-    every trial are seeded in one array pass, PCG64's seeding step
-    included, and each stream is this thread's one reused PCG64 with its 32
-    bytes of state overwritten by those ``default_rng(key)`` would hold.
-    A returned generator is therefore valid only until the
-    next stream is asked for: draw from it at once.  ``trial_blocks``
-    sets its streams from the same pass, run over the trials of many
-    configs at once.
-    """
-
-    def __init__(self, seed: int, start: int, count: int):
-        if start < 0:
-            raise ConfigError("trial_index must be non-negative")
-        if start + count > 1 << 64:
-            raise ConfigError("trial indices must be below 2**64")
-        self.start = start
-        self._fading, self._contention = _stream_images([(seed, _trials(start, count))])
-
-    def fading(self, t: int) -> np.random.Generator:
-        """Trial t's fading stream, (seed, t)."""
-        return _set_stream(self._fading[t - self.start])
-
-    def contention(self, t: int) -> np.random.Generator:
-        """Trial t's contention stream, (seed, t, 1)."""
-        return _set_stream(self._contention[t - self.start])
-
-
 def _draw(rng: np.random.Generator, g_sq: np.ndarray, h_sq: np.ndarray) -> None:
     rng.standard_exponential(out=g_sq)
     if h_sq.size:
@@ -342,7 +309,8 @@ def trial_blocks(cfgs, trials: int):
     ``g_sq`` and ``h_sq`` are the block's stacked (B, M, N) and
     (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
     own fading stream.  ``contention(t)`` is trial t's contention stream,
-    for the trials of this block; draw from it before asking for another.
+    ``default_rng((seed, t, 1))``, for the trials of this block; draw from
+    it before asking for another.
     The streams of every config are seeded together, one pass per list of
     ``seeding_passes``: a sweep's points share their passes.
     """
@@ -365,7 +333,8 @@ def trial_blocks(cfgs, trials: int):
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     """Draw one fading realization from ``np.random.default_rng((cfg.seed,
-    trial_index))``, the stream ``TrialStreams`` gives the trial."""
+    trial_index))``: the stream contract's definition of a trial's fading
+    stream, which ``trial_blocks`` sets from its seeding pass."""
     if trial_index < 0:
         raise ConfigError("trial_index must be non-negative")
     g_sq, h_sq = (a[0] for a in _empty_draws(cfg, 1))

@@ -127,17 +127,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multiuser-diversity spectrum allocation simulator",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in (
-        ("simulate", "run both schemes at the configured network size"),
-        ("scaling", "sweep the population size and fit the double-log trend"),
-        ("thresholds", "tabulate lambda over N, SNR and primary count"),
-        ("validate", "run the statistical validation suite"),
+    # Each subcommand takes only the overrides it reads.
+    for name, overrides, help_text in (
+        ("simulate", ("seed", "trials"), "run both schemes at the configured network size"),
+        ("scaling", ("seed", "trials"), "sweep the population size and fit the double-log trend"),
+        ("thresholds", (), "tabulate lambda over N, SNR and primary count"),
+        ("validate", ("seed",), "run the statistical validation suite"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
+        for key in overrides:
+            p.add_argument(f"--{key}", type=int, help=f"override the config's {key}")
+    parser.set_defaults(seed=None, trials=None)
     return parser
 
 

@@ -54,8 +54,13 @@ def _filled(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
     return _frozen(arr)
 
 
-def _positive_finite(arr: np.ndarray) -> bool:
-    return bool(np.all((arr > 0) & (arr < math.inf)))
+def _extremes(name: str, arr: np.ndarray) -> tuple[float, float]:
+    """(min, max) of ``arr``; ConfigError unless every entry is strictly
+    positive and finite (a NaN makes both NaN)."""
+    lo, hi = float(arr.min(initial=math.inf)), float(arr.max(initial=0.0))
+    if not (0 < lo and hi < math.inf):
+        raise ConfigError(f"{name} entries must be strictly positive and finite")
+    return lo, hi
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +71,9 @@ class NetworkConfig:
     factor of the n-th secondary link; ``gamma[n, j]`` the factor from
     the j-th primary transmitter to the n-th secondary receiver.  A single
     value of ``primary_count``, ``eta`` or ``gamma`` fills its whole shape;
-    any other shape, ragged rows or non-numbers raise ConfigError.  Fading
-    itself is drawn per trial, not stored here.
+    any other shape, ragged rows or non-numbers raise ConfigError, as do
+    values whose SINR law overflows.  Fading itself is drawn per trial,
+    not stored here.
     """
 
     num_secondary: int                 # N
@@ -99,12 +105,19 @@ class NetworkConfig:
                 raise ConfigError(f"{name} must be strictly positive and finite")
             object.__setattr__(self, name, power)
         eta = _filled("eta", self.eta, (n,))
-        if not _positive_finite(eta):
-            raise ConfigError("eta entries must be strictly positive and finite")
+        eta_lo, eta_hi = _extremes("eta", eta)
         k_max = max(counts)
         gamma = _filled("gamma", self.gamma, (n, k_max))
-        if not _positive_finite(gamma):
-            raise ConfigError("gamma entries must be strictly positive and finite")
+        gamma_hi = _extremes("gamma", gamma)[1]
+        # link_law's coefficients and the SINR's factors peak at eta's and
+        # gamma's extremes, so checking those checks every user.
+        rho = self.snr()
+        if not (rho * eta_lo > 0 and 1 / (rho * eta_lo) < math.inf and 1 / (rho * eta_hi) > 0):
+            raise ConfigError("the SINR law's slope 1/(rho*eta) must be strictly positive "
+                              "and finite, rho being P_s/N_0")
+        if not max(self.pp_over_ps() * gamma_hi / eta_lo, self.power_secondary * eta_hi,
+                   self.power_primary * gamma_hi) < math.inf:
+            raise ConfigError("(Pp/Ps)*gamma/eta, P_s*eta and P_p*gamma must be finite")
         seed = as_int("seed", self.seed)
         if seed < 0:
             raise ConfigError("seed must be non-negative")

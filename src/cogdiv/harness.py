@@ -327,6 +327,11 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
+        try:   # lambda(0, 0) reads user 0's row only: cycle it to K entries.
+            gamma = np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
+                              (cfg_template.num_secondary, k))
+        except (ValueError, OverflowError):   # negative, or beyond numpy's index range
+            raise ConfigError(f"k_values entry {k} is not a valid primary count") from None
         for rho_db in rho_values_db:
             rho = power_from_db(rho_db)
             cfg = dataclasses.replace(
@@ -334,9 +339,7 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
                 primary_count=(k,) * cfg_template.num_bands,
                 power_secondary=rho * cfg_template.noise_power,
                 power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
-                # lambda(0, 0) reads user 0's row only: cycle it to K entries.
-                gamma=np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
-                                (cfg_template.num_secondary, k)),
+                gamma=gamma,
             )
             for n in n_values:
                 lam = analytics.solve_threshold(0, 0, cfg, big_n=n)

@@ -235,6 +235,14 @@ def test_config_error_exit_code(tmp_path):
     ("scaling", "n_values = 10, 1e308", ()),     # budget counts beyond the float range
     pytest.param("simulate", "trials = 1" + "0" * 400, (), id="simulate-trials=10**400"),
     pytest.param("validate", "samples = 1" + "0" * 400, (), id="validate-samples=10**400"),
+    ("thresholds", "k_values = -1", ()),
+    ("thresholds", "k_values = 1e30", ()),
+    ("simulate", "eta = 1e-320", ()),            # finite inputs whose SINR law overflows
+    ("thresholds", "eta = 1e-320", ()),
+    ("validate", "eta = 1e-320", ()),
+    ("simulate", "gamma = 1e308", ()),
+    ("simulate", "snr_db = -3100", ()),
+    ("simulate", "eta = 1e308", ()),
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
     # The extra line replaces the same key's line in SMALL_DOC.
@@ -245,6 +253,21 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, f
     argv = [subcommand, "--config", str(config), "--out", str(tmp_path / "out"), *flags]
     assert main(argv) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("thresholds", "--trials"),
+    ("thresholds", "--seed"),
+    ("validate", "--trials"),
+])
+def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, subcommand, flag):
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC + "samples = 20000\n")
+    with pytest.raises(SystemExit) as err:
+        main([subcommand, "--config", str(config), "--out", str(tmp_path / "out"), flag, "5"])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -38,6 +38,18 @@ def _direct_config(**kwargs):
     {"primary_count": (1, 2, 3)},              # wrong-size primary_count
     {"primary_count": [[1, 2], [3]]},          # ragged primary_count
     {"power_secondary": "ten"},                # non-numeric power
+    {"eta": [1.0, -2.0, 0.5]},                 # entries not strictly positive and finite
+    {"eta": [1.0, float("nan"), 0.5]},
+    {"gamma": [[1, 2], [0.0, 1], [2, 4]]},
+    {"gamma": [[1, 2], [0.5, float("nan")], [2, 4]]},
+    # Finite values whose SINR law overflows.
+    {"eta": [1.0, 2.0, 1e-320], "gamma": 1e-300},                       # slope 1/(rho*eta) is inf
+    {"noise_power": 1e-300, "eta": [1.0, 1e10, 0.5]},                   # rho*eta is inf, the slope 0
+    {"power_secondary": 1e-310},               # rho underflows: the slope is inf
+    {"power_secondary": 1e-300, "eta": [1.0, 2.0, 1e-30]},              # rho*eta underflows to 0
+    {"power_secondary": 1e-10, "power_primary": 1.0, "gamma": 1e300},   # (Pp/Ps)*gamma/eta
+    {"power_secondary": 1e308, "noise_power": 1e308},                   # P_s*eta
+    {"gamma": [[1, 2], [0.5, 1e308], [2, 4]], "eta": [1.0, 2.0, 1.0]},  # P_p*gamma
 ])
 def test_direct_construction_rejects_bad_shapes_and_values(kwargs):
     with pytest.raises(ConfigError):

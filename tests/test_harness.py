@@ -226,6 +226,12 @@ def test_threshold_sweep_reads_only_user_zero():
     assert sweep(8.0) == sweep(2.0) == sweep(1.0)
 
 
+@pytest.mark.parametrize("k", [-1, 10**30], ids=["negative", "beyond-index-range"])
+def test_threshold_sweep_rejects_k_out_of_range(homog_cfg, k):
+    with pytest.raises(ConfigError):
+        threshold_sweep(homog_cfg, [10], [10.0], [1, k])
+
+
 def test_threshold_sweep_rejects_empty(homog_cfg):
     with pytest.raises(ValueError):
         threshold_sweep(homog_cfg, [], [10.0], [1])
@@ -243,8 +249,12 @@ def test_validate_homogeneous_passes():
     assert report.passed
 
 
-def test_validate_heterogeneous_passes(hetero_cfg):
-    report = validate(hetero_cfg, samples=30_000)
+# Unequal K_m run the per-band interference sums, a K_0 = 0 band and the
+# 8-term np.sum of _sum_terms.
+@pytest.mark.parametrize("k", [4, (0, 2, 4, 8), (8, 0, 3, 1)],
+                         ids=["k-4", "k-0-2-4-8", "k-8-0-3-1"])
+def test_validate_heterogeneous_passes(k):
+    report = validate(heterogeneous_config(k=k), samples=30_000)
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.statistic} vs {check.threshold}"
 

@@ -15,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
 from cogdiv import (
-    ConfigError,
     NetworkConfig,
     SinrTable,
     ThresholdTable,
@@ -39,7 +38,7 @@ from cogdiv import (
     validate,
 )
 from cogdiv import analytics, channel, harness
-from cogdiv.channel import TrialStreams, sinr_bounds
+from cogdiv.channel import sinr_bounds
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -371,56 +370,42 @@ def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
             _check_block_run(cfg, trials)
 
 
-# Seeds of one to four SeedSequence words, with trial indices of one or two.
-@PROPERTY_SETTINGS
-@given(st.sampled_from((0, 2**32, 2**64, 2**96)), st.integers(-2, 2),
-       st.sampled_from((0, 2**32)), st.integers(-3, 3), st.integers(1, 6))
-@example(0, 0, 0, 0, 1)
-@example(2**96, 0, 2**32, 0, 1)               # the longest keys: 7 words with the tail
-@example(2**64 - 1, 0, 2**32, -2, 4)          # one pass over one- and two-word t
-@example(5, 0, 2**33, -2, 4)                  # t's high word steps from 1 to 2
-@example(2**32, 0, 2**64, -3, 3)              # up to t = 2**64 - 1
-def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift, count):
-    seed, start = max(0, seed_base + seed_shift), max(0, t_base + t_shift)
-    streams = TrialStreams(seed, start, count)
-    for t in range(start, start + count):
-        assert np.array_equal(streams.fading(t).standard_exponential(6),
-                              np.random.default_rng((seed, t)).standard_exponential(6))
-        assert np.array_equal(streams.contention(t).random(6),
-                              np.random.default_rng((seed, t, 1)).random(6))
-    # A stream asked for again starts over.
-    assert np.array_equal(streams.fading(start).random(3),
-                          np.random.default_rng((seed, start)).random(3))
-    # Three 32-bit draws leave half of a 64-bit output buffered; the next
-    # stream must start without it, as default_rng does.
-    for t in range(start, start + count):
-        streams.fading(t).integers(0, 2**32, size=3, dtype=np.uint32)
-        assert np.array_equal(
-            streams.contention(t).integers(0, 2**32, size=5, dtype=np.uint32),
-            np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
-
-
 # Seeds of one, two, three and four SeedSequence words.
 KEY_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 3)
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.tuples(st.sampled_from(KEY_SEEDS), st.sampled_from((0, 2**32)),
+@given(st.lists(st.tuples(st.sampled_from(KEY_SEEDS), st.sampled_from((0, 2**32, 2**64)),
                           st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=6))
 @example([(seed, 0, 0, 2) for seed in KEY_SEEDS])
 @example([(seed, 2**32, -1, 2) for seed in reversed(KEY_SEEDS)])   # t's second word appears
 @example([(2**96 + 3, 2**32, 0, 1), (0, 0, 0, 3), (2**96 + 3, 0, 2, 1)])
+@example([(2**96, 2**32, 0, 1)])             # the longest keys: 7 words with the tail
+@example([(2**64 - 1, 2**32, -2, 4)])        # one pass over one- and two-word t
+@example([(5, 2**33, -2, 4)])                # t's high word steps from 1 to 2
+@example([(2**32, 2**64, -3, 3)])            # up to t = 2**64 - 1
 def test_one_seeding_pass_over_mixed_keys_equals_default_rng(spans):
-    keys = [(seed, channel._trials(max(0, base + shift), count))
+    # Runs of trials end at t = 2**64 - 1 at the latest.
+    keys = [(seed, channel._trials(min(max(0, base + shift), 2**64 - count), count))
             for seed, base, shift, count in spans]
     fading, contention = channel._stream_images(keys)
     rows = [(seed, int(t)) for seed, ts in keys for t in ts]
     assert len(fading) == len(contention) == len(rows)
     for fading_image, contention_image, (seed, t) in zip(fading, contention, rows):
-        assert np.array_equal(channel._set_stream(fading_image).random(3),
-                              np.random.default_rng((seed, t)).random(3))
-        assert np.array_equal(channel._set_stream(contention_image).random(3),
-                              np.random.default_rng((seed, t, 1)).random(3))
+        assert np.array_equal(channel._set_stream(fading_image).standard_exponential(6),
+                              np.random.default_rng((seed, t)).standard_exponential(6))
+        assert np.array_equal(channel._set_stream(contention_image).random(6),
+                              np.random.default_rng((seed, t, 1)).random(6))
+    # A stream asked for again starts over.
+    assert np.array_equal(channel._set_stream(fading[0]).random(3),
+                          np.random.default_rng(rows[0]).random(3))
+    # Three 32-bit draws leave half of a 64-bit output buffered; the next
+    # stream must start without it, as default_rng does.
+    for fading_image, contention_image, (seed, t) in zip(fading, contention, rows):
+        channel._set_stream(fading_image).integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(
+            channel._set_stream(contention_image).integers(0, 2**32, size=5, dtype=np.uint32),
+            np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
 
 
 @PROPERTY_SETTINGS
@@ -462,38 +447,44 @@ def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
 
 
 def test_trial_streams_of_interleaved_threads_equal_default_rng():
-    # Every thread sets its stream before any draws from it.
+    # Each thread runs trial_blocks on its own seed, and every thread sets
+    # its fading or contention stream before any thread draws from its own.
     seeds, count = (11, 12, 2**70 + 5), 40
-    barrier = threading.Barrier(len(seeds), timeout=60)
+    cfgs = [NetworkConfig.homogeneous(4, 2, (1, 3), 10.0, seed=seed) for seed in seeds]
+    barrier = threading.Barrier(len(cfgs), timeout=60)
+    draw = channel._draw
     drawn = {}
 
-    def run(seed):
-        streams, rows = TrialStreams(seed, 0, count), []
-        for t in range(count):
-            for stream in (streams.fading, streams.contention):
-                gen = stream(t)
+    def draw_when_all_set(rng, g_sq, h_sq):
+        barrier.wait()
+        draw(rng, g_sq, h_sq)
+
+    def run(cfg):
+        g_rows, h_rows, timers = [], [], []
+        for _, start, g_sq, h_sq, contention in channel.trial_blocks([cfg], count):
+            g_rows.extend(g_sq)
+            h_rows.extend(h_sq)
+            for t in range(start, start + len(g_sq)):
+                gen = contention(t)
                 barrier.wait()
-                rows.append(gen.random(3))
+                timers.append(gen.random(3))
                 barrier.wait()
-        drawn[seed] = rows
+        drawn[cfg.seed] = g_rows, h_rows, timers
 
-    threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-    for seed in seeds:
-        expected = [np.random.default_rng(key).random(3)
-                    for t in range(count) for key in ((seed, t), (seed, t, 1))]
-        assert np.array_equal(drawn[seed], expected)
-
-
-def test_trial_streams_reject_indices_out_of_range():
-    with pytest.raises(ConfigError):
-        TrialStreams(0, -1, 2)
-    with pytest.raises(ConfigError):
-        TrialStreams(0, 2**64 - 1, 2)
+    with mock.patch.object(channel, "_draw", draw_when_all_set):
+        threads = [threading.Thread(target=run, args=(cfg,)) for cfg in cfgs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    for cfg in cfgs:
+        g_rows, h_rows, timers = drawn[cfg.seed]
+        reals = [draw_realization(cfg, t) for t in range(count)]
+        assert np.array_equal(g_rows, [real.g_sq for real in reals])
+        assert np.array_equal(h_rows, [real.h_sq for real in reals])
+        assert np.array_equal(timers, [np.random.default_rng((cfg.seed, t, 1)).random(3)
+                                       for t in range(count)])
 
 
 def test_seeding_check_raises_when_streams_would_diverge():
