@@ -370,6 +370,37 @@ def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
             _check_block_run(cfg, trials)
 
 
+# Seeds of one to four SeedSequence words, with trial indices of one or two.
+@PROPERTY_SETTINGS
+@given(st.sampled_from((0, 2**32, 2**64, 2**96)), st.integers(-2, 2),
+       st.sampled_from((0, 2**32)), st.integers(-3, 3), st.integers(1, 6))
+@example(0, 0, 0, 0, 1)
+@example(2**96, 0, 2**32, 0, 1)               # the longest keys: 7 words with the tail
+@example(2**64 - 1, 0, 2**32, -2, 4)          # one pass over one- and two-word t
+@example(5, 0, 2**33, -2, 4)                  # t's high word steps from 1 to 2
+@example(2**32, 0, 2**64, -3, 3)              # up to t = 2**64 - 1
+def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift, count):
+    # The streams of one seed's run of trials, as trial_blocks sets them.
+    seed, start = max(0, seed_base + seed_shift), max(0, t_base + t_shift)
+    fading, contention = channel._stream_images([(seed, channel._trials(start, count))])
+    assert len(fading) == len(contention) == count
+    for i, t in enumerate(range(start, start + count)):
+        assert np.array_equal(channel._set_stream(fading[i]).standard_exponential(6),
+                              np.random.default_rng((seed, t)).standard_exponential(6))
+        assert np.array_equal(channel._set_stream(contention[i]).random(6),
+                              np.random.default_rng((seed, t, 1)).random(6))
+    # A stream asked for again starts over.
+    assert np.array_equal(channel._set_stream(fading[0]).random(3),
+                          np.random.default_rng((seed, start)).random(3))
+    # Three 32-bit draws leave half of a 64-bit output buffered; the next
+    # stream must start without it, as default_rng does.
+    for i, t in enumerate(range(start, start + count)):
+        channel._set_stream(fading[i]).integers(0, 2**32, size=3, dtype=np.uint32)
+        assert np.array_equal(
+            channel._set_stream(contention[i]).integers(0, 2**32, size=5, dtype=np.uint32),
+            np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
+
+
 # Seeds of one, two, three and four SeedSequence words.
 KEY_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 3)
 
