@@ -11,8 +11,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import binom
 
 from .channel import _sum_terms
 from .config import ConfigError, NetworkConfig
@@ -78,6 +76,8 @@ def partial_binomial_sum(p, big_n: int, i: int):
     Evaluated through the regularized-incomplete-beta binomial CDF,
     which stays stable for N up to 1e5.
     """
+    from scipy.stats import binom   # here, since no trial path needs scipy.stats
+
     if not 0 <= i <= big_n - 1:
         raise ValueError(f"i must be in [0, {big_n - 1}], got {i}")
     p = np.asarray(p, dtype=float)
@@ -180,6 +180,8 @@ def expected_log_max(a: float, big_n: int) -> float:
     derivative of log2(1 + a x); absolute accuracy ~1e-6.  Tends to
     log2 log2 N + log2 a for large N.
     """
+    from scipy import integrate   # here, since no trial path needs it
+
     if a <= 0:
         raise ValueError("a must be positive")
     if big_n < 1:

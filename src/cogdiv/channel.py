@@ -310,7 +310,9 @@ def trial_blocks(cfgs, trials: int):
     (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
     own fading stream.  ``contention(t)`` is trial t's contention stream,
     ``default_rng((seed, t, 1))``, for the trials of this block; draw from
-    it before asking for another.
+    it before asking for another.  ``g_sq`` and ``h_sq`` are leading
+    slices of two buffers allocated once per span of ``seeding_passes``:
+    they are valid until the next block is asked for, which overwrites them.
     The streams of every config are seeded together, one pass per list of
     ``seeding_passes``: a sweep's points share their passes.
     """
@@ -324,9 +326,11 @@ def trial_blocks(cfgs, trials: int):
             def stream(t, rows=contention[:count], first=first):
                 return _set_stream(rows[t - first])
             contention = contention[count:]
+            g_buf, h_buf = _empty_draws(cfg, min(step, count))
             for start in range(first, first + count, step):
-                g_sq, h_sq = _empty_draws(cfg, min(step, first + count - start))
-                for b in range(len(g_sq)):
+                size = min(step, first + count - start)
+                g_sq, h_sq = g_buf[:size], h_buf[:size]
+                for b in range(size):
                     _draw(_set_stream(own[start - first + b]), g_sq[b], h_sq[b])
                 yield point, start, g_sq, h_sq, stream
 

@@ -9,6 +9,7 @@ from cogdiv import (
     compute_sinr,
     draw_realization,
 )
+from cogdiv import channel
 from cogdiv.channel import sinr_bounds
 
 from conftest import heterogeneous_config
@@ -25,6 +26,20 @@ def test_distinct_trials_differ(hetero_cfg):
     a = draw_realization(hetero_cfg, 0)
     b = draw_realization(hetero_cfg, 1)
     assert not np.array_equal(a.g_sq, b.g_sq)
+
+
+def test_blocks_of_one_span_reuse_their_buffers():
+    # One span of 200 trials in blocks of 64: every block is written into
+    # the same two buffers, not allocated afresh.
+    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
+    assert channel.block_trials(cfg) == 64
+    assert [len(spans) for spans in channel.seeding_passes([cfg], 200)] == [1]
+    blocks = channel.trial_blocks([cfg], 200)
+    _, _, g_first, h_first, _ = next(blocks)
+    _, start, g_next, h_next, _ = next(blocks)
+    assert start == 64
+    assert np.shares_memory(g_first, g_next) and np.shares_memory(h_first, h_next)
+    assert np.array_equal(g_next[0], draw_realization(cfg, 64).g_sq)
 
 
 def test_unit_mean_exponential_gains():

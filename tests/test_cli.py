@@ -179,6 +179,19 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "error" in result.stderr
 
 
+def test_import_leaves_out_scipy_stats_and_integrate():
+    # No trial path needs them, and they add about 22 MB to a process's peak RSS.
+    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-c", "import cogdiv, sys; "
+         "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_seed_override_changes_results(tmp_path):
     config = tmp_path / "net.cfg"
     config.write_text(SMALL_DOC)

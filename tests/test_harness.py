@@ -270,6 +270,32 @@ def test_validate_ks_limits_scale_with_the_samples():
     assert report.passed
 
 
+def test_ks_limit_equals_scipy_kstwobign():
+    assert stats.kstwobign.isf(1e-3) == 1.9494746035043753
+    for samples in (10_000, 12_345, 100_000, 2**40 + 1):
+        assert harness._ks_limit(samples) == stats.kstwobign.isf(1e-3) / math.sqrt(samples)
+
+
+def test_validate_exp1_mean_limit_scales_with_the_samples():
+    # Correct draws at 10^4 samples: a fixed limit of 0.02 failed this mean.
+    report = validate(NetworkConfig.homogeneous(20, 2, 2, 10.0, seed=5), samples=10_000)
+    check = {c.name: c for c in report.checks}["exp1_mean"]
+    assert check.statistic == pytest.approx(1.02287, abs=1e-5)
+    assert check.threshold == special.ndtri(1 - 5e-4) / math.sqrt(10_000)
+    assert check.passed and report.passed
+
+
+def test_validate_exp1_statistics_equal_the_trial_draws():
+    # 500 pooled trials run in 8 blocks; each block's arrays are overwritten
+    # by the next, so validate must keep copies of its pooled draws.
+    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
+    assert channel.block_trials(cfg) < 500
+    checks = {c.name: c for c in validate(cfg, samples=10_000).checks}
+    pooled = np.concatenate([draw_realization(cfg, t).g_sq.ravel() for t in range(500)])
+    assert checks["exp1_mean"].statistic == pooled.mean()
+    assert checks["exp1_ks"].statistic == harness._ks_distance(pooled, lambda x: -special.expm1(-x))
+
+
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
     def scaled_blocks(cfgs, trials):
         for point, start, g_sq, h_sq, contention in channel.trial_blocks(cfgs, trials):

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
+from scipy import stats
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
@@ -493,8 +494,8 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
     def run(cfg):
         g_rows, h_rows, timers = [], [], []
         for _, start, g_sq, h_sq, contention in channel.trial_blocks([cfg], count):
-            g_rows.extend(g_sq)
-            h_rows.extend(h_sq)
+            g_rows.extend(g_sq.copy())    # the next block overwrites g_sq and h_sq
+            h_rows.extend(h_sq.copy())
             for t in range(start, start + len(g_sq)):
                 gen = contention(t)
                 barrier.wait()
@@ -529,3 +530,23 @@ def test_seeding_check_raises_when_streams_would_diverge():
     with mock.patch.object(channel, "_memory_layout", return_value=swapped):
         with pytest.raises(RuntimeError):
             channel._check_seeding.__wrapped__()
+
+
+def _five_bins(first_four):
+    """Five counts summing to 30,000, the last one taking up the rest."""
+    return [*first_four, 30_000 - sum(first_four)]
+
+
+# Five-bin counts of 30,000 contentions, as validate's chi-square test
+# takes them: any split, and splits near the fair 6000 each.
+@PROPERTY_SETTINGS
+@given(st.one_of(
+    st.lists(st.integers(0, 30_000), min_size=4, max_size=4).map(sorted)
+    .map(lambda cuts: np.diff([0, *cuts, 30_000]).tolist()),
+    st.lists(st.integers(5700, 6300), min_size=4, max_size=4).map(_five_bins)))
+@example([6000] * 5)                        # equal counts: the statistic is 0
+@example([5962, 6059, 5969, 6057, 5953])    # counts a fair contention gives
+@example([0, 0, 0, 0, 30_000])              # every contention in one bin
+def test_chisquare_p_equals_scipy(counts):
+    counts = np.array(counts)
+    assert harness._chisquare_p(counts) == stats.chisquare(counts).pvalue
