@@ -132,15 +132,6 @@ def _seed_states(keys) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
 
-def key_seeds(seed: int, values) -> list[int]:
-    """``SeedSequence((seed, v)).generate_state(1)[0]`` of each v in
-    ``values`` (non-negative, below 2**64), from one seeding pass: the
-    first uint32 word of a key's state is the low half of its first
-    uint64 word."""
-    t = np.array(values, dtype=np.uint64)
-    return (_seed_states([(seed, t)])[:len(t), 0] & _LOW32).tolist()
-
-
 def _add(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     """Columns of (a + b) mod 2**128 as (high, low) uint64 words."""
     lo = a_lo + b_lo
@@ -411,17 +402,17 @@ def compute_sinr(cfg: NetworkConfig, real: FadingRealization) -> SinrTable:
     return SinrTable(sinr=sinr)
 
 
-def sinr_bounds(cfg: NetworkConfig,
-                real: FadingRealization) -> tuple[np.ndarray, np.ndarray]:
+def sinr_bounds(cfg: NetworkConfig, g_sq: np.ndarray,
+                h_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Analytic bound variables (S_l, S_u) with S_l <= SINR <= S_u.
 
     SINR = g / (slope_n + sum_j coeff_nj |h_j|^2) with the coefficients of
     ``cfg.link_law``; each bound puts in their extremes
     (``cfg.bound_law``), so its entries are i.i.d. across users.  Only
-    the validation of the analysis needs them.  ``real`` may hold stacked
-    realizations, leading axes being trials, as ``sinr_block`` takes them.
+    the validation of the analysis needs them.  The draws may be stacked,
+    leading axes being trials, as ``sinr_block`` takes them.
     """
-    _check_shapes(cfg, real.g_sq, real.h_sq)
-    raw = _interference(cfg, real.h_sq, None)
+    _check_shapes(cfg, g_sq, h_sq)
+    raw = _interference(cfg, h_sq, None)
     (slope_l, c_l), (slope_u, c_u) = cfg.bound_law(upper=False), cfg.bound_law(upper=True)
-    return real.g_sq / (slope_l + c_l * raw), real.g_sq / (slope_u + c_u * raw)
+    return g_sq / (slope_l + c_l * raw), g_sq / (slope_u + c_u * raw)

@@ -63,6 +63,10 @@ def _extremes(name: str, arr: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+#: E, above numpy's largest unit exponential draw: 7.697 (ziggurat) + 53 ln 2, about 44.4.
+_MAX_DRAW = 64.0
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkConfig:
     """All static parameters of one network scenario.
@@ -72,8 +76,8 @@ class NetworkConfig:
     the j-th primary transmitter to the n-th secondary receiver.  A single
     value of ``primary_count``, ``eta`` or ``gamma`` fills its whole shape;
     any other shape, ragged rows or non-numbers raise ConfigError, as do
-    values whose SINR law overflows.  Fading itself is drawn per trial,
-    not stored here.
+    values that overflow the SINR law, or the SINR's numerator or
+    denominator at any fading draw.  Fading is drawn per trial, not stored.
     """
 
     num_secondary: int                 # N
@@ -115,9 +119,13 @@ class NetworkConfig:
         if not (rho * eta_lo > 0 and 1 / (rho * eta_lo) < math.inf and 1 / (rho * eta_hi) > 0):
             raise ConfigError("the SINR law's slope 1/(rho*eta) must be strictly positive "
                               "and finite, rho being P_s/N_0")
-        if not max(self.pp_over_ps() * gamma_hi / eta_lo, self.power_secondary * eta_hi,
-                   self.power_primary * gamma_hi) < math.inf:
-            raise ConfigError("(Pp/Ps)*gamma/eta, P_s*eta and P_p*gamma must be finite")
+        # sinr_block's numerator and denominator, in its order of operations.
+        numerator = self.power_secondary * eta_hi * _MAX_DRAW
+        denominator = self.noise_power + self.power_primary * (k_max * gamma_hi * _MAX_DRAW)
+        if not max(self.pp_over_ps() * gamma_hi / eta_lo, numerator, denominator) < math.inf:
+            raise ConfigError("(Pp/Ps)*gamma/eta, the SINR's numerator P_s*eta_max*E and its "
+                              "denominator N_0 + P_p*K_max*gamma_max*E must be finite, "
+                              f"E = {_MAX_DRAW:g} bounding every fading draw")
         seed = as_int("seed", self.seed)
         if seed < 0:
             raise ConfigError("seed must be non-negative")
@@ -197,14 +205,5 @@ class NetworkConfig:
     def __eq__(self, other):
         if not isinstance(other, NetworkConfig):
             return NotImplemented
-        return (
-            self.num_secondary == other.num_secondary
-            and self.num_bands == other.num_bands
-            and self.primary_count == other.primary_count
-            and self.power_secondary == other.power_secondary
-            and self.power_primary == other.power_primary
-            and self.noise_power == other.noise_power
-            and np.array_equal(self.eta, other.eta)
-            and np.array_equal(self.gamma, other.gamma)
-            and self.seed == other.seed
-        )
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in dataclasses.fields(self))

@@ -12,8 +12,7 @@ import numpy as np
 from scipy import special
 
 from . import analytics, centralized, distributed
-from .channel import (FadingRealization, _sum_terms, key_seeds, sinr_block, sinr_bounds,
-                      trial_blocks)
+from .channel import sinr_block, sinr_bounds, trial_blocks
 from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
@@ -251,8 +250,9 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     if n_values[0] < max(2, m):
         raise ConfigError(f"every population size must be at least 2 and at least M = {m}")
     trials = _checked_trials(trials, [(n, m) for n in n_values])
-    cfgs = [cfg_template.with_population(n, seed=seed)
-            for n, seed in zip(n_values, key_seeds(cfg_template.seed, n_values))]
+    cfgs = [cfg_template.with_population(
+                n, seed=np.random.SeedSequence((cfg_template.seed, n)).generate_state(1)[0])
+            for n in n_values]
     cent, dist, gaps = [], [], []
     for aggs in _run_points(cfgs, SCHEMES, trials):
         cent.append(aggs["centralized"])
@@ -405,16 +405,13 @@ class ValidationReport:
 
 def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,
                            rng: np.random.Generator) -> np.ndarray:
-    """Direct draws of SINR_{m,n}, independent of draw_realization."""
+    """Direct draws of SINR_{m,n} from ``rng``, independent of the trial
+    streams: ``sinr_block`` of the one-link config of user n on band m."""
     k_m = cfg.primary_count[m]
-    g = rng.exponential(size=count)
-    interference = 0.0
-    if k_m:
-        h = rng.exponential(size=(count, k_m))
-        interference = _sum_terms(h * cfg.gamma[n, :k_m])
-    return (cfg.power_secondary * cfg.eta[n] * g) / (
-        cfg.noise_power + cfg.power_primary * interference
-    )
+    link = dataclasses.replace(cfg, num_secondary=1, num_bands=1, primary_count=(k_m,),
+                               eta=cfg.eta[n:n + 1], gamma=cfg.gamma[n:n + 1, :k_m])
+    g_sq = rng.exponential(size=(count, 1, 1))
+    return sinr_block(link, g_sq, rng.exponential(size=(count, 1, 1, k_m))).ravel()
 
 
 def _order_violations(lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> int:
@@ -484,12 +481,11 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     event_d_big = 0
     for _, start, g_sq, h_sq, _ in trial_blocks([cfg], max(n_pooled, n_real)):
         pooled[start:start + len(g_sq)] = g_sq[:max(0, n_pooled - start)]
-        real = FadingRealization(g_sq=g_sq[:max(0, n_real - start)],
-                                 h_sq=h_sq[:max(0, n_real - start)])
-        if not len(real.g_sq):
+        g_sq, h_sq = g_sq[:max(0, n_real - start)], h_sq[:max(0, n_real - start)]
+        if not len(g_sq):
             continue
-        sinr = sinr_block(cfg, real.g_sq, real.h_sq)
-        s_lower, s_upper = sinr_bounds(cfg, real)
+        sinr = sinr_block(cfg, g_sq, h_sq)
+        s_lower, s_upper = sinr_bounds(cfg, g_sq, h_sq)
         sandwich_bad += _order_violations(s_lower, sinr, s_upper)
         interleave_bad += _order_violations(*(np.sort(a, axis=-1) for a in (s_lower, sinr, s_upper)))
         event_d_big += _event_d_count(sinr)

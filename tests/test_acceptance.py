@@ -273,7 +273,7 @@ def test_bound_interleaving():
     violations = 0
     for t in range(10_000):
         real = channel.draw_realization(cfg, t)
-        s_lower, s_upper = channel.sinr_bounds(cfg, real)
+        s_lower, s_upper = channel.sinr_bounds(cfg, real.g_sq, real.h_sq)
         lo = -np.sort(-s_lower, axis=1)
         mid = -np.sort(-channel.compute_sinr(cfg, real).sinr, axis=1)
         hi = -np.sort(-s_upper, axis=1)

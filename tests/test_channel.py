@@ -82,7 +82,7 @@ def test_sinr_hand_value_with_interference():
 def test_homogeneous_bounds_collapse(homog_cfg):
     real = draw_realization(homog_cfg, 3)
     table = compute_sinr(homog_cfg, real)
-    s_lower, s_upper = sinr_bounds(homog_cfg, real)
+    s_lower, s_upper = sinr_bounds(homog_cfg, real.g_sq, real.h_sq)
     assert np.allclose(s_lower, table.sinr, rtol=1e-12)
     assert np.allclose(s_upper, table.sinr, rtol=1e-12)
 
@@ -91,7 +91,7 @@ def test_sandwich_invariant(hetero_cfg):
     for t in range(200):
         real = draw_realization(hetero_cfg, t)
         table = compute_sinr(hetero_cfg, real)
-        s_lower, s_upper = sinr_bounds(hetero_cfg, real)
+        s_lower, s_upper = sinr_bounds(hetero_cfg, real.g_sq, real.h_sq)
         tol = 1e-9 * np.abs(table.sinr)
         assert np.all(s_lower <= table.sinr + tol)
         assert np.all(table.sinr <= s_upper + tol)
@@ -102,7 +102,7 @@ def test_order_statistic_interleaving(hetero_cfg):
     for t in range(1000):
         real = draw_realization(hetero_cfg, t)
         table = compute_sinr(hetero_cfg, real)
-        s_lower, s_upper = sinr_bounds(hetero_cfg, real)
+        s_lower, s_upper = sinr_bounds(hetero_cfg, real.g_sq, real.h_sq)
         lo = -np.sort(-s_lower, axis=1)
         mid = -np.sort(-table.sinr, axis=1)
         hi = -np.sort(-s_upper, axis=1)
@@ -117,4 +117,4 @@ def test_dimension_mismatch_rejected(hetero_cfg):
     with pytest.raises(ConfigError):
         compute_sinr(small, real)
     with pytest.raises(ConfigError):
-        sinr_bounds(small, real)
+        sinr_bounds(small, real.g_sq, real.h_sq)

@@ -256,6 +256,7 @@ def test_config_error_exit_code(tmp_path):
     ("simulate", "gamma = 1e308", ()),
     ("simulate", "snr_db = -3100", ()),
     ("simulate", "eta = 1e308", ()),
+    ("simulate", "gamma = 1e306", ()),           # P_p*gamma is finite, P_p*K*gamma*E is not
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
     # The extra line replaces the same key's line in SMALL_DOC.

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,10 +53,23 @@ def _direct_config(**kwargs):
     {"power_secondary": 1e-10, "power_primary": 1.0, "gamma": 1e300},   # (Pp/Ps)*gamma/eta
     {"power_secondary": 1e308, "noise_power": 1e308},                   # P_s*eta
     {"gamma": [[1, 2], [0.5, 1e308], [2, 4]], "eta": [1.0, 2.0, 1.0]},  # P_p*gamma
+    # The SINR's numerator P_s*eta*E or denominator P_p*K*gamma*E overflows at
+    # a fading draw of E = 64.
+    {"power_secondary": 1e306, "noise_power": 1e306, "eta": [1.0, 3.0, 0.5]},     # P_s*eta*E
+    {"power_secondary": 1e10, "power_primary": 1e305, "gamma": [[1, 2], [1, 1], [2, 15]]},
 ])
 def test_direct_construction_rejects_bad_shapes_and_values(kwargs):
     with pytest.raises(ConfigError):
         _direct_config(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"power_secondary": 1e306, "noise_power": 1e306, "eta": [1.0, 2.5, 0.5]},     # 1.6e308
+    {"power_secondary": 1e10, "power_primary": 1e305, "gamma": [[1, 2], [1, 1], [2, 13]]},
+])
+def test_sinr_just_inside_the_overflow_bound_builds(kwargs):
+    # P_s*eta*E = 1.6e308 and P_p*K*gamma*E = 1.664e308, both below 1.8e308.
+    _direct_config(**kwargs)
 
 
 def test_single_value_fills_its_shape():
@@ -97,6 +113,25 @@ def test_with_population_cycles_rows():
     assert np.array_equal(big.eta[:6], cfg.eta)
     assert np.array_equal(big.eta[6:12], cfg.eta)
     assert np.array_equal(big.gamma[7], cfg.gamma[1])
+
+
+# One changed value per field; a primary_count of another length too.
+_ONE_FIELD_CHANGES = {
+    "num_secondary": 4, "num_bands": 3, "primary_count": (1, 2, 1),
+    "power_secondary": 11.0, "power_primary": 11.0, "noise_power": 1.5,
+    "eta": np.array([1.0, 2.0, 0.25]), "gamma": np.array([[1, 2], [0.5, 1], [2, 3.0]]),
+    "seed": 2**1100 + 4,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(NetworkConfig)])
+def test_each_field_counts_in_equality(field):
+    cfg = _direct_config(seed=2**1100 + 3)
+    changed = copy.copy(cfg)
+    # Set unchecked, so that only this one field differs.
+    object.__setattr__(changed, field, _ONE_FIELD_CHANGES[field])
+    assert cfg == copy.copy(cfg)
+    assert cfg != changed and changed != cfg
 
 
 def test_equality_and_immutability():

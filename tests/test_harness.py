@@ -83,7 +83,8 @@ def test_mean_sandwiched_by_bound_order_statistics(hetero_cfg):
     lo_sum = np.empty(trials)
     hi_sum = np.empty(trials)
     for t in range(trials):
-        s_lower, s_upper = sinr_bounds(hetero_cfg, draw_realization(hetero_cfg, t))
+        real = draw_realization(hetero_cfg, t)
+        s_lower, s_upper = sinr_bounds(hetero_cfg, real.g_sq, real.h_sq)
         lo_sum[t] = np.log2(1.0 + s_lower.max(axis=1)).sum()
         hi_sum[t] = np.log2(1.0 + s_upper.max(axis=1)).sum()
     agg = run_trials(hetero_cfg, "centralized", trials)
@@ -309,6 +310,32 @@ def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
     checks = {c.name: c for c in report.checks}
     for name in ("exp1_ks", "exact_cdf_ks"):
         assert not checks[name].passed, f"{name}: {checks[name].statistic}"
+
+
+def _direct_sinr_samples(cfg, m, n, count, rng):
+    """SINR_{m,n} by the direct one-link formula, the oracle of the sampler."""
+    k_m = cfg.primary_count[m]
+    g = rng.exponential(size=count)
+    interference = 0.0
+    if k_m:
+        h = rng.exponential(size=(count, k_m))
+        interference = channel._sum_terms(h * cfg.gamma[n, :k_m])
+    return (cfg.power_secondary * cfg.eta[n] * g) / (
+        cfg.noise_power + cfg.power_primary * interference
+    )
+
+
+@pytest.mark.parametrize("m", [0, 3], ids=["k-0", "k-8"])
+def test_one_link_sampler_equals_the_direct_formula(m):
+    # sinr_block on the one-link config: the same draws, the same arithmetic,
+    # and the generator left where the direct formula leaves it, so the
+    # contention timers validate draws next are unchanged.
+    cfg = heterogeneous_config(k=(0, 2, 4, 8))
+    rng, oracle = np.random.default_rng(17), np.random.default_rng(17)
+    samples = harness._simulate_sinr_samples(cfg, m, 5, 20_000, rng)
+    expected = _direct_sinr_samples(cfg, m, 5, 20_000, oracle)
+    assert samples.shape == expected.shape and samples.tobytes() == expected.tobytes()
+    assert rng.random() == oracle.random()
 
 
 @pytest.mark.parametrize("size", [10_000, 100_000])

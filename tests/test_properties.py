@@ -80,7 +80,7 @@ def network_configs(draw, max_users=60, homogeneous=False, min_users=1, equal_k=
 def test_bounds_sandwich_and_interleave_sinr(cfg, trial):
     real = draw_realization(cfg, trial)
     sinr = compute_sinr(cfg, real).sinr
-    s_lower, s_upper = sinr_bounds(cfg, real)
+    s_lower, s_upper = sinr_bounds(cfg, real.g_sq, real.h_sq)
     assert np.all(np.isfinite(sinr)) and np.all(sinr >= 0)
     tol = 1e-9 * np.abs(sinr)
     assert np.all(s_lower <= sinr + tol)
@@ -113,7 +113,7 @@ def test_sum_terms_equals_np_sum(k, rows, cols, fortran, seed):
 def test_homogeneous_bounds_equal_sinr(cfg, trial):
     real = draw_realization(cfg, trial)
     sinr = compute_sinr(cfg, real).sinr
-    s_lower, s_upper = sinr_bounds(cfg, real)
+    s_lower, s_upper = sinr_bounds(cfg, real.g_sq, real.h_sq)
     assert np.allclose(s_lower, sinr, rtol=1e-12, atol=0.0)
     assert np.allclose(s_upper, sinr, rtol=1e-12, atol=0.0)
 
@@ -262,12 +262,21 @@ def test_allocation_draws_the_per_band_contention_stream(cfg, trial, scale, seed
         for m, members in enumerate(out.candidate_sets.sets) if members)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=25)
-@given(network_configs(max_users=12), st.data())
-def test_paired_sweep_equals_one_scheme_runs(template, data):
+@st.composite
+def sweeps(draw):
+    """(template, n_values, trials) of a small scaling sweep."""
+    template = draw(network_configs(max_users=12))
     low = max(2, template.num_bands)
-    n_values = sorted(data.draw(st.sets(st.integers(low, 40), min_size=1, max_size=3)))
-    trials = data.draw(st.integers(1, 25))
+    n_values = sorted(draw(st.sets(st.integers(low, 40), min_size=1, max_size=3)))
+    return template, n_values, draw(st.integers(1, 25))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(sweeps())
+# A master seed of seven 32-bit words takes SeedSequence's extra mixing rounds.
+@example((NetworkConfig.homogeneous(4, 2, (0, 3), 10.0, seed=2**200 + 7), [2, 17, 40], 6))
+def test_paired_sweep_equals_one_scheme_runs(sweep):
+    template, n_values, trials = sweep
     report = scaling_sweep(template, n_values, trials)
     for i, n in enumerate(report.n_values):
         cfg_n = template.with_population(n, seed=_per_n_seed(template.seed, n))
@@ -438,14 +447,6 @@ def test_one_seeding_pass_over_mixed_keys_equals_default_rng(spans):
         assert np.array_equal(
             channel._set_stream(contention_image).integers(0, 2**32, size=5, dtype=np.uint32),
             np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
-
-
-@PROPERTY_SETTINGS
-@given(st.sampled_from(KEY_SEEDS + (2**200 + 7,)),
-       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
-@example(2**200 + 7, [2, 2**32 - 1, 2**32, 2**64 - 1])
-def test_key_seeds_equal_the_per_n_seed(master, values):
-    assert channel.key_seeds(master, values) == [_per_n_seed(master, v) for v in values]
 
 
 @pytest.mark.parametrize("template, n_values, trials, room", [
