@@ -2,7 +2,6 @@
 spectrum allocation in underlay cognitive networks."""
 
 from .analytics import (
-    ThresholdTable,
     build_threshold_table,
     cdf_exact,
     cdf_lower,
@@ -10,7 +9,6 @@ from .analytics import (
     expected_log_max,
     harmonic_moments,
     order_stat_cdf,
-    solve_threshold,
 )
 from .centralized import (
     Assignment,

@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,38 +123,14 @@ def _law_threshold(slope: float, coeff: tuple[float, ...], big_n: int) -> float:
     return float(_newton_log_survival(np.array([slope]), np.array([coeff]), math.log(big_n))[0])
 
 
-def solve_threshold(m: int, n: int, cfg: NetworkConfig, big_n: int) -> float:
-    """Threshold lambda(m, n): the (1 - 1/N)-quantile of T(.; m, n).
-
-    T(x) = 1 - 1/N is solved in log-survival form, -log(1 - T(x)) = ln N,
-    without the cancellation in 1 - 1/N, by the Newton iteration that
-    ``build_threshold_table`` runs on all users at once.
-    """
-    if big_n < 2:
-        raise ConfigError("population size must be at least 2")
-    if not (0 <= m < cfg.num_bands and 0 <= n < cfg.num_secondary):
-        raise ConfigError(f"band {m} and user {n} must lie in [0, {cfg.num_bands}) "
-                          f"and [0, {cfg.num_secondary})")
-    slope, coeff = cfg.link_law
-    return _law_threshold(float(slope[n]), tuple(coeff[n, :cfg.primary_count[m]].tolist()),
-                          big_n)
-
-
-@dataclass(frozen=True)
-class ThresholdTable:
-    """lambda(m, n) for every band and user, solved for one population size."""
-
-    lam: np.ndarray           # (M, N)
-    population_size: int
-
-
-def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> ThresholdTable:
-    """Solve the threshold equation for all (m, n).
+def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.ndarray:
+    """The read-only (M, N) thresholds lambda(m, n): T(x; m, n) = 1 - 1/big_n
+    (big_n = N by default), solved as -log(1 - T(x)) = ln big_n.
 
     Bands with the same K_m share their thresholds, so each distinct K_m
     costs one array Newton pass over the users.  When all users have the
     same path-loss factors, it is one law's ``_law_threshold``, solved
-    once per process; every entry equals ``solve_threshold`` for its (m, n).
+    once per process; every entry equals its own law's ``_law_threshold``.
     """
     if big_n is None:
         big_n = cfg.num_secondary
@@ -170,7 +145,7 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> Thres
             _law_threshold(float(slope[0]), tuple(coeff[0, :k_m].tolist()), big_n) if alike
             else _newton_log_survival(slope, coeff[:, :k_m], math.log(big_n)))
     lam.setflags(write=False)
-    return ThresholdTable(lam=lam, population_size=big_n)
+    return lam
 
 
 def expected_log_max(a: float, big_n: int) -> float:

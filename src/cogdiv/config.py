@@ -76,7 +76,7 @@ class NetworkConfig:
     the j-th primary transmitter to the n-th secondary receiver.  A single
     value of ``primary_count``, ``eta`` or ``gamma`` fills its whole shape;
     any other shape, ragged rows or non-numbers raise ConfigError, as do
-    values that overflow the SINR law, or the SINR's numerator or
+    values that overflow the SINR law, or the SINR, its numerator or its
     denominator at any fading draw.  Fading is drawn per trial, not stored.
     """
 
@@ -119,13 +119,14 @@ class NetworkConfig:
         if not (rho * eta_lo > 0 and 1 / (rho * eta_lo) < math.inf and 1 / (rho * eta_hi) > 0):
             raise ConfigError("the SINR law's slope 1/(rho*eta) must be strictly positive "
                               "and finite, rho being P_s/N_0")
-        # sinr_block's numerator and denominator, in its order of operations.
+        # sinr_block's numerator and denominator, in its order of operations, and their ratio.
         numerator = self.power_secondary * eta_hi * _MAX_DRAW
         denominator = self.noise_power + self.power_primary * (k_max * gamma_hi * _MAX_DRAW)
-        if not max(self.pp_over_ps() * gamma_hi / eta_lo, numerator, denominator) < math.inf:
-            raise ConfigError("(Pp/Ps)*gamma/eta, the SINR's numerator P_s*eta_max*E and its "
-                              "denominator N_0 + P_p*K_max*gamma_max*E must be finite, "
-                              f"E = {_MAX_DRAW:g} bounding every fading draw")
+        if not max(self.pp_over_ps() * gamma_hi / eta_lo, numerator, denominator,
+                   rho * eta_hi * _MAX_DRAW) < math.inf:
+            raise ConfigError("(Pp/Ps)*gamma/eta and the SINR's numerator P_s*eta_max*E, "
+                              "denominator N_0 + P_p*K_max*gamma_max*E and bound rho*eta_max*E "
+                              f"must be finite, E = {_MAX_DRAW:g} bounding every fading draw")
         seed = as_int("seed", self.seed)
         if seed < 0:
             raise ConfigError("seed must be non-negative")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import ThresholdTable
 from .centralized import Assignment
 from .channel import SinrTable
 
@@ -52,9 +51,9 @@ def membership(claims: np.ndarray, num_bands: int) -> np.ndarray:
     return claims[..., None, :] == np.arange(num_bands)[:, None]
 
 
-def build_candidate_sets(t: SinrTable, th: ThresholdTable) -> CandidateSets:
-    """Group all users' claims by band; sets are disjoint by construction."""
-    claims = claim_bands(t.sinr, th.lam)
+def build_candidate_sets(t: SinrTable, lam: np.ndarray) -> CandidateSets:
+    """Group all users' claims against ``lam`` by band; sets are disjoint by construction."""
+    claims = claim_bands(t.sinr, lam)
     claims.setflags(write=False)
     sets = tuple(tuple(np.flatnonzero(row).tolist())
                  for row in membership(claims, t.sinr.shape[0]))
@@ -103,14 +102,14 @@ def winner_rates(sinr: np.ndarray, winners: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
-def allocate_distributed(t: SinrTable, th: ThresholdTable,
+def allocate_distributed(t: SinrTable, lam: np.ndarray,
                          rng: np.random.Generator) -> AllocationOutcome:
-    """Run one full round of the distributed algorithm.
+    """Run one full round of the distributed algorithm on the thresholds ``lam``.
 
     Every claimant's timer comes from one draw, in band order, which is
     the stream that per-band ``resolve_contention`` calls would use.
     """
-    cs = build_candidate_sets(t, th)
+    cs = build_candidate_sets(t, lam)
     num_bands = t.sinr.shape[0]
     claimants = int(np.count_nonzero(cs.claims >= 0))
     winners = contention_winners(membership(cs.claims, num_bands), rng.random(claimants))

@@ -109,10 +109,10 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
             for point, blocks in points]
 
 
-def _run_point(cfg: NetworkConfig, schemes, trials: int, th,
+def _run_point(cfg: NetworkConfig, schemes, trials: int, lam,
                blocks) -> dict[str, TrialAggregate]:
     """One config's aggregates from its ``trial_blocks`` ``blocks``, with
-    the threshold table ``th`` if ``schemes`` has the distributed one."""
+    the thresholds ``lam`` if ``schemes`` has the distributed one."""
     n, m = cfg.num_secondary, cfg.num_bands
     sum_rates = {scheme: np.empty(trials) for scheme in schemes}
     cent_rates = sum_rates.get("centralized")
@@ -132,7 +132,7 @@ def _run_point(cfg: NetworkConfig, schemes, trials: int, th,
             users = centralized.matched_users(sinr, fav)
             cent_rates[block] = centralized.assignment_rates(sinr, users)
         if dist_rates is not None:
-            claims = distributed.claim_bands(sinr, th.lam)
+            claims = distributed.claim_bands(sinr, lam)
             member = distributed.membership(claims, m)
             per_band = member.sum(axis=-1)
             per_trial = per_band.sum(axis=-1)
@@ -328,21 +328,23 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
     rows = []
     for k in k_values:
         try:   # lambda(0, 0) reads user 0's row only: cycle it to K entries.
-            gamma = np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0,
-                              (cfg_template.num_secondary, k))
+            gamma = np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0, (1, k))
         except (ValueError, OverflowError):   # negative, or beyond numpy's index range
             raise ConfigError(f"k_values entry {k} is not a valid primary count") from None
         for rho_db in rho_values_db:
             rho = power_from_db(rho_db)
-            cfg = dataclasses.replace(
+            link = dataclasses.replace(   # user 0 alone: only its law need be valid
                 cfg_template,
-                primary_count=(k,) * cfg_template.num_bands,
+                num_secondary=1,
+                num_bands=1,
+                primary_count=(k,),
                 power_secondary=rho * cfg_template.noise_power,
                 power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
+                eta=cfg_template.eta[:1],
                 gamma=gamma,
             )
             for n in n_values:
-                lam = analytics.solve_threshold(0, 0, cfg, big_n=n)
+                lam = float(analytics.build_threshold_table(link, big_n=n)[0, 0])
                 rows.append({"N": n, "rho_db": float(rho_db), "K": k, "lam": lam})
 
     def monotone(key, sign):

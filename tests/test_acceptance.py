@@ -125,7 +125,7 @@ def _distributed_oracle(cfg: NetworkConfig) -> tuple[float, float]:
     rho = cfg.snr() * cfg.eta[0]
     k = cfg.primary_count[0]
     c = cfg.pp_over_ps() * cfg.gamma[0, 0] / cfg.eta[0] if k else 0.0
-    lam = analytics.solve_threshold(0, 0, cfg, big_n)
+    lam = analytics.build_threshold_table(cfg, big_n)[0, 0]
 
     def claim_density(x):
         density = (math.exp(-x / rho) * (1.0 + c * x) ** -k
@@ -216,7 +216,7 @@ def test_double_log_scaling(figure_sweep):
 def test_threshold_correctness():
     free = NetworkConfig.homogeneous(
         num_secondary=10, num_bands=1, primary_count=0, snr_db=10.0, seed=0)
-    lam = analytics.solve_threshold(0, 0, free, big_n=100)
+    lam = analytics.build_threshold_table(free, big_n=100)[0, 0]
     closed = 10.0 * math.log(100.0)
     rel = abs(lam - closed) / closed
 
@@ -227,7 +227,7 @@ def test_threshold_correctness():
     worst = 0.0
     for m in range(cfg.num_bands):
         for n in range(cfg.num_secondary):
-            resid = abs(analytics.cdf_exact(table.lam[m, n], m, n, cfg) - target)
+            resid = abs(analytics.cdf_exact(table[m, n], m, n, cfg) - target)
             worst = max(worst, resid)
     _report(
         "threshold-correctness",

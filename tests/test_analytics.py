@@ -10,7 +10,6 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cogdiv import (
-    ConfigError,
     NetworkConfig,
     build_threshold_table,
     cdf_exact,
@@ -20,7 +19,6 @@ from cogdiv import (
     harmonic_moments,
     order_stat_cdf,
     scaling_sweep,
-    solve_threshold,
 )
 from cogdiv import analytics
 from cogdiv.analytics import partial_binomial_sum
@@ -176,7 +174,7 @@ def test_lemma6_monotone_small():
 
 def test_threshold_interference_free_closed_form():
     cfg = NetworkConfig.homogeneous(100, 1, 0, 10.0)
-    lam = solve_threshold(0, 0, cfg, 100)
+    lam = build_threshold_table(cfg, 100)[0, 0]
     assert lam == pytest.approx(10.0 * math.log(100.0), rel=1e-15)
 
 
@@ -185,7 +183,7 @@ def test_threshold_huge_population_log_residual():
     cfg = heterogeneous_config(num_secondary=8, num_bands=2, k=4)
     big_n = 10**17
     t0 = time.perf_counter()
-    lam = solve_threshold(1, 3, cfg, big_n)
+    lam = build_threshold_table(cfg, big_n)[1, 3]
     assert time.perf_counter() - t0 < 1.0
     coeff = cfg.pp_over_ps() * cfg.gamma[3] / cfg.eta[3]
     log_surv = lam / (cfg.snr() * cfg.eta[3]) + np.sum(np.log1p(coeff * lam))
@@ -194,7 +192,7 @@ def test_threshold_huge_population_log_residual():
 
 def test_threshold_residual(hetero_cfg):
     big_n = 64
-    lam = solve_threshold(2, 5, hetero_cfg, big_n)
+    lam = build_threshold_table(hetero_cfg, big_n)[2, 5]
     residual = abs(float(cdf_exact(lam, 2, 5, hetero_cfg)) - (1.0 - 1.0 / big_n))
     assert residual <= 1e-10
 
@@ -203,53 +201,43 @@ def test_threshold_increases_with_snr():
     lams = []
     for snr_db in np.linspace(0.0, 20.0, 9):
         cfg = NetworkConfig.homogeneous(100, 4, 4, snr_db)
-        lams.append(solve_threshold(0, 0, cfg, 100))
+        lams.append(build_threshold_table(cfg, 100)[0, 0])
     assert np.all(np.diff(lams) > 0)
 
 
 def test_threshold_increases_as_primary_count_drops():
-    lams = [solve_threshold(0, 0, NetworkConfig.homogeneous(100, 4, k, 10.0), 100)
+    lams = [build_threshold_table(NetworkConfig.homogeneous(100, 4, k, 10.0), 100)[0, 0]
             for k in (4, 3, 2, 1)]
     assert np.all(np.diff(lams) > 0)
 
 
 def test_threshold_table_homogeneous_columns(homog_cfg):
-    table = build_threshold_table(homog_cfg)
-    assert table.population_size == homog_cfg.num_secondary
-    assert np.all(table.lam == table.lam[:, :1])
+    lam = build_threshold_table(homog_cfg)
+    assert lam.shape == (homog_cfg.num_bands, homog_cfg.num_secondary)
+    assert np.all(lam == lam[:, :1])
 
 
 def test_threshold_table_interference_free_row():
     cfg = heterogeneous_config(num_secondary=8, num_bands=1, k=0)
     big_n = 30
-    table = build_threshold_table(cfg, big_n)
+    lam = build_threshold_table(cfg, big_n)
     expected = cfg.snr() * cfg.eta * math.log(big_n)
-    assert np.allclose(table.lam[0], expected, rtol=1e-9)
+    assert np.allclose(lam[0], expected, rtol=1e-9)
 
 
 def test_threshold_table_deterministic(hetero_cfg):
     a = build_threshold_table(hetero_cfg)
     b = build_threshold_table(hetero_cfg)
-    assert a.lam.tobytes() == b.lam.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_threshold_table_residuals(hetero_cfg):
-    table = build_threshold_table(hetero_cfg)
-    target = 1.0 - 1.0 / table.population_size
+    lam = build_threshold_table(hetero_cfg)
+    target = 1.0 - 1.0 / hetero_cfg.num_secondary
     for m in range(hetero_cfg.num_bands):
         for n in range(hetero_cfg.num_secondary):
-            err = abs(float(cdf_exact(table.lam[m, n], m, n, hetero_cfg)) - target)
+            err = abs(float(cdf_exact(lam[m, n], m, n, hetero_cfg)) - target)
             assert err <= 1e-10
-
-
-@pytest.mark.parametrize("m, n", [(0, -1), (0, 50), (-1, 0), (4, 0)])
-def test_solve_threshold_rejects_out_of_range_index(hetero_cfg, m, n):
-    # A negative index would wrap to another user's row; none reaches the cache.
-    analytics._law_threshold.cache_clear()
-    with pytest.raises(ConfigError):
-        solve_threshold(m, n, hetero_cfg, 10)
-    info = analytics._law_threshold.cache_info()
-    assert info.hits == info.misses == 0
 
 
 def test_figure_sweep_solves_each_law_once():
@@ -268,15 +256,15 @@ def test_figure_sweep_solves_each_law_once():
 
 
 def test_threshold_tables_share_no_storage(homog_cfg):
-    lam = build_threshold_table(homog_cfg).lam
+    lam = build_threshold_table(homog_cfg)
     solved = lam.copy()
     with pytest.raises(ValueError):
         lam *= 2.0
     lam.setflags(write=True)
     lam *= 2.0
     later = build_threshold_table(homog_cfg)
-    assert not later.lam.flags.writeable
-    assert later.lam.tobytes() == solved.tobytes()
+    assert not later.flags.writeable
+    assert later.tobytes() == solved.tobytes()
 
 
 # -- exponential order-statistic moments ------------------------------------

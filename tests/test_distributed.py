@@ -6,7 +6,6 @@ import pytest
 from cogdiv import (
     NetworkConfig,
     SinrTable,
-    ThresholdTable,
     allocate_distributed,
     build_candidate_sets,
     build_threshold_table,
@@ -25,31 +24,27 @@ def table_from(sinr):
     return SinrTable(sinr=sinr)
 
 
-def thresholds(lam, big_n=10):
-    return ThresholdTable(lam=np.asarray(lam, dtype=float), population_size=big_n)
-
-
 def test_claim_picks_largest_normalized():
     # ratios [0.5, 1.3] -> claims band 1
     t = table_from([[1.0], [1.3]])
-    th = thresholds([[2.0], [1.0]])
-    assert list(build_candidate_sets(t, th).claims) == [1]
+    lam = np.array([[2.0], [1.0]])
+    assert list(build_candidate_sets(t, lam).claims) == [1]
 
 
 def test_no_claim_when_all_below_threshold():
     t = table_from([[0.5], [0.9]])
-    th = thresholds([[1.0], [1.0]])
-    assert list(build_candidate_sets(t, th).claims) == [-1]
+    lam = np.array([[1.0], [1.0]])
+    assert list(build_candidate_sets(t, lam).claims) == [-1]
 
 
 def test_single_band_claim_probability():
     cfg = NetworkConfig.homogeneous(50, 1, 4, 10.0, seed=21)
-    th = build_threshold_table(cfg)
+    lam = build_threshold_table(cfg)
     trials = 2000
     claims = 0
     for t_idx in range(trials):
         table = compute_sinr(cfg, draw_realization(cfg, t_idx))
-        claims += int(np.count_nonzero(build_candidate_sets(table, th).claims >= 0))
+        claims += int(np.count_nonzero(build_candidate_sets(table, lam).claims >= 0))
     total = trials * cfg.num_secondary
     p_hat = claims / total
     sigma = math.sqrt(0.02 * 0.98 / total)
@@ -59,24 +54,24 @@ def test_single_band_claim_probability():
 def test_candidate_sets_hand_case():
     # 3 users, 2 bands; ratios: u0 -> band0 (1.5), u1 -> none, u2 -> band1 (2.0)
     t = table_from([[1.5, 0.4, 0.3], [1.0, 0.8, 2.0]])
-    th = thresholds(np.ones((2, 3)))
-    cs = build_candidate_sets(t, th)
+    lam = np.ones((2, 3))
+    cs = build_candidate_sets(t, lam)
     assert cs.sets == ((0,), (2,))
     assert list(cs.claims) == [0, -1, 1]
 
 
 def test_candidate_sets_disjoint_and_consistent(hetero_cfg):
-    th = build_threshold_table(hetero_cfg)
+    lam = build_threshold_table(hetero_cfg)
     for t_idx in range(100):
         table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t_idx))
-        cs = build_candidate_sets(table, th)
-        ratio = table.sinr / th.lam
+        cs = build_candidate_sets(table, lam)
+        ratio = table.sinr / lam
         seen = set()
         for m, members in enumerate(cs.sets):
             for n in members:
                 assert n not in seen
                 seen.add(n)
-                assert table.sinr[m, n] >= th.lam[m, n]
+                assert table.sinr[m, n] >= lam[m, n]
                 assert m == int(np.argmax(ratio[:, n]))
                 assert cs.claims[n] == m
         assert len(seen) == np.count_nonzero(cs.claims >= 0)
@@ -112,8 +107,8 @@ def test_resolve_contention_empty_rejected():
 
 def test_allocate_with_no_claims():
     t = table_from(np.full((3, 5), 0.1))
-    th = thresholds(np.ones((3, 5)), big_n=5)
-    out = allocate_distributed(t, th, np.random.default_rng(0))
+    lam = np.ones((3, 5))
+    out = allocate_distributed(t, lam, np.random.default_rng(0))
     assert out.assignment.sum_rate == 0.0
     assert out.assignment.pairs == ()
     assert out.info_bits == 0.0
@@ -121,11 +116,11 @@ def test_allocate_with_no_claims():
 
 
 def test_allocation_feasible_and_dominated(hetero_cfg):
-    th = build_threshold_table(hetero_cfg)
+    lam = build_threshold_table(hetero_cfg)
     rng = np.random.default_rng(123)
     for t_idx in range(100):
         table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t_idx))
-        out = allocate_distributed(table, th, rng)
+        out = allocate_distributed(table, lam, rng)
         bands = [m for m, _ in out.assignment.pairs]
         users = [u for _, u in out.assignment.pairs]
         assert len(set(bands)) == len(bands)
@@ -139,20 +134,20 @@ def test_allocation_feasible_and_dominated(hetero_cfg):
 
 def test_info_bits_zero_for_single_band():
     cfg = NetworkConfig.homogeneous(20, 1, 2, 10.0, seed=4)
-    th = build_threshold_table(cfg)
+    lam = build_threshold_table(cfg)
     table = compute_sinr(cfg, draw_realization(cfg, 0))
-    out = allocate_distributed(table, th, np.random.default_rng(0))
+    out = allocate_distributed(table, lam, np.random.default_rng(0))
     assert out.info_bits == 0.0
 
 
 def test_mean_candidate_union_size():
     cfg = NetworkConfig.homogeneous(200, 4, 4, 10.0, seed=31)
-    th = build_threshold_table(cfg)
+    lam = build_threshold_table(cfg)
     trials = 3000
     total = 0
     for t_idx in range(trials):
         table = compute_sinr(cfg, draw_realization(cfg, t_idx))
-        total += int(np.count_nonzero(build_candidate_sets(table, th).claims >= 0))
+        total += int(np.count_nonzero(build_candidate_sets(table, lam).claims >= 0))
     omega = candidacy_probability(200, 4)
     expected = 200 * omega
     stderr = math.sqrt(200 * omega * (1 - omega) / trials)

@@ -226,6 +226,17 @@ def test_threshold_sweep_reads_only_user_zero():
         return threshold_sweep(cfg, [10, 100], [0.0, 10.0], [1, 2, 4]).rows
     assert sweep(8.0) == sweep(2.0) == sweep(1.0)
 
+    # Only user 0's law need be valid at each (K, rho): at -100 dB user 1's
+    # slope 1/(rho*eta) overflows, which a whole-network config rejects.
+    def eta_sweep(others_eta):
+        cfg = NetworkConfig(num_secondary=3, num_bands=1, primary_count=(1,),
+                            power_secondary=1.0, power_primary=1.0, noise_power=1.0,
+                            eta=[1.0, others_eta, 1.0], gamma=1.0)
+        return threshold_sweep(cfg, [10, 100], [-100.0, 0.0], [1, 0, 2]).rows
+    rows = eta_sweep(1e-300)
+    assert rows[0] == {"N": 10, "rho_db": -100.0, "K": 1, "lam": 2.3025850927637875e-10}
+    assert rows == eta_sweep(1.0)
+
 
 @pytest.mark.parametrize("k", [-1, 10**30], ids=["negative", "beyond-index-range"])
 def test_threshold_sweep_rejects_k_out_of_range(homog_cfg, k):

@@ -6,6 +6,7 @@ suite gives the same verdict on every run.
 """
 import math
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,9 +17,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
 from cogdiv import (
+    ConfigError,
     NetworkConfig,
     SinrTable,
-    ThresholdTable,
     allocate_distributed,
     build_threshold_table,
     candidacy_probability,
@@ -35,7 +36,6 @@ from cogdiv import (
     run_schemes,
     run_trials,
     scaling_sweep,
-    solve_threshold,
     validate,
 )
 from cogdiv import analytics, channel, harness
@@ -156,7 +156,7 @@ def test_threshold_solves_log_survival_equation(cfg, data, log_n):
     m = data.draw(st.integers(0, cfg.num_bands - 1))
     n = data.draw(st.integers(0, cfg.num_secondary - 1))
     big_n = max(2, int(math.exp(log_n)))
-    lam = solve_threshold(m, n, cfg, big_n)
+    lam = build_threshold_table(cfg, big_n)[m, n]
     coeff = cfg.pp_over_ps() * cfg.gamma[n, :cfg.primary_count[m]] / cfg.eta[n]
     log_surv = lam / (cfg.snr() * cfg.eta[n]) + float(np.sum(np.log1p(coeff * lam)))
     assert lam > 0
@@ -222,15 +222,21 @@ def _scalar_newton(m, n, cfg, big_n):
 
 
 @PROPERTY_SETTINGS
-@given(network_configs(max_users=30, min_users=2),
+@given(st.one_of(network_configs(max_users=30, min_users=2),
+                 network_configs(max_users=30, min_users=2, homogeneous=True)),
        st.floats(math.log(2.0), math.log(1e17)))
 def test_threshold_table_equals_scalar_solver(cfg, log_n):
+    # Every entry is also its own law's cached one-row solve, bit for bit,
+    # whether the table came from the cache or from an array pass.
     big_n = max(2, int(math.exp(log_n)))
-    lam = build_threshold_table(cfg, big_n).lam
-    for m in range(cfg.num_bands):
+    lam = build_threshold_table(cfg, big_n)
+    slope, coeff = cfg.link_law
+    for m, k_m in enumerate(cfg.primary_count):
         for n in range(cfg.num_secondary):
             expected = _scalar_newton(m, n, cfg, big_n)
-            assert lam[m, n] == solve_threshold(m, n, cfg, big_n) == expected
+            cached = analytics._law_threshold(float(slope[n]), tuple(coeff[n, :k_m].tolist()),
+                                              big_n)
+            assert lam[m, n] == cached == expected
 
 
 @PROPERTY_SETTINGS
@@ -240,7 +246,7 @@ def test_threshold_table_equals_uncached_array_pass(cfg, big_n):
     # Homogeneous tables come from the per-process law cache; every row must
     # still equal the one array pass over all users that solves it uncached.
     slope, coeff = cfg.link_law
-    lam = build_threshold_table(cfg, big_n).lam
+    lam = build_threshold_table(cfg, big_n)
     for m, k_m in enumerate(cfg.primary_count):
         expected = analytics._newton_log_survival(slope, coeff[:, :k_m], math.log(big_n))
         assert lam[m].tobytes() == expected.tobytes()
@@ -253,9 +259,8 @@ def test_allocation_draws_the_per_band_contention_stream(cfg, trial, scale, seed
     # Lowered thresholds give crowded bands; the one timer draw must pick
     # the winners that per-band resolve_contention calls pick.
     table = compute_sinr(cfg, draw_realization(cfg, trial))
-    th = ThresholdTable(lam=build_threshold_table(cfg).lam * scale,
-                        population_size=cfg.num_secondary)
-    out = allocate_distributed(table, th, np.random.default_rng(seed))
+    lam = build_threshold_table(cfg) * scale
+    out = allocate_distributed(table, lam, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     assert out.assignment.pairs == tuple(
         (m, resolve_contention(members, rng))
@@ -317,14 +322,14 @@ def test_distributed_statistics_match_analysis(cfg):
 
 def _trial_loop(cfg, trials):
     """run_schemes redone one trial at a time through the one-trial entry points."""
-    th = build_threshold_table(cfg)
+    lam = build_threshold_table(cfg)
     cent, dist, bits = np.empty(trials), np.empty(trials), np.empty(trials)
     claims, idle, hits = np.zeros(cfg.num_secondary), np.zeros(cfg.num_bands), 0
     for t in range(trials):
         table = compute_sinr(cfg, draw_realization(cfg, t))
         hits += event_d(favorites(table))
         cent[t] = optimal_assignment_matching(table).sum_rate
-        out = allocate_distributed(table, th, np.random.default_rng((cfg.seed, t, 1)))
+        out = allocate_distributed(table, lam, np.random.default_rng((cfg.seed, t, 1)))
         dist[t], bits[t] = out.assignment.sum_rate, out.info_bits
         claims += out.candidate_sets.claims >= 0
         idle[list(out.idle_bands)] += 1
@@ -551,3 +556,43 @@ def _five_bins(first_four):
 def test_chisquare_p_equals_scipy(counts):
     counts = np.array(counts)
     assert harness._chisquare_p(counts) == stats.chisquare(counts).pvalue
+
+
+def _small_doc(**changes):
+    """Library arguments of the network N = 20, M = 2, K = 2 at 10 dB, with changes."""
+    return dict(num_secondary=20, num_bands=2, primary_count=(2, 2), power_secondary=10.0,
+                power_primary=10.0, noise_power=1.0, eta=1.0, gamma=1.0, seed=5) | changes
+
+
+@st.composite
+def extreme_networks(draw):
+    """Library arguments at N = 6, M = 2 whose powers, eta and gamma are each
+    a power of ten anywhere in the float range, subnormals included."""
+    power = st.integers(-320, 308).map(lambda e: 10.0 ** e)
+    return dict(num_secondary=6, num_bands=2, primary_count=(draw(st.integers(0, 3)), 1),
+                power_secondary=draw(power), power_primary=draw(power),
+                noise_power=draw(power), eta=draw(power), gamma=draw(power))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(extreme_networks())
+@example(_small_doc(eta=1e-320))
+@example(_small_doc(gamma=1e308))
+@example(_small_doc(power_secondary=1e-310, power_primary=1e-310))   # snr_db = -3100
+@example(_small_doc(eta=1e308))
+@example(_small_doc(gamma=1e306))
+# N_0 < 1: rho*eta*|g|^2, which bounds the SINR, overflows at a large draw.
+@example(dict(num_secondary=20, num_bands=2, primary_count=(0, 0), power_secondary=1e7,
+              power_primary=1.0, noise_power=1e-300, eta=10.0, gamma=1.0))
+def test_network_is_rejected_or_runs_without_overflow(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = NetworkConfig(**kwargs)
+        except ConfigError:
+            return
+        aggs = run_schemes(cfg, harness.SCHEMES, 20)
+        lam = build_threshold_table(cfg)
+    for agg in aggs.values():
+        assert np.all(np.isfinite(agg.trial_sum_rates)) and math.isfinite(agg.mean_sum_rate)
+    assert np.all(np.isfinite(lam))
