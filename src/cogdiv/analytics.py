@@ -24,6 +24,13 @@ def _check_x(x):
     return x
 
 
+def _check_index(name: str, index, size: int):
+    """``index``, an int or an index array, if every entry is in [0, size)."""
+    if np.any((np.asarray(index) < 0) | (np.asarray(index) >= size)):
+        raise ConfigError(f"{name} index {index} is outside [0, {size})")
+    return index
+
+
 def _log_survival(x, slope, coeff):
     """-log(1 - T(x)), the one SINR law every CDF and the solver evaluate.
 
@@ -36,7 +43,8 @@ def _log_survival(x, slope, coeff):
 
 def _bound_cdf(x, m: int, cfg: NetworkConfig, upper: bool):
     slope, c = cfg.bound_law(upper)
-    return -np.expm1(-_log_survival(_check_x(x), slope, np.full(cfg.primary_count[m], c)))
+    k_m = cfg.primary_count[_check_index("band", m, cfg.num_bands)]
+    return -np.expm1(-_log_survival(_check_x(x), slope, np.full(k_m, c)))
 
 
 def cdf_lower(x, m: int, cfg: NetworkConfig):
@@ -66,7 +74,9 @@ def cdf_exact(x, m: int, n, cfg: NetworkConfig):
     ``cdf_exact(grid[:, None], m, users, cfg)`` has one column per user.
     """
     slope, coeff = cfg.link_law
-    return -np.expm1(-_log_survival(_check_x(x), slope[n], coeff[n, :cfg.primary_count[m]]))
+    n = _check_index("user", n, cfg.num_secondary)
+    k_m = cfg.primary_count[_check_index("band", m, cfg.num_bands)]
+    return -np.expm1(-_log_survival(_check_x(x), slope[n], coeff[n, :k_m]))
 
 
 def partial_binomial_sum(p, big_n: int, i: int):

@@ -93,9 +93,10 @@ def matched_users(sinr: np.ndarray, fav: np.ndarray) -> np.ndarray:
 
 
 def assignment_rates(sinr: np.ndarray, users: np.ndarray) -> np.ndarray:
-    """(...) sum rate of giving band m to ``users[..., m]``."""
+    """(...) sum rate of giving band m to ``users[..., m]``; a band whose
+    user is -1 is idle and adds 0."""
     picked = np.take_along_axis(sinr, users[..., None], axis=-1)[..., 0]
-    return _rates(picked).sum(axis=-1)
+    return np.where(users >= 0, _rates(picked), 0.0).sum(axis=-1)
 
 
 def optimal_assignment_matching(t: SinrTable) -> Assignment:

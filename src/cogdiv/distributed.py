@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centralized import Assignment
+from .centralized import Assignment, assignment_rates
 from .channel import SinrTable
 
 
@@ -74,15 +74,25 @@ def resolve_contention(candidates, rng: np.random.Generator) -> int:
     return candidates[int(first_expiry(rng.random(len(candidates))))]
 
 
-def contention_winners(member: np.ndarray, timers: np.ndarray) -> np.ndarray:
-    """(..., M) winning user of every band, -1 where the band is idle.
+def contention_winners(claims: np.ndarray, num_bands: int, contention) -> np.ndarray:
+    """(B, M) winning user of every band of each trial of the (B, N)
+    ``claims``, -1 where the band is idle.
 
-    ``member`` is the (..., M, N) candidate mask and ``timers`` holds one
-    timer per member in the mask's C order (trial, band, user), which is
-    the order of per-band ``resolve_contention`` calls.  Each band's
-    winner is its first earliest timer: a stable sort by (band, timer)
-    puts it first in its band's run.
+    Trial b, if it has a contested band, draws one backoff timer per
+    claimant from the generator ``contention(b)``, in (band, user) order,
+    which is the order of per-band ``resolve_contention`` calls; each
+    band's winner is its first earliest timer.  A lone claimant wins
+    whatever its timer, so a trial without a contested band draws none.
     """
+    member = membership(claims, num_bands)
+    per_band = member.sum(axis=-1)
+    per_trial = per_band.sum(axis=-1)
+    timers = np.zeros(int(per_trial.sum()))
+    stops = np.cumsum(per_trial).tolist()
+    for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
+        count = int(per_trial[b])
+        timers[stops[b] - count:stops[b]] = contention(b).random(count)
+    # A stable sort by (cell, timer) puts each (trial, band) cell's winner first in its run.
     cell, users = np.divmod(np.flatnonzero(member), member.shape[-1])
     first = np.lexsort((timers, cell))[np.flatnonzero(np.diff(cell, prepend=-1))]
     winners = np.full(member.shape[:-1], -1)
@@ -90,36 +100,19 @@ def contention_winners(member: np.ndarray, timers: np.ndarray) -> np.ndarray:
     return winners
 
 
-def winner_rates(sinr: np.ndarray, winners: np.ndarray) -> np.ndarray:
-    """(...) sum over bands of log2(1 + SINR) of each band's winner.
-
-    The terms are ``math.log2`` values added in band order from 0.0 (an
-    idle band adds 0.0), one arithmetic for a trial and for a block.
-    """
-    won = np.nonzero(winners >= 0)
-    terms = np.zeros(winners.shape)
-    terms[won] = [math.log2(1.0 + x) for x in sinr[won + (winners[won],)].tolist()]
-    return np.add.accumulate(terms, axis=-1)[..., -1]
-
-
 def allocate_distributed(t: SinrTable, lam: np.ndarray,
                          rng: np.random.Generator) -> AllocationOutcome:
-    """Run one full round of the distributed algorithm on the thresholds ``lam``.
-
-    Every claimant's timer comes from one draw, in band order, which is
-    the stream that per-band ``resolve_contention`` calls would use.
-    """
+    """Run one full round of the distributed algorithm on the thresholds
+    ``lam``, with ``rng`` as the contention stream of ``contention_winners``."""
     cs = build_candidate_sets(t, lam)
     num_bands = t.sinr.shape[0]
-    claimants = int(np.count_nonzero(cs.claims >= 0))
-    winners = contention_winners(membership(cs.claims, num_bands), rng.random(claimants))
-    info_bits = claimants * math.log2(num_bands) if num_bands > 1 else 0.0
+    winners = contention_winners(cs.claims[None], num_bands, lambda _: rng)[0]
     return AllocationOutcome(
         assignment=Assignment(
             pairs=tuple((m, w) for m, w in enumerate(winners.tolist()) if w >= 0),
-            sum_rate=float(winner_rates(t.sinr, winners))),
+            sum_rate=float(assignment_rates(t.sinr, winners))),
         candidate_sets=cs,
-        info_bits=info_bits,
+        info_bits=int(np.count_nonzero(cs.claims >= 0)) * math.log2(num_bands),
         idle_bands=tuple(np.flatnonzero(winners < 0).tolist()),
     )
 

@@ -82,11 +82,11 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     aggregate does not depend on which other schemes run beside it.
 
     Trials run in the blocks of ``channel.trial_blocks``: each stage is
-    one array call per block, and only the contention timers, the
-    matching of trials without event D and the distributed rate's
-    ``math.log2`` terms are per trial.  Results equal a loop over the
-    one-trial entry points bit for bit, whatever the block size.  This is
-    the one-point call of ``_run_points``.
+    one array call per block, and only the contention timers of trials
+    with a contested band and the matching of trials without event D
+    are per trial.  Results equal a loop over the one-trial entry points
+    bit for bit, whatever the block size.  This is the one-point call of
+    ``_run_points``.
     """
     return _run_points([cfg], schemes, trials)[0]
 
@@ -121,7 +121,6 @@ def _run_point(cfg: NetworkConfig, schemes, trials: int, lam,
     claim_counts = np.zeros(n)
     idle_counts = np.zeros(m)
     event_d_count = 0
-    bits_per_claim = math.log2(m) if m > 1 else 0.0
 
     for _, start, g_sq, h_sq, contention in blocks:
         block = slice(start, start + len(g_sq))
@@ -133,20 +132,11 @@ def _run_point(cfg: NetworkConfig, schemes, trials: int, lam,
             cent_rates[block] = centralized.assignment_rates(sinr, users)
         if dist_rates is not None:
             claims = distributed.claim_bands(sinr, lam)
-            member = distributed.membership(claims, m)
-            per_band = member.sum(axis=-1)
-            per_trial = per_band.sum(axis=-1)
-            # A lone claimant wins whatever its timer: only trials with a
-            # contested band need their contention stream.
-            timers = np.zeros(int(per_trial.sum()))
-            stops = np.cumsum(per_trial).tolist()
-            for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
-                count = int(per_trial[b])
-                timers[stops[b] - count:stops[b]] = contention(start + b).random(count)
-            winners = distributed.contention_winners(member, timers)
-            dist_rates[block] = distributed.winner_rates(sinr, winners)
-            info_bits[block] = per_trial * bits_per_claim
-            claim_counts += np.count_nonzero(claims >= 0, axis=0)
+            winners = distributed.contention_winners(claims, m, lambda b: contention(start + b))
+            dist_rates[block] = centralized.assignment_rates(sinr, winners)
+            claimed = claims >= 0
+            info_bits[block] = np.count_nonzero(claimed, axis=-1) * math.log2(m)
+            claim_counts += np.count_nonzero(claimed, axis=0)
             idle_counts += np.count_nonzero(winners < 0, axis=0)
 
     aggregates = {}
@@ -347,23 +337,18 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
                 lam = float(analytics.build_threshold_table(link, big_n=n)[0, 0])
                 rows.append({"N": n, "rho_db": float(rho_db), "K": k, "lam": lam})
 
-    def monotone(key, sign):
-        groups: dict[tuple, list] = {}
-        for r in rows:
-            others = tuple(v for k2, v in r.items() if k2 not in (key, "lam"))
-            groups.setdefault(others, []).append((r[key], r["lam"]))
-        for series in groups.values():
-            series.sort()
-            for (_, a), (_, b) in zip(series, series[1:]):
-                if sign * (b - a) <= 0:
-                    return False
-        return True
+    # The rows run over K, then rho, then N: a (K, rho, N) grid of lambda.
+    lam = np.reshape([r["lam"] for r in rows], (len(k_values), len(rho_values_db), -1))
+
+    def monotone(axis, values, sign):
+        ordered = np.take(lam, np.argsort(values, kind="stable"), axis=axis)
+        return not np.any(sign * np.diff(ordered, axis=axis) <= 0)
 
     return ThresholdSweep(
         rows=tuple(rows),
-        increasing_in_n=monotone("N", +1),
-        increasing_in_rho=monotone("rho_db", +1),
-        decreasing_in_k=monotone("K", -1),
+        increasing_in_n=monotone(2, n_values, +1),
+        increasing_in_rho=monotone(1, rho_values_db, +1),
+        decreasing_in_k=monotone(0, k_values, -1),
     )
 
 

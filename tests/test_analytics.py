@@ -10,6 +10,7 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from cogdiv import (
+    ConfigError,
     NetworkConfig,
     build_threshold_table,
     cdf_exact,
@@ -74,6 +75,21 @@ def test_cdf_exact_takes_user_blocks(hetero_cfg):
     assert block.shape == (GRID.size, users.size)
     for column, n in enumerate(users):
         assert np.array_equal(block[:, column], cdf_exact(GRID, 2, n, hetero_cfg))
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (4, 0), (0, -1), (0, 50),
+                                  (0, np.array([0, 49, 50])), (0, np.array([3, -1]))])
+def test_cdf_exact_rejects_out_of_range_index(hetero_cfg, m, n):
+    # hetero_cfg has M = 4 bands and N = 50 users; -1 must not wrap round.
+    with pytest.raises(ConfigError):
+        cdf_exact(GRID, m, n, hetero_cfg)
+
+
+@pytest.mark.parametrize("cdf", [cdf_lower, cdf_upper])
+@pytest.mark.parametrize("m", [-1, 4])
+def test_bound_cdfs_reject_out_of_range_band(hetero_cfg, cdf, m):
+    with pytest.raises(ConfigError):
+        cdf(GRID, m, hetero_cfg)
 
 
 def test_cdf_dominance(hetero_cfg):

@@ -12,7 +12,7 @@ from cogdiv import (
     optimal_assignment_exhaustive,
     optimal_assignment_matching,
 )
-from cogdiv.centralized import CapacityError
+from cogdiv.centralized import CapacityError, assignment_rates
 
 from conftest import heterogeneous_config
 
@@ -113,3 +113,10 @@ def test_sum_rate_recomputable(hetero_cfg):
     a = optimal_assignment_matching(table)
     recomputed = sum(math.log2(1.0 + table.sinr[m, u]) for m, u in a.pairs)
     assert a.sum_rate == pytest.approx(recomputed, rel=1e-12)
+    users = np.array([u for _, u in a.pairs])
+    assert assignment_rates(table.sinr, users) == a.sum_rate
+    # A band whose user is -1 is idle and adds 0.
+    users[1] = -1
+    kept = [table.sinr[m, u] for m, u in a.pairs if m != 1]
+    assert assignment_rates(table.sinr, users) == np.log2(1.0 + np.array(kept)).sum()
+    assert assignment_rates(table.sinr, np.full(4, -1)) == 0.0

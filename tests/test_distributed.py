@@ -115,6 +115,43 @@ def test_allocate_with_no_claims():
     assert out.idle_bands == (0, 1, 2)
 
 
+class _NoDraws:
+    def random(self, *args, **kwargs):
+        raise AssertionError("an uncontested allocation drew a timer")
+
+
+def test_allocate_draws_no_timer_without_contention():
+    # Bands 0 and 2 have one claimant each and band 1 none: each lone
+    # claimant wins without a timer.
+    t = table_from([[3.0, 0.1, 0.2, 0.1], [0.1, 0.2, 0.1, 0.3], [0.2, 0.1, 5.0, 0.1]])
+    out = allocate_distributed(t, np.ones((3, 4)), _NoDraws())
+    assert out.assignment.pairs == ((0, 0), (2, 2))
+    assert out.idle_bands == (1,)
+    assert out.assignment.sum_rate == pytest.approx(2.0 + math.log2(6.0), rel=1e-15)
+
+
+def test_allocation_and_matching_price_equal_pairs_alike():
+    # Both schemes price an assignment by the one rate formula, so equal
+    # pairs give equal sum rates bit for bit, also at M >= 8 where the
+    # band sum is pairwise.
+    rng = np.random.default_rng(2024)
+    compared = pairwise = 0
+    for _ in range(5000):
+        m = int(rng.integers(1, 11))
+        n = int(rng.integers(m, 5 * m + 1))
+        t = table_from(rng.exponential(size=(m, n)) * 10.0 ** rng.uniform(-1, 3))
+        # Thresholds at or a little under each band's maximum: mostly the
+        # favorites claim, and some bands are contested.
+        lam = t.sinr.max(axis=1, keepdims=True) * rng.uniform(0.9, 1.0, (m, 1))
+        dist = allocate_distributed(t, lam, np.random.default_rng(int(rng.integers(2**32))))
+        cent = optimal_assignment_matching(t)
+        if dist.assignment.pairs == cent.pairs:
+            compared += 1
+            pairwise += m >= 8
+            assert dist.assignment.sum_rate == cent.sum_rate
+    assert compared > 1500 and pairwise > 100
+
+
 def test_allocation_feasible_and_dominated(hetero_cfg):
     lam = build_threshold_table(hetero_cfg)
     rng = np.random.default_rng(123)

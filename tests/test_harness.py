@@ -212,6 +212,15 @@ def test_threshold_sweep_monotonicity(homog_cfg):
     assert sweep.increasing_in_n
     assert sweep.increasing_in_rho
     assert sweep.decreasing_in_k
+    # The flags read the (K, rho, N) grid sorted along each axis: the order
+    # of a list does not matter, and a repeated entry clears its own flag only.
+    def flags(n_values, rho_values_db, k_values):
+        sw = threshold_sweep(homog_cfg, n_values, rho_values_db, k_values)
+        return sw.increasing_in_n, sw.increasing_in_rho, sw.decreasing_in_k
+    assert flags([100, 10, 1000], [10.0, -5.0, 0.0], [4, 0, 1]) == (True, True, True)
+    assert flags([10, 10, 100], [0.0, 10.0], [1, 4]) == (False, True, True)
+    assert flags([100, 10], [10.0, 0.0, 10.0], [4, 1]) == (True, False, True)
+    assert flags([10, 100], [0.0, 10.0], [1, 4, 1]) == (True, True, False)
 
 
 def test_threshold_sweep_reads_only_user_zero():
