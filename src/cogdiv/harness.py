@@ -54,8 +54,10 @@ class TrialAggregate:
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (0 for a single value)."""
-    stderr = float(np.std(values, ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return float(np.mean(values)), stderr
+    n = values.size
+    mean = float(values.sum() / n)
+    squares = np.square(values - mean)
+    return mean, math.sqrt(squares.sum() / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
 
 
 def _checked_trials(trials, sizes) -> int:
@@ -126,9 +128,10 @@ def _run_point(cfg: NetworkConfig, schemes, trials: int, lam,
         block = slice(start, start + len(g_sq))
         sinr = sinr_block(cfg, g_sq, h_sq)
         fav = centralized.favorite_users(sinr)
-        event_d_count += int(np.count_nonzero(centralized.all_distinct(fav)))
+        distinct = centralized.all_distinct(fav)
+        event_d_count += int(np.count_nonzero(distinct))
         if cent_rates is not None:
-            users = centralized.matched_users(sinr, fav)
+            users = centralized.matched_users(sinr, fav, distinct)
             cent_rates[block] = centralized.assignment_rates(sinr, users)
         if dist_rates is not None:
             claims = distributed.claim_bands(sinr, lam)

@@ -179,17 +179,32 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert "error" in result.stderr
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    # No trial path needs them, and they add about 22 MB to a process's peak RSS.
+def _fresh_python(code):
+    """stdout of ``code`` run in a new interpreter that imports this cogdiv."""
     package_root = str(Path(cogdiv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run(
-        [sys.executable, "-c", "import cogdiv, sys; "
-         "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))"],
-        capture_output=True, text=True, timeout=120, env=env)
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=120, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    # No trial path needs them, and they add about 22 MB to a process's peak RSS.
+    assert _fresh_python("import cogdiv, sys; "
+                         "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))") == "[]"
+
+
+def test_matching_up_to_four_bands_leaves_out_scipy_optimize():
+    # Only M > 4 runs scipy's assignment solver; scipy.optimize adds about
+    # 24 MB to a process's peak RSS.
+    assert _fresh_python(
+        "import cogdiv, sys\n"
+        "from cogdiv import NetworkConfig, harness\n"
+        "aggs = harness.run_schemes(NetworkConfig.homogeneous(10, 4, 4, 10.0), harness.SCHEMES, 200)\n"
+        "print(aggs['centralized'].event_d_frequency < 1, 'scipy.optimize' in sys.modules)"
+    ) == "True False"
 
 
 def test_seed_override_changes_results(tmp_path):

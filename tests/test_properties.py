@@ -38,7 +38,7 @@ from cogdiv import (
     scaling_sweep,
     validate,
 )
-from cogdiv import analytics, channel, harness
+from cogdiv import analytics, centralized, channel, harness
 from cogdiv.channel import sinr_bounds
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -164,9 +164,9 @@ def test_threshold_solves_log_survival_equation(cfg, data, log_n):
 
 
 @st.composite
-def sinr_tables(draw, max_users):
+def sinr_tables(draw, max_users, max_bands=4):
     """SINR tables; about half are built to fail event D (repeated favorites)."""
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max_bands))
     n = draw(st.integers(m, max_users))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sinr = rng.exponential(size=(m, n)) * 10.0 ** rng.uniform(-1.0, 2.0, (m, n))
@@ -206,6 +206,22 @@ def test_matching_equals_full_matching_with_and_without_event_d(table):
     assert fast.sum_rate == _full_matching_sum(table)
     if event_d(favorites(table)):
         assert [u for _, u in fast.pairs] == favorites(table)
+
+
+@PROPERTY_SETTINGS
+@given(sinr_tables(max_users=80, max_bands=6))
+@example(SinrTable(sinr=np.array([[9.0, 1.0, 2.0, 3.0], [8.0, 7.0, 1.0, 2.0],
+                                  [5.0, 1.0, 4.0, 2.0], [6.0, 2.0, 3.0, 1.0]])))
+def test_matched_users_equal_full_matching(table):
+    # M <= 4 enumerates each band's M best users (N = M is argpartition's
+    # kth = 0), M = 5 and 6 run scipy's solver.  The block holds the table
+    # and its band-reversed copy, whose matching is the reverse.
+    cols = linear_sum_assignment(np.log2(1.0 + table.sinr), maximize=True)[1]
+    sinr = np.stack([table.sinr, table.sinr[::-1]])
+    fav = centralized.favorite_users(sinr)
+    users = centralized.matched_users(sinr, fav, centralized.all_distinct(fav))
+    assert users.tolist() == [cols.tolist(), cols[::-1].tolist()]
+    assert centralized.assignment_rates(table.sinr, users[0]) == _full_matching_sum(table)
 
 
 def _scalar_newton(m, n, cfg, big_n):
