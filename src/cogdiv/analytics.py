@@ -36,9 +36,11 @@ def _log_survival(x, slope, coeff):
 
     ``coeff``'s last axis runs over the K_m primary users of the band;
     ``x`` broadcasts against ``slope`` and the other axes of ``coeff``.
-    Its terms are summed by ``channel._sum_terms``, ``np.sum`` bit for bit.
+    Its terms are summed one at a time by ``channel._sum_terms``, the
+    ``np.sum`` of the stacked terms bit for bit.
     """
-    return x * slope + _sum_terms(np.log1p(coeff * x[..., None]))
+    terms = _sum_terms(coeff.shape[-1], lambda s: np.log1p(coeff[..., s] * x[..., None]))
+    return x * slope + terms
 
 
 def _bound_cdf(x, m: int, cfg: NetworkConfig, upper: bool):
@@ -117,7 +119,9 @@ def _newton_log_survival(slope: np.ndarray, coeff: np.ndarray, log_n: float) -> 
     active = np.ones(slope.shape, dtype=bool)
     while True:
         g = _log_survival(x, slope, coeff) - log_n
-        step = x - g / (slope + _sum_terms(coeff / (1.0 + coeff * x[:, None])))
+        rate = _sum_terms(coeff.shape[-1],
+                          lambda s: coeff[:, s] / (1.0 + coeff[:, s] * x[:, None]))
+        step = x - g / (slope + rate)
         active &= step > x
         if not active.any():
             return x

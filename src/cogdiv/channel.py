@@ -356,29 +356,36 @@ def _interference(cfg: NetworkConfig, h_sq: np.ndarray,
     ``weights`` None sums the raw |h|^2.  Bands with fewer primary users
     than max K_m only see their first K_m interference terms.
     """
+    def total(h):   # (..., N, k) gains summed against the first k weights
+        k = h.shape[-1]
+        if weights is None:
+            return _sum_terms(k, lambda s: h[..., s])
+        w = weights[:, :k]
+        return _sum_terms(k, lambda s: h[..., s] * w[:, s])
+
     if len(set(cfg.primary_count)) == 1:   # every band sees all k terms
-        return _sum_terms(h_sq if weights is None else h_sq * weights)
+        return total(h_sq)
     sums = np.zeros(h_sq.shape[:-1])
     for band, k_m in enumerate(cfg.primary_count):
         if k_m:
-            h = h_sq[..., band, :, :k_m]
-            sums[..., band, :] = _sum_terms(h if weights is None else h * weights[:, :k_m])
+            sums[..., band, :] = total(h_sq[..., band, :, :k_m])
     return sums
 
 
-def _sum_terms(terms: np.ndarray) -> np.ndarray:
-    """``np.sum(terms, axis=-1)``, bit for bit.
+def _sum_terms(k: int, term) -> np.ndarray:
+    """``np.sum(term(slice(None)), axis=-1)`` of k terms, bit for bit.
 
-    Below 8 terms np.sum adds them left to right, and adding whole slices
-    in that order is several times faster than its short reductions;
-    from 8 terms on it adds pairwise, so np.sum itself runs.
+    ``term(s)`` gives the terms of the slice ``s`` of 0..k-1, stacked on
+    the last axis.  Below 8 terms np.sum adds them left to right, so they
+    are made and added one at a time, with no (..., k) array and no
+    reduction loop of length k; at none, or from 8 on, np.sum adds
+    pairwise, so it runs on the stacked terms.
     """
-    k = terms.shape[-1]
     if not 0 < k < 8:
-        return np.sum(terms, axis=-1)
-    total = terms[..., 0].copy()
+        return np.sum(term(slice(None)), axis=-1)
+    total = term(slice(0, 1))[..., 0].copy()   # a term may be a view of an input
     for j in range(1, k):
-        total += terms[..., j]
+        total += term(slice(j, j + 1))[..., 0]
     return total
 
 

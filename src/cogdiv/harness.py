@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
-from scipy import special
 
 from . import analytics, centralized, distributed
 from .channel import sinr_block, sinr_bounds, trial_blocks
@@ -19,6 +18,10 @@ SCHEMES = ("centralized", "distributed")
 
 #: Guard against accidentally huge runs (N * M * trials cells).
 DEFAULT_CELL_BUDGET = 2e10
+
+#: Validation draws its direct SINR samples, and evaluates a KS distance's
+#: CDF, this many samples at a time.
+SAMPLE_CHUNK = 1 << 14
 
 
 class ResourceError(ConfigError):
@@ -396,12 +399,21 @@ class ValidationReport:
 def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Direct draws of SINR_{m,n} from ``rng``, independent of the trial
-    streams: ``sinr_block`` of the one-link config of user n on band m."""
+    streams: ``sinr_block`` of the one-link config of user n on band m.
+
+    All ``count`` |g|^2 are drawn first and then the |h|^2, the stream's
+    order, the |h|^2 ``SAMPLE_CHUNK`` samples at a time.
+    """
     k_m = cfg.primary_count[m]
     link = dataclasses.replace(cfg, num_secondary=1, num_bands=1, primary_count=(k_m,),
                                eta=cfg.eta[n:n + 1], gamma=cfg.gamma[n:n + 1, :k_m])
     g_sq = rng.exponential(size=(count, 1, 1))
-    return sinr_block(link, g_sq, rng.exponential(size=(count, 1, 1, k_m))).ravel()
+    sinr = np.empty(count)
+    for start in range(0, count, SAMPLE_CHUNK):
+        g = g_sq[start:start + SAMPLE_CHUNK]
+        h_sq = rng.exponential(size=(len(g), 1, 1, k_m))
+        sinr[start:start + len(g)] = sinr_block(link, g, h_sq).ravel()
+    return sinr
 
 
 def _order_violations(lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> int:
@@ -421,12 +433,16 @@ def _ks_distance(x: np.ndarray, cdf) -> float:
     """Two-sided KS distance of the sample ``x`` from ``cdf``.
 
     scipy's ``stats.ks_1samp(x, cdf).statistic`` bit for bit, from one
-    sort and one CDF pass; a NaN in ``x`` gives NaN.
+    sort and one CDF pass, ``SAMPLE_CHUNK`` points at a time; a NaN in
+    ``x`` gives NaN.
     """
     x = np.sort(x)
-    c = cdf(x)
-    steps = np.arange(x.size + 1.0) / x.size
-    return float(np.max([np.max(steps[1:] - c), np.max(c - steps[:-1])]))
+    worst = []
+    for start in range(0, x.size, SAMPLE_CHUNK):
+        c = cdf(x[start:start + SAMPLE_CHUNK])
+        i = np.arange(start, start + c.size, dtype=float)   # the points' ranks - 1
+        worst += [np.max((i + 1.0) / x.size - c), np.max(c - i / x.size)]
+    return float(np.max(worst))
 
 
 def _ks_limit(samples: int) -> float:
@@ -434,12 +450,16 @@ def _ks_limit(samples: int) -> float:
     probability 1e-3 (Kolmogorov's limit law), the level of
     ``contention_uniform_p``; ``kolmogi`` is what scipy's
     ``stats.kstwobign.isf`` evaluates."""
+    from scipy import special
+
     return float(special.kolmogi(1e-3)) / math.sqrt(samples)
 
 
 def _chisquare_p(counts: np.ndarray) -> float:
     """The p-value of Pearson's chi-square test of equal frequencies:
     scipy's ``stats.chisquare(counts).pvalue`` bit for bit."""
+    from scipy import special
+
     f = counts.astype(float)
     expected = f.mean()
     return float(special.chdtrc(f.size - 1, np.sum((f - expected) ** 2 / expected)))
@@ -448,8 +468,11 @@ def _chisquare_p(counts: np.ndarray) -> float:
 def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """Run the statistical validation suite against one configuration.
 
-    Failures are reported as data, not raised.
+    Failures are reported as data, not raised.  Only validation loads
+    ``scipy.special``; no trial path imports scipy.
     """
+    from scipy import special
+
     samples = as_int("samples", samples)
     if samples < 10_000:
         raise ConfigError("validation needs at least 1e4 samples")

@@ -207,6 +207,33 @@ def test_matching_up_to_four_bands_leaves_out_scipy_optimize():
     ) == "True False"
 
 
+def test_trial_paths_load_no_scipy_and_validate_only_scipy_special(tmp_path):
+    # scipy.special alone adds about 24 MB and 0.35 s to a process; only
+    # validate needs it.
+    config = tmp_path / "net.cfg"
+    config.write_text("N = 10\nM = 2\nK = 1\nsnr_db = 10\ntrials = 20\n"
+                      "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
+    assert _fresh_python(
+        "import sys\n"
+        "import cogdiv\n"
+        "from cogdiv import NetworkConfig, cli, harness\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)\n"
+        "aggs = harness.run_schemes(cfg, harness.SCHEMES, 200)\n"
+        "harness.scaling_sweep(cfg, (10, 20), 20)\n"
+        "harness.threshold_sweep(cfg, (10, 100), (0.0, 10.0), (1, 4))\n"
+        "for command in ('simulate', 'scaling', 'thresholds'):\n"
+        f"    assert cli.main([command, '--config', {str(config)!r},\n"
+        f"                     '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(aggs['centralized'].event_d_frequency < 1, scipy_modules())\n"
+        "harness.validate(NetworkConfig.homogeneous(10, 2, 1, 10.0), 10_000)\n"
+        "print('scipy.special' in sys.modules, [m for m in scipy_modules() if m in\n"
+        "      ('scipy.stats', 'scipy.optimize', 'scipy.integrate')])"
+    ).splitlines() == ["[]", "True []", "True []"]
+
+
 def test_seed_override_changes_results(tmp_path):
     config = tmp_path / "net.cfg"
     config.write_text(SMALL_DOC)

@@ -339,7 +339,7 @@ def _direct_sinr_samples(cfg, m, n, count, rng):
     interference = 0.0
     if k_m:
         h = rng.exponential(size=(count, k_m))
-        interference = channel._sum_terms(h * cfg.gamma[n, :k_m])
+        interference = channel._sum_terms(k_m, lambda s: h[:, s] * cfg.gamma[n, :k_m][s])
     return (cfg.power_secondary * cfg.eta[n] * g) / (
         cfg.noise_power + cfg.power_primary * interference
     )
@@ -356,6 +356,41 @@ def test_one_link_sampler_equals_the_direct_formula(m):
     expected = _direct_sinr_samples(cfg, m, 5, 20_000, oracle)
     assert samples.shape == expected.shape and samples.tobytes() == expected.tobytes()
     assert rng.random() == oracle.random()
+
+
+CHUNK_SIZES = [harness.SAMPLE_CHUNK - 1, harness.SAMPLE_CHUNK, harness.SAMPLE_CHUNK + 1,
+               3 * harness.SAMPLE_CHUNK + 5]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_chunked_sampler_equals_one_shot_draws(size):
+    # |h|^2 drawn a chunk at a time: the same samples as the one-shot
+    # formula, and the generator left at the same place.
+    cfg = heterogeneous_config(k=(0, 2, 4, 8))
+    rng, oracle = np.random.default_rng(size), np.random.default_rng(size)
+    samples = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    expected = _direct_sinr_samples(cfg, 2, 5, size, oracle)
+    assert samples.shape == expected.shape and samples.tobytes() == expected.tobytes()
+    assert rng.random() == oracle.random()
+
+
+def _one_shot_ks(x, cdf):
+    """The KS distance from one CDF pass over the whole sorted sample."""
+    x = np.sort(x)
+    c = cdf(x)
+    steps = np.arange(x.size + 1.0) / x.size
+    return float(np.max([np.max(steps[1:] - c), np.max(c - steps[:-1])]))
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_chunked_ks_distance_equals_one_shot(size):
+    cfg = heterogeneous_config(k=(0, 2, 4, 8))
+    rng = np.random.default_rng(size)
+    sinr = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    exact = functools.partial(cdf_exact, m=2, n=5, cfg=cfg)
+    assert harness._ks_distance(sinr, exact) == _one_shot_ks(sinr, exact)
+    sinr[size // 2] = np.nan   # sorted last, so in the last chunk
+    assert math.isnan(harness._ks_distance(sinr, exact))
 
 
 @pytest.mark.parametrize("size", [10_000, 100_000])

@@ -92,18 +92,41 @@ def test_bounds_sandwich_and_interleave_sinr(cfg, trial):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(1, 7), st.integers(1, 5), st.integers(1, 40), st.booleans(),
+@given(st.integers(0, 10), st.integers(1, 5), st.integers(1, 40), st.booleans(),
        st.integers(0, 2**32 - 1))
 @example(3, 1, 1, False, 0)     # np.sum's own reduction loop runs over the terms
 def test_sum_terms_equals_np_sum(k, rows, cols, fortran, seed):
     # Terms of either sign spread over 1e-8..1e8, where adding them in
-    # another order rounds differently.
+    # another order rounds differently: stored, and made as the broadcast
+    # products (rows, 1) x (cols, k) that the SINR law's terms are.
     rng = np.random.default_rng(seed)
-    size = (rows, cols, k)
-    terms = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
-    if fortran:
-        terms = np.asfortranarray(terms)
-    total, expected = channel._sum_terms(terms), np.sum(terms, axis=-1)
+
+    def spread(size):
+        values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-8.0, 8.0, size)
+        return np.asfortranarray(values) if fortran else values
+
+    terms, a, b = spread((rows, cols, k)), spread((rows, 1)), spread((cols, k))
+    for term in (lambda s: terms[..., s], lambda s: a[..., None] * b[..., s]):
+        total, expected = channel._sum_terms(k, term), np.sum(term(slice(None)), axis=-1)
+        assert total.shape == expected.shape
+        assert total.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", range(11))
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("x_shape, users", [((400, 1), 64), ((100_000,), None), ((400, 64), 64)],
+                         ids=["grid-by-users", "samples", "grid-of-users"])
+def test_log_survival_equals_the_stacked_formula(k, order, x_shape, users):
+    # The law summed term by term is the one-array formula bit for bit, at
+    # every term count and memory layout (np.sum adds pairwise from 8 terms,
+    # but left to right when the terms' axis is not the innermost one).
+    rng = np.random.default_rng(k)
+    lead = () if users is None else (users,)
+    x = np.asarray(rng.uniform(0.0, 1e3, x_shape), order=order)
+    coeff = np.asarray(rng.uniform(0.0, 1e3, lead + (k,)), order=order)
+    slope = rng.uniform(0.1, 1.0, lead)
+    expected = x * slope + np.sum(np.log1p(coeff * x[..., None]), axis=-1)
+    total = analytics._log_survival(x, slope, coeff)
     assert total.shape == expected.shape
     assert total.tobytes() == expected.tobytes()
 
