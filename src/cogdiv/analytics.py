@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .channel import _sum_terms
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, as_int
 
 LN2 = math.log(2.0)
 
@@ -89,6 +89,7 @@ def partial_binomial_sum(p, big_n: int, i: int):
     """
     from scipy.stats import binom   # here, since no trial path needs scipy.stats
 
+    big_n, i = as_int("population size", big_n), as_int("i", i)
     if not 0 <= i <= big_n - 1:
         raise ValueError(f"i must be in [0, {big_n - 1}], got {i}")
     p = np.asarray(p, dtype=float)
@@ -101,6 +102,7 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
     ``parent`` maps x to a CDF value, for example
     ``functools.partial(cdf_lower, m=0, cfg=cfg)``.
     """
+    i, big_n = as_int("rank", i), as_int("population size", big_n)
     if not 1 <= i <= big_n:
         raise ValueError(f"rank must be in [1, {big_n}], got {i}")
     return partial_binomial_sum(parent(x), big_n, i - 1)
@@ -146,8 +148,7 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     same path-loss factors, it is one law's ``_law_threshold``, solved
     once per process; every entry equals its own law's ``_law_threshold``.
     """
-    if big_n is None:
-        big_n = cfg.num_secondary
+    big_n = cfg.num_secondary if big_n is None else as_int("population size", big_n)
     if big_n < 2:
         raise ConfigError("population size must be at least 2")
     slope, coeff = cfg.link_law
@@ -162,28 +163,39 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     return lam
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-node Gauss-Legendre rule on [0, 1]."""
+    from numpy.polynomial import legendre   # here, so that importing cogdiv does not load it
+
+    nodes, weights = legendre.leggauss(32)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
 def expected_log_max(a: float, big_n: int) -> float:
     """E[log2(1 + a * X)] where X is the max of big_n unit exponentials.
 
-    Integrates the survival function 1 - (1 - e^{-x})^N against the
-    derivative of log2(1 + a x); absolute accuracy ~1e-6.  Tends to
+    Integrates P(a X > x) = 1 - T(x)^N, with T the K = 0 law
+    ``_log_survival(x, 1/a)``, over t = log1p(x) by composite 32-node
+    Gauss-Legendre: 16 panels uniform in t up to x = a, then 16 whose
+    edges are uniform in x/a from 1 to ln N + 45, which resolve the
+    Gumbel edge near x = a ln N.  Within 1e-14 of a 30-digit reference
+    for a in [1e-6, 3e8] and N up to 1e12, and within 2e-14 relative of
+    the closed forms at a = 1e300 and 1e-300.  Tends to
     log2 log2 N + log2 a for large N.
     """
-    from scipy import integrate   # here, since no trial path needs it
-
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if big_n < 1:
-        raise ValueError("population size must be at least 1")
-
-    def integrand(x):
-        t = math.exp(-x)
-        surv = 1.0 if t >= 1.0 else -math.expm1(big_n * math.log1p(-t))
-        return a * surv / ((1.0 + a * x) * LN2)
-
-    upper = math.log(big_n) + 60.0 if big_n > 1 else 60.0
-    value, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-9, epsrel=1e-9, limit=200)
-    return value
+    a, big_n = float(a), as_int("population size", big_n)
+    if big_n < 1 or not (0 < a and 1 / a < math.inf and a * (math.log(big_n) + 45.0) < math.inf):
+        raise ConfigError(f"need N >= 1, and a > 0 with 1/a and a (ln N + 45) finite; "
+                          f"got a = {a!r}, N = {big_n}")
+    nodes, weights = _gauss_legendre()
+    edges = np.concatenate([np.linspace(0.0, math.log1p(a), 17)[:-1],
+                            np.log1p(a * np.linspace(1.0, math.log(big_n) + 45.0, 17))])
+    width = np.diff(edges)
+    s = _log_survival(np.expm1(edges[:-1, None] + width[:, None] * nodes), 1 / a, np.empty(0))
+    with np.errstate(divide="ignore"):   # log T(x) = log(1 - e^-s), on its accurate branch
+        log_t = np.where(s > LN2, np.log1p(-np.exp(-s)), np.log(-np.expm1(-s)))
+    return float(width @ (-np.expm1(big_n * log_t) @ weights)) / LN2
 
 
 def harmonic_moments(big_n: int) -> tuple[float, float]:
@@ -191,6 +203,7 @@ def harmonic_moments(big_n: int) -> tuple[float, float]:
 
     (sum 1/n, sum 1/n^2) for n = 1..N.
     """
+    big_n = as_int("population size", big_n)
     if big_n < 1:
         raise ValueError("population size must be at least 1")
     n = np.arange(1, big_n + 1, dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, as_int
 
 
 @dataclass(frozen=True)
@@ -330,6 +330,7 @@ def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     """Draw one fading realization from ``np.random.default_rng((cfg.seed,
     trial_index))``: the stream contract's definition of a trial's fading
     stream, which ``trial_blocks`` sets from its seeding pass."""
+    trial_index = as_int("trial_index", trial_index)
     if trial_index < 0:
         raise ConfigError("trial_index must be non-negative")
     g_sq, h_sq = (a[0] for a in _empty_draws(cfg, 1))

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
                 settings.get("k_values", DEFAULT_K_VALUES),
             )
             harness.write_threshold_csv(sweep, out_dir / "thresholds.csv")
-            harness.write_json(dataclasses.asdict(sweep), out_dir / "thresholds.json")
+            harness.write_json(harness.json_data(sweep), out_dir / "thresholds.json")
             if not (sweep.increasing_in_n and sweep.increasing_in_rho
                     and sweep.decreasing_in_k):
                 print("warning: threshold monotonicity violated", file=sys.stderr)

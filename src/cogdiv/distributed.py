@@ -13,6 +13,7 @@ import numpy as np
 
 from .centralized import Assignment, assignment_rates
 from .channel import SinrTable
+from .config import as_int
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,7 @@ def allocate_distributed(t: SinrTable, lam: np.ndarray,
 
 def candidacy_probability(big_n: int, num_bands: int) -> float:
     """Probability that a given user claims any band: 1 - (1 - 1/N)^M."""
+    big_n, num_bands = as_int("population size", big_n), as_int("num_bands", num_bands)
     if big_n < 1 or num_bands < 1:
         raise ValueError("population and band count must be positive")
     if big_n == 1:

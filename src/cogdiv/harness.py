@@ -40,19 +40,10 @@ class TrialAggregate:
     per_user_candidacy: np.ndarray      # (N,) claim frequency per user
     event_d_frequency: float
     idle_band_frequency: np.ndarray     # (M,)
-    trial_sum_rates: np.ndarray         # per-trial records, kept for audits
+    trial_sum_rates: np.ndarray = field(metadata={"json": False})   # per trial, for audits
 
     def to_json_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "trials": self.trials,
-            "mean_sum_rate": self.mean_sum_rate,
-            "stderr_sum_rate": self.stderr_sum_rate,
-            "mean_info_bits": self.mean_info_bits,
-            "per_user_candidacy": self.per_user_candidacy.tolist(),
-            "event_d_frequency": self.event_d_frequency,
-            "idle_band_frequency": self.idle_band_frequency.tolist(),
-        }
+        return json_data(self)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -192,22 +183,14 @@ class ScalingReport:
     centralized: tuple[TrialAggregate, ...]
     distributed: tuple[TrialAggregate, ...]
     predicted: tuple[float, ...]        # M * log2 log2 N per point
-    fit: FitResult
     # Per point: mean and standard error of the per-trial differences
     # centralized - distributed, over the trials both schemes shared.
     gap_mean: tuple[float, ...]
     gap_stderr: tuple[float, ...]
+    fit: FitResult
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "centralized": [a.to_json_dict() for a in self.centralized],
-            "distributed": [a.to_json_dict() for a in self.distributed],
-            "predicted": list(self.predicted),
-            "gap_mean": list(self.gap_mean),
-            "gap_stderr": list(self.gap_stderr),
-            "fit": {"a": self.fit.a, "b": self.fit.b, "r_squared": self.fit.r_squared},
-        }
+        return json_data(self)
 
 
 #: Fits exclude smaller populations; the diversity trend stabilizes near N=50.
@@ -260,15 +243,9 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     if len(fit_points) < 2:   # not enough large-N points; fit everything
         fit_points = [(n, agg.mean_sum_rate) for n, agg in zip(n_values, cent)]
     fit = fit_double_log([p[0] for p in fit_points], [p[1] for p in fit_points])
-    return ScalingReport(
-        n_values=n_values,
-        centralized=tuple(cent),
-        distributed=tuple(dist),
-        predicted=predicted,
-        fit=fit,
-        gap_mean=tuple(g[0] for g in gaps),
-        gap_stderr=tuple(g[1] for g in gaps),
-    )
+    gap_mean, gap_stderr = zip(*gaps)
+    return ScalingReport(n_values=n_values, centralized=tuple(cent), distributed=tuple(dist),
+                         predicted=predicted, gap_mean=gap_mean, gap_stderr=gap_stderr, fit=fit)
 
 
 def _write_lines(lines, path) -> None:
@@ -293,6 +270,20 @@ def write_scaling_csv(report: ScalingReport, num_bands: int, path) -> None:
                      for scheme, aggs in (("centralized", report.centralized),
                                           ("distributed", report.distributed))
                      for n, agg in zip(report.n_values, aggs)], num_bands, path)
+
+
+def json_data(obj):
+    """``obj`` as JSON data: a dataclass as a dict of its fields in
+    declaration order, less those marked ``field(metadata={"json": False})``;
+    tuples and arrays as lists; numpy scalars as Python scalars."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: json_data(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.metadata.get("json", True)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, tuple):
+        return [json_data(v) for v in obj]
+    return obj
 
 
 def write_json(doc: dict, path) -> None:
@@ -386,14 +377,7 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "checks": [
-                {"name": c.name, "passed": bool(c.passed),
-                 "statistic": float(c.statistic), "threshold": float(c.threshold)}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, **json_data(self)}
 
 
 def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,

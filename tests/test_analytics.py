@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from cogdiv import (
     ConfigError,
     NetworkConfig,
     build_threshold_table,
+    candidacy_probability,
     cdf_exact,
     cdf_lower,
     cdf_upper,
@@ -320,6 +322,57 @@ def test_expected_log_max_asymptotic_ratio():
 def test_expected_log_max_domain():
     with pytest.raises(ValueError):
         expected_log_max(0.0, 10)
+
+
+def test_expected_log_max_closed_forms():
+    # N = 1: E log2(1 + aX) = log2 a - gamma/ln 2 + O(log(a)/a).
+    assert expected_log_max(1e300, 1) == pytest.approx(
+        math.log2(1e300) - np.euler_gamma / math.log(2.0), rel=1e-12)
+    # log2(1 + aX) = aX/ln 2 to first order in a, and E X = H_N.
+    h_n, _ = harmonic_moments(10)
+    assert expected_log_max(1e-300, 10) == pytest.approx(1e-300 * h_n / math.log(2.0), rel=1e-12)
+
+
+def _log_max_by_density(a, n):
+    """E log2(1 + aX) by quadrature of the density n e^{-x} (1 - e^{-x})^{n-1}
+    of the max X of n unit exponentials, split at the Gumbel peak ln n."""
+    def integrand(x):
+        return n * math.exp(-x + (n - 1) * math.log1p(-math.exp(-x))) * math.log2(1.0 + a * x)
+
+    peak = math.log(n)
+    return sum(integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in ((0.0, peak + 1.0), (peak + 1.0, peak + 60.0)))
+
+
+def test_expected_log_max_matches_density_quadrature():
+    grid = [(a, n) for a in (0.01, 1.0, 4.0, 10.0, 1e3) for n in (1, 2, 50, 1000, 10**6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the rule warns nowhere on the grid
+        got = [expected_log_max(a, n) for a, n in grid]
+    for (a, n), value in zip(grid, got):
+        assert value == pytest.approx(_log_max_by_density(a, n), rel=1e-12), (a, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: harmonic_moments(2.5),
+    lambda: order_stat_cdf(functools.partial(cdf_lower, m=0, cfg=exp_parent_cfg()), 1, 2.5, 1.0),
+    lambda: order_stat_cdf(functools.partial(cdf_lower, m=0, cfg=exp_parent_cfg()), 1.5, 10, 1.0),
+    lambda: partial_binomial_sum(0.3, 10, 1.5),
+    lambda: partial_binomial_sum(0.3, 10.5, 1),
+    lambda: candidacy_probability(2.5, 4),
+    lambda: candidacy_probability(10, 1.5),
+    lambda: build_threshold_table(exp_parent_cfg(), big_n=2.5),
+    lambda: expected_log_max(4.0, 2.5),
+    lambda: expected_log_max(math.nan, 10),
+    lambda: expected_log_max(math.inf, 10),
+], ids=["harmonic_moments", "order_stat_cdf-population", "order_stat_cdf-rank",
+        "partial_binomial_sum-i", "partial_binomial_sum-population",
+        "candidacy_probability-population", "candidacy_probability-bands",
+        "build_threshold_table", "expected_log_max-population", "expected_log_max-nan",
+        "expected_log_max-inf"])
+def test_analysis_rejects_non_integer_counts_and_non_finite_a(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_harmonic_moments_small():

@@ -111,6 +111,12 @@ def test_order_statistic_interleaving(hetero_cfg):
         assert np.all(mid <= hi + tol)
 
 
+@pytest.mark.parametrize("index", [-1, 1.5])
+def test_draw_realization_rejects_bad_trial_index(hetero_cfg, index):
+    with pytest.raises(ConfigError):
+        draw_realization(hetero_cfg, index)
+
+
 def test_dimension_mismatch_rejected(hetero_cfg):
     real = draw_realization(hetero_cfg, 0)
     small = heterogeneous_config(num_secondary=10)

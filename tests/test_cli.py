@@ -397,3 +397,39 @@ def test_scaling_json_reports_paired_gap(tmp_path):
         assert doc["gap_mean"][i] == pytest.approx(
             cent["mean_sum_rate"] - dist["mean_sum_rate"], rel=0.0, abs=1e-12)
         assert 0.0 < doc["gap_stderr"][i]
+
+
+AGGREGATE_KEYS = ["scheme", "trials", "mean_sum_rate", "stderr_sum_rate", "mean_info_bits",
+                  "per_user_candidacy", "event_d_frequency", "idle_band_frequency"]
+
+
+def test_json_outputs_keep_their_key_order(tmp_path):
+    # Each JSON output lists its report's fields in declaration order, so a
+    # field moved by accident changes the documents' key order.
+    config = tmp_path / "net.cfg"
+    config.write_text("N = 10\nM = 2\nK = 1\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
+                      "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 2\n")
+    out = tmp_path / "out"
+    for subcommand in ("simulate", "scaling", "thresholds", "validate"):
+        assert main([subcommand, "--config", str(config), "--out", str(out)]) == 0
+
+    simulate = json.loads((out / "simulate.json").read_text())
+    assert list(simulate) == ["centralized", "distributed"]
+    assert all(list(agg) == AGGREGATE_KEYS for agg in simulate.values())
+
+    scaling = json.loads((out / "scaling.json").read_text())
+    assert list(scaling) == ["n_values", "centralized", "distributed", "predicted",
+                             "gap_mean", "gap_stderr", "fit"]
+    assert all(list(agg) == AGGREGATE_KEYS
+               for agg in scaling["centralized"] + scaling["distributed"])
+    assert list(scaling["fit"]) == ["a", "b", "r_squared"]
+
+    thresholds = json.loads((out / "thresholds.json").read_text())
+    assert list(thresholds) == ["rows", "increasing_in_n", "increasing_in_rho",
+                                "decreasing_in_k"]
+    assert all(list(row) == ["N", "rho_db", "K", "lam"] for row in thresholds["rows"])
+
+    validate = json.loads((out / "validate.json").read_text())
+    assert list(validate) == ["passed", "checks"]
+    assert all(list(check) == ["name", "passed", "statistic", "threshold"]
+               for check in validate["checks"])
