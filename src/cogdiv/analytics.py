@@ -12,7 +12,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .channel import _sum_terms
-from .config import ConfigError, NetworkConfig, as_int
+from .config import ConfigError, NetworkConfig, as_int, as_population
 
 LN2 = math.log(2.0)
 
@@ -89,7 +89,7 @@ def partial_binomial_sum(p, big_n: int, i: int):
     """
     from scipy.stats import binom   # here, since no trial path needs scipy.stats
 
-    big_n, i = as_int("population size", big_n), as_int("i", i)
+    big_n, i = as_population(big_n), as_int("i", i)
     if not 0 <= i <= big_n - 1:
         raise ValueError(f"i must be in [0, {big_n - 1}], got {i}")
     p = np.asarray(p, dtype=float)
@@ -102,7 +102,7 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
     ``parent`` maps x to a CDF value, for example
     ``functools.partial(cdf_lower, m=0, cfg=cfg)``.
     """
-    i, big_n = as_int("rank", i), as_int("population size", big_n)
+    i, big_n = as_int("rank", i), as_population(big_n)
     if not 1 <= i <= big_n:
         raise ValueError(f"rank must be in [1, {big_n}], got {i}")
     return partial_binomial_sum(parent(x), big_n, i - 1)
@@ -184,7 +184,7 @@ def expected_log_max(a: float, big_n: int) -> float:
     the closed forms at a = 1e300 and 1e-300.  Tends to
     log2 log2 N + log2 a for large N.
     """
-    a, big_n = float(a), as_int("population size", big_n)
+    a, big_n = float(a), as_population(big_n)
     if big_n < 1 or not (0 < a and 1 / a < math.inf and a * (math.log(big_n) + 45.0) < math.inf):
         raise ConfigError(f"need N >= 1, and a > 0 with 1/a and a (ln N + 45) finite; "
                           f"got a = {a!r}, N = {big_n}")
@@ -198,13 +198,27 @@ def expected_log_max(a: float, big_n: int) -> float:
     return float(width @ (-np.expm1(big_n * log_t) @ weights)) / LN2
 
 
+#: ``harmonic_moments`` adds its terms up to here and takes the rest from
+#: their Euler-Maclaurin tails, so its memory does not grow with N.
+HARMONIC_CUTOFF = 1 << 20
+
+
 def harmonic_moments(big_n: int) -> tuple[float, float]:
     """Mean and variance of the max of big_n unit exponentials.
 
-    (sum 1/n, sum 1/n^2) for n = 1..N.
+    (sum 1/n, sum 1/n^2) for n = 1..N.  Beyond ``HARMONIC_CUTOFF`` terms,
+    the sums from a = cutoff + 1 to N are the Euler-Maclaurin expansions
+    ln(N/a) + (1/a + 1/N)/2 + (1/a^2 - 1/N^2)/12 and
+    1/a - 1/N + (1/a^2 + 1/N^2)/2 + (1/a^3 - 1/N^3)/6, whose next terms
+    are below 1/a^4.
     """
-    big_n = as_int("population size", big_n)
+    big_n = as_population(big_n)
     if big_n < 1:
         raise ValueError("population size must be at least 1")
-    n = np.arange(1, big_n + 1, dtype=float)
-    return float(np.sum(1.0 / n)), float(np.sum(1.0 / n**2))
+    n = np.arange(1, min(big_n, HARMONIC_CUTOFF) + 1, dtype=float)
+    mean, var = float(np.sum(1.0 / n)), float(np.sum(1.0 / n**2))
+    if big_n > HARMONIC_CUTOFF:
+        a, b = 1.0 / (HARMONIC_CUTOFF + 1), 1.0 / big_n
+        mean += math.log1p((big_n - HARMONIC_CUTOFF - 1) * a) + (a + b) / 2 + (a**2 - b**2) / 12
+        var += a - b + (a**2 + b**2) / 2 + (a**3 - b**3) / 6
+    return mean, var

@@ -124,7 +124,13 @@ def assignment_rates(sinr: np.ndarray, users: np.ndarray) -> np.ndarray:
     """(...) sum rate of giving band m to ``users[..., m]``; a band whose
     user is -1 is idle and adds 0."""
     flat = np.arange(users.size).reshape(users.shape) * sinr.shape[-1] + users
-    return np.where(users >= 0, _rates(np.take(sinr, flat)), 0.0).sum(axis=-1)
+    return busy_rates(np.take(sinr, flat), users >= 0)
+
+
+def busy_rates(link_sinr: np.ndarray, busy: np.ndarray) -> np.ndarray:
+    """(...) sum over the bands, the last axis, of log2(1 + ``link_sinr``)
+    where ``busy``; an idle band adds 0."""
+    return np.where(busy, _rates(link_sinr), 0.0).sum(axis=-1)
 
 
 def optimal_assignment_matching(t: SinrTable) -> Assignment:

@@ -10,6 +10,7 @@ import ctypes
 import functools
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,10 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _XSHIFT = _U32(0xCA01F9DD), _U32(0x4973F715), _U32(16)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LOW32, _SHIFT32 = _U64(0xFFFFFFFF), _U64(32)
+_LOW64 = 0xFFFFFFFFFFFFFFFF
+# Generator.random is PCG64's XSL-RR output >> 11, times 2**-53; XSL-RR
+# rotates right by the state's top 6 bits.
+_ROTATE, _DOUBLE_SHIFT = _U64(58), _U64(11)
 _TAIL = np.array([[0], [1]], dtype=_U32)   # a key's last word: none, then 1
 
 
@@ -138,13 +143,18 @@ def _add(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _mul_high(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of a * b for uint64 columns a, from 32-bit limbs."""
+def _mul_high(a: np.ndarray, b) -> np.ndarray:
+    """The high 64 bits of a * b for uint64 columns a and uint64 b, from 32-bit limbs."""
     a0, a1 = a & _LOW32, a >> _SHIFT32
-    b0, b1 = _U64(b & 0xFFFFFFFF), _U64(b >> 32)
+    b0, b1 = b & _LOW32, b >> _SHIFT32
     t = a1 * b0 + (a0 * b0 >> _SHIFT32)
     w = (t & _LOW32) + a0 * b1
     return a1 * b1 + (t >> _SHIFT32) + (w >> _SHIFT32)
+
+
+def _mul(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of (a * b) mod 2**128 as (high, low) uint64 words."""
+    return _mul_high(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
 
 def _pcg64_images(states: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
@@ -157,13 +167,47 @@ def _pcg64_images(states: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
     s_hi, s_lo, i_hi, i_lo = states.T
     inc_hi, inc_lo = i_hi << _U64(1) | i_lo >> _U64(63), i_lo << _U64(1) | _U64(1)
     a_hi, a_lo = _add(s_hi, s_lo, inc_hi, inc_lo)
-    m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & 0xFFFFFFFFFFFFFFFF
-    p_hi = _mul_high(a_lo, m_lo) + a_lo * _U64(m_hi) + a_hi * _U64(m_lo)
-    st_hi, st_lo = _add(p_hi, a_lo * _U64(m_lo), inc_hi, inc_lo)
+    m_hi, m_lo = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & _LOW64)
+    st_hi, st_lo = _add(*_mul(a_hi, a_lo, m_hi, m_lo), inc_hi, inc_lo)
     words, images = (st_lo, st_hi, inc_lo, inc_hi), np.empty_like(states)
     for column, k in enumerate(layout):
         images[:, column] = words[k]
     return images
+
+
+@functools.cache
+def _jumps(mult: int, size: int) -> np.ndarray:
+    """(4, size) uint64 words (A high, A low, C high, C low) taking a PCG64
+    state s with increment inc to the state A s + C inc mod 2**128 of its
+    draw d < size: A = mult**(d + 1) and C = sum of mult**i over i <= d."""
+    words, a, c = [], 1, 0
+    for _ in range(size):
+        a, c = a * mult % (1 << 128), (c * mult + 1) % (1 << 128)
+        words.append((a >> 64, a & _LOW64, c >> 64, c & _LOW64))
+    table = np.array(words, dtype=_U64).T.copy()
+    table.setflags(write=False)
+    return table
+
+
+def _randoms(images: np.ndarray, counts, layout: tuple[int, ...]) -> np.ndarray:
+    """The first counts[i] ``Generator.random`` draws of each PCG64 image
+    images[i] (its words in the memory order ``layout``), concatenated.
+
+    Every draw is computed from its image in one array step: the image's
+    state is jumped ahead to the draw's (``_jumps``, whose tables grow in
+    powers of two to the largest count) and put through PCG64's output.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    stream = np.repeat(np.arange(counts.size), counts)
+    draw = np.arange(stream.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    size = 1 << max(4, (int(counts.max(initial=0)) - 1).bit_length())
+    a_hi, a_lo, c_hi, c_lo = np.take(_jumps(_PCG_MULT, size), draw, axis=1)
+    words = np.ascontiguousarray(images.T[np.argsort(layout)])   # state low, high, inc low, high
+    s_lo, s_hi, i_lo, i_hi = np.take(words, stream, axis=1)
+    st_hi, st_lo = _add(*_mul(a_hi, a_lo, s_hi, s_lo), *_mul(c_hi, c_lo, i_hi, i_lo))
+    x, turn = st_hi ^ st_lo, st_hi >> _ROTATE
+    out = x >> turn | x << (_U64(64) - turn & _U64(63))
+    return (out >> _DOUBLE_SHIFT) * 2.0**-53
 
 
 class _Pcg64State(ctypes.Structure):
@@ -215,22 +259,29 @@ def _memory_layout(bit_generator: np.random.PCG64) -> tuple[int, ...]:
 @functools.cache
 def _check_seeding() -> tuple[int, ...]:
     """The ``_memory_layout`` of PCG64 in this process; RuntimeError unless
-    streams set from the seeding pass draw as ``default_rng`` does.
+    streams set from the seeding pass, and the timer step ``_randoms`` on
+    their images, draw as ``default_rng`` does.
 
     The key takes every mixing round, and the second stream is set while
     the first still buffers a 32-bit draw, so the hashing, the seeding step
-    and the state write are checked together.
+    and the state write are checked together.  The timer step's 17 draws
+    outgrow its smallest jump table.
     """
     layout = _memory_layout(np.random.PCG64(0))
     seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5
     images = _pcg64_images(_seed_states([(seed, _trials(t, 1))]), layout)
+    keys, counts = ((seed, t), (seed, t, 1)), (17, 2)
     def draws(gen: np.random.Generator) -> list:
         return gen.integers(0, 2**32, 3, dtype=np.uint32).tolist() + gen.random(2).tolist()
 
-    for image, key in zip(images, ((seed, t), (seed, t, 1))):
+    for image, key in zip(images, keys):
         if draws(_set_stream(image)) != draws(np.random.default_rng(key)):
             raise RuntimeError("this numpy seeds PCG64 differently from the trial "
                                "seeding pass; trial streams would diverge")
+    expected = [x for key, k in zip(keys, counts) for x in np.random.default_rng(key).random(k)]
+    if _randoms(images, counts, layout).tolist() != expected:
+        raise RuntimeError("this numpy's Generator.random differs from the contention "
+                           "timer step; contention timers would diverge")
     return layout
 
 
@@ -292,6 +343,19 @@ def seeding_passes(cfgs, trials: int):
         yield spans
 
 
+class Contention(NamedTuple):
+    """The contention streams of a block of ``trial_blocks``."""
+
+    images: np.ndarray   # (R, 4) stream images of the R trials of the block's seeding pass
+    row: int             # the block's first trial's row; 0 opens a pass
+
+    def timers(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """The first counts[i] draws of the stream of row rows[i], for every
+        i, concatenated: ``default_rng((seed, t, 1)).random(counts[i])`` of
+        that row's trial t, all computed in one array step."""
+        return _randoms(self.images[rows], counts, _check_seeding())
+
+
 def trial_blocks(cfgs, trials: int):
     """Yield (point, start, g_sq, h_sq, contention) for each block of trials
     0 to ``trials - 1`` of each config ``cfgs[point]`` in turn,
@@ -299,31 +363,29 @@ def trial_blocks(cfgs, trials: int):
 
     ``g_sq`` and ``h_sq`` are the block's stacked (B, M, N) and
     (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
-    own fading stream.  ``contention(t)`` is trial t's contention stream,
-    ``default_rng((seed, t, 1))``, for the trials of this block; draw from
-    it before asking for another.  ``g_sq`` and ``h_sq`` are leading
-    slices of two buffers allocated once per span of ``seeding_passes``:
-    they are valid until the next block is asked for, which overwrites them.
-    The streams of every config are seeded together, one pass per list of
-    ``seeding_passes``: a sweep's points share their passes.
+    own fading stream.  ``contention`` is a ``Contention``: the images of
+    the contention streams of every trial of the block's seeding pass, in
+    the pass's order, the block's trials from row ``contention.row`` on.
+    ``g_sq`` and ``h_sq`` are leading slices of two buffers allocated once
+    per span of ``seeding_passes``: they are valid until the next block is
+    asked for, which overwrites them.  The streams of every config are
+    seeded together, one pass per list of ``seeding_passes``: a sweep's
+    points share their passes.
     """
     for spans in seeding_passes(cfgs, trials):
         fading, contention = _stream_images(
             [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
+        row = 0
         for point, first, count in spans:
             cfg, step = cfgs[point], block_trials(cfgs[point])
-            # The span's own rows of the pass: trial t is row t - first.
-            own, fading = fading[:count], fading[count:]
-            def stream(t, rows=contention[:count], first=first):
-                return _set_stream(rows[t - first])
-            contention = contention[count:]
             g_buf, h_buf = _empty_draws(cfg, min(step, count))
             for start in range(first, first + count, step):
                 size = min(step, first + count - start)
                 g_sq, h_sq = g_buf[:size], h_buf[:size]
                 for b in range(size):
-                    _draw(_set_stream(own[start - first + b]), g_sq[b], h_sq[b])
-                yield point, start, g_sq, h_sq, stream
+                    _draw(_set_stream(fading[row + b]), g_sq[b], h_sq[b])
+                yield point, start, g_sq, h_sq, Contention(contention, row)
+                row += size
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:

@@ -25,6 +25,18 @@ def as_int(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def as_population(value) -> int:
+    """``value`` as an int population size; ConfigError unless it is a whole
+    number whose float is finite, as the analysis's float arithmetic needs."""
+    big_n = as_int("population size", value)
+    try:
+        float(big_n)
+    except OverflowError:
+        raise ConfigError(f"a population size of {big_n.bit_length()} bits is beyond "
+                          "the float range") from None
+    return big_n
+
+
 def power_from_db(db: float) -> float:
     """Linear power ratio 10^(db/10); ConfigError when it overflows."""
     try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .centralized import Assignment, assignment_rates
 from .channel import SinrTable
-from .config import as_int
+from .config import as_int, as_population
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,11 @@ def claim_bands(sinr: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return claims
 
 
-def membership(claims: np.ndarray, num_bands: int) -> np.ndarray:
-    """(..., M, N) mask of the candidate sets: user n is in H_m."""
-    return claims[..., None, :] == np.arange(num_bands)[:, None]
-
-
 def build_candidate_sets(t: SinrTable, lam: np.ndarray) -> CandidateSets:
     """Group all users' claims against ``lam`` by band; sets are disjoint by construction."""
     claims = claim_bands(t.sinr, lam)
     claims.setflags(write=False)
-    sets = tuple(tuple(np.flatnonzero(row).tolist())
-                 for row in membership(claims, t.sinr.shape[0]))
+    sets = tuple(tuple(np.flatnonzero(claims == m).tolist()) for m in range(t.sinr.shape[0]))
     return CandidateSets(sets=sets, claims=claims)
 
 
@@ -75,52 +69,61 @@ def resolve_contention(candidates, rng: np.random.Generator) -> int:
     return candidates[int(first_expiry(rng.random(len(candidates))))]
 
 
-def contention_winners(claims: np.ndarray, num_bands: int, contention) -> np.ndarray:
-    """(B, M) winning user of every band of each trial of the (B, N)
-    ``claims``, -1 where the band is idle.
+def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
+                       timers) -> tuple[np.ndarray, np.ndarray]:
+    """The claimed (trial, band) cells of a claimant table and their winners.
 
-    Trial b, if it has a contested band, draws one backoff timer per
-    claimant from the generator ``contention(b)``, in (band, user) order,
-    which is the order of per-band ``resolve_contention`` calls; each
-    band's winner is its first earliest timer.  A lone claimant wins
-    whatever its timer, so a trial without a contested band draws none.
+    ``trials`` and ``bands`` are the claimants' trials and bands, the
+    claimants in (trial, user) order.  Each trial with a contested band
+    draws one backoff timer per claimant, in (band, user) order, which is
+    the order of per-band ``resolve_contention`` calls: ``timers(contested,
+    counts)`` gives counts[i] timers of trial contested[i], for the
+    contested trials in increasing order, concatenated.  Each cell's
+    winner is its first earliest timer.  A lone claimant wins whatever its
+    timer, so a trial without a contested band draws none.
+
+    Returns the cells trial * num_bands + band, increasing, and the index
+    among the claimants of each cell's winner.
     """
-    member = membership(claims, num_bands)
-    per_band = member.sum(axis=-1)
-    per_trial = per_band.sum(axis=-1)
-    timers = np.zeros(int(per_trial.sum()))
-    stops = np.cumsum(per_trial).tolist()
-    for b in np.flatnonzero(np.any(per_band > 1, axis=-1)).tolist():
-        count = int(per_trial[b])
-        timers[stops[b] - count:stops[b]] = contention(b).random(count)
-    # A stable sort by (cell, timer) puts each (trial, band) cell's winner first in its run.
-    cell, users = np.divmod(np.flatnonzero(member), member.shape[-1])
-    first = np.lexsort((timers, cell))[np.flatnonzero(np.diff(cell, prepend=-1))]
-    winners = np.full(member.shape[:-1], -1)
-    winners.flat[cell[first]] = users[first]
-    return winners
+    cell = trials * num_bands + bands
+    order = np.argsort(cell, kind="stable")   # the timer order
+    cell = cell[order]
+    heads = np.flatnonzero(np.diff(cell, prepend=-1))   # each cell's first claimant
+    per_trial = np.bincount(trials)
+    contested = np.zeros(per_trial.size, dtype=bool)
+    contested[cell[heads[np.diff(heads, append=cell.size) > 1]] // num_bands] = True
+    timer = np.zeros(cell.size)
+    if contested.any():
+        drawn = np.flatnonzero(contested)
+        timer[contested[cell // num_bands]] = timers(drawn, per_trial[drawn])
+    # A stable sort by (cell, timer) puts each cell's winner first in its run.
+    return cell[heads], order[np.lexsort((timer, cell))[heads]]
 
 
 def allocate_distributed(t: SinrTable, lam: np.ndarray,
                          rng: np.random.Generator) -> AllocationOutcome:
     """Run one full round of the distributed algorithm on the thresholds
-    ``lam``, with ``rng`` as the contention stream of ``contention_winners``."""
+    ``lam``, with ``rng`` giving the timers of ``contention_winners``."""
     cs = build_candidate_sets(t, lam)
     num_bands = t.sinr.shape[0]
-    winners = contention_winners(cs.claims[None], num_bands, lambda _: rng)[0]
+    users = np.flatnonzero(cs.claims >= 0)
+    cells, won = contention_winners(np.zeros_like(users), cs.claims[users], num_bands,
+                                    lambda _, counts: rng.random(counts[0]))
+    winners = np.full(num_bands, -1)
+    winners[cells] = users[won]
     return AllocationOutcome(
         assignment=Assignment(
             pairs=tuple((m, w) for m, w in enumerate(winners.tolist()) if w >= 0),
             sum_rate=float(assignment_rates(t.sinr, winners))),
         candidate_sets=cs,
-        info_bits=int(np.count_nonzero(cs.claims >= 0)) * math.log2(num_bands),
+        info_bits=users.size * math.log2(num_bands),
         idle_bands=tuple(np.flatnonzero(winners < 0).tolist()),
     )
 
 
 def candidacy_probability(big_n: int, num_bands: int) -> float:
     """Probability that a given user claims any band: 1 - (1 - 1/N)^M."""
-    big_n, num_bands = as_int("population size", big_n), as_int("num_bands", num_bands)
+    big_n, num_bands = as_population(big_n), as_int("num_bands", num_bands)
     if big_n < 1 or num_bands < 1:
         raise ValueError("population and band count must be positive")
     if big_n == 1:

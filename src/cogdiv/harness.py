@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytics, centralized, distributed
-from .channel import sinr_block, sinr_bounds, trial_blocks
+from .channel import Contention, sinr_block, sinr_bounds, trial_blocks
 from .config import ConfigError, NetworkConfig, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
@@ -78,13 +77,99 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     aggregate does not depend on which other schemes run beside it.
 
     Trials run in the blocks of ``channel.trial_blocks``: each stage is
-    one array call per block, and only the contention timers of trials
-    with a contested band and the matching of trials without event D
-    are per trial.  Results equal a loop over the one-trial entry points
-    bit for bit, whatever the block size.  This is the one-point call of
+    one array call per block, and only the matching of trials without
+    event D is per trial, for M > 4.  The contention of a whole seeding
+    pass is resolved at once from its claimant table (``_ClaimantTable``).
+    Results equal a loop over the one-trial entry points bit for bit,
+    whatever the block size.  This is the one-point call of
     ``_run_points``.
     """
     return _run_points([cfg], schemes, trials)[0]
+
+
+@dataclass
+class _Tally:
+    """One config's sums over the trials run so far."""
+
+    cfg: NetworkConfig
+    lam: np.ndarray | None              # the thresholds, if the distributed scheme runs
+    sum_rates: dict[str, np.ndarray]    # per scheme, per trial
+    info_bits: np.ndarray               # per trial
+    claim_counts: np.ndarray            # (N,)
+    idle_counts: np.ndarray             # (M,)
+    event_d_count: int = 0
+
+    def aggregates(self) -> dict[str, TrialAggregate]:
+        aggregates = {}
+        n, m = self.cfg.num_secondary, self.cfg.num_bands
+        for scheme, rates in self.sum_rates.items():
+            trials = rates.size
+            if scheme == "centralized":   # no claims, no exchange, no idle bands
+                bits, claims, idle = np.zeros(trials), np.zeros(n), np.zeros(m)
+            else:
+                bits, claims, idle = self.info_bits, self.claim_counts, self.idle_counts
+            mean, stderr = _mean_stderr(rates)
+            aggregates[scheme] = TrialAggregate(
+                scheme=scheme,
+                trials=trials,
+                mean_sum_rate=mean,
+                stderr_sum_rate=stderr,
+                mean_info_bits=float(np.mean(bits)),
+                per_user_candidacy=claims / trials,
+                event_d_frequency=self.event_d_count / trials,
+                idle_band_frequency=idle / trials,
+                trial_sum_rates=rates,
+            )
+        return aggregates
+
+
+class _ClaimantTable:
+    """The distributed claimants of one seeding pass of ``trial_blocks``:
+    each one's row in the pass (its trial), band, user and SINR, and each
+    config's span of rows.
+
+    A block's rows are added while its SINR table is alive, since the
+    next block overwrites it; the pass's contention is resolved once its
+    last block has been added, with one timer evaluation for the pass.
+    """
+
+    def __init__(self, contention: Contention):
+        self.contention = contention
+        self.parts = []   # per block: rows, bands, users and SINR of its claimants
+        self.spans = {}   # point: (first trial, first row, trials)
+
+    def add(self, point: int, start: int, row: int, sinr: np.ndarray, claims: np.ndarray) -> None:
+        """Add the block of trials from ``start`` of config ``point``, whose
+        first row is ``row``, with its (B, M, N) SINR and (B, N) claims."""
+        trial, user = np.nonzero(claims >= 0)
+        band = claims[trial, user]
+        self.parts.append((row + trial, band, user, sinr[trial, band, user]))
+        first, first_row, count = self.spans.get(point, (start, row, 0))
+        self.spans[point] = first, first_row, count + len(claims)
+
+    def settle(self, tallies: list[_Tally]) -> None:
+        """Resolve the pass's contention, and add each config's distributed
+        rates, information bits, claim counts and idle counts to its tally."""
+        if not self.parts:
+            return
+        rows, bands, users, sinr = (np.concatenate(c) for c in zip(*self.parts))
+        m = max(tallies[point].cfg.num_bands for point in self.spans)
+        cells, won = distributed.contention_winners(rows, bands, m, self.contention.timers)
+        size = len(self.contention.images)
+        busy, link = np.zeros(size * m, dtype=bool), np.zeros(size * m)
+        busy[cells], link[cells] = True, sinr[won]
+        busy, link = busy.reshape(size, m), link.reshape(size, m)
+        claimed = np.bincount(rows, minlength=size)
+        for point, (first, row, count) in self.spans.items():
+            tally = tallies[point]
+            n, m_p = tally.cfg.num_secondary, tally.cfg.num_bands
+            own, trials = slice(row, row + count), slice(first, first + count)
+            tally.sum_rates["distributed"][trials] = centralized.busy_rates(
+                link[own, :m_p], busy[own, :m_p])
+            tally.info_bits[trials] = claimed[own] * math.log2(m_p)
+            lo, hi = np.searchsorted(rows, (row, row + count))
+            tally.claim_counts += np.bincount(users[lo:hi], minlength=n)
+            tally.idle_counts += np.count_nonzero(~busy[own, :m_p], axis=0)
 
 
 def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
@@ -92,69 +177,42 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
     trial streams of every config seeded together by ``trial_blocks``.
 
     Every config is checked, and its thresholds solved, before any trial
-    runs.
+    runs.  A config's trials may span seeding passes, and a pass may hold
+    several configs, so each config's sums persist across passes.
     """
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ConfigError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
     trials = _checked_trials(trials, [(cfg.num_secondary, cfg.num_bands) for cfg in cfgs])
-    tables = [analytics.build_threshold_table(cfg) if "distributed" in schemes else None
-              for cfg in cfgs]
-    points = itertools.groupby(trial_blocks(cfgs, trials), key=lambda block: block[0])
-    return [_run_point(cfgs[point], schemes, trials, tables[point], blocks)
-            for point, blocks in points]
-
-
-def _run_point(cfg: NetworkConfig, schemes, trials: int, lam,
-               blocks) -> dict[str, TrialAggregate]:
-    """One config's aggregates from its ``trial_blocks`` ``blocks``, with
-    the thresholds ``lam`` if ``schemes`` has the distributed one."""
-    n, m = cfg.num_secondary, cfg.num_bands
-    sum_rates = {scheme: np.empty(trials) for scheme in schemes}
-    cent_rates = sum_rates.get("centralized")
-    dist_rates = sum_rates.get("distributed")
-    info_bits = np.zeros(trials)
-    claim_counts = np.zeros(n)
-    idle_counts = np.zeros(m)
-    event_d_count = 0
-
-    for _, start, g_sq, h_sq, contention in blocks:
-        block = slice(start, start + len(g_sq))
-        sinr = sinr_block(cfg, g_sq, h_sq)
+    tallies = [_Tally(cfg=cfg,
+                      lam=analytics.build_threshold_table(cfg) if "distributed" in schemes
+                      else None,
+                      sum_rates={scheme: np.empty(trials) for scheme in schemes},
+                      info_bits=np.zeros(trials),
+                      claim_counts=np.zeros(cfg.num_secondary),
+                      idle_counts=np.zeros(cfg.num_bands))
+               for cfg in cfgs]
+    table = None
+    for point, start, g_sq, h_sq, contention in trial_blocks(cfgs, trials):
+        if contention.row == 0:   # a new seeding pass: the last one is complete
+            if table is not None:
+                table.settle(tallies)
+            table = _ClaimantTable(contention)
+        tally = tallies[point]
+        sinr = sinr_block(tally.cfg, g_sq, h_sq)
         fav = centralized.favorite_users(sinr)
         distinct = centralized.all_distinct(fav)
-        event_d_count += int(np.count_nonzero(distinct))
-        if cent_rates is not None:
+        tally.event_d_count += int(np.count_nonzero(distinct))
+        if "centralized" in tally.sum_rates:
             users = centralized.matched_users(sinr, fav, distinct)
-            cent_rates[block] = centralized.assignment_rates(sinr, users)
-        if dist_rates is not None:
-            claims = distributed.claim_bands(sinr, lam)
-            winners = distributed.contention_winners(claims, m, lambda b: contention(start + b))
-            dist_rates[block] = centralized.assignment_rates(sinr, winners)
-            claimed = claims >= 0
-            info_bits[block] = np.count_nonzero(claimed, axis=-1) * math.log2(m)
-            claim_counts += np.count_nonzero(claimed, axis=0)
-            idle_counts += np.count_nonzero(winners < 0, axis=0)
-
-    aggregates = {}
-    for scheme, rates in sum_rates.items():
-        if scheme == "centralized":   # no claims, no exchange, no idle bands
-            bits, claims, idle = np.zeros(trials), np.zeros(n), np.zeros(m)
-        else:
-            bits, claims, idle = info_bits, claim_counts, idle_counts
-        mean, stderr = _mean_stderr(rates)
-        aggregates[scheme] = TrialAggregate(
-            scheme=scheme,
-            trials=trials,
-            mean_sum_rate=mean,
-            stderr_sum_rate=stderr,
-            mean_info_bits=float(np.mean(bits)),
-            per_user_candidacy=claims / trials,
-            event_d_frequency=event_d_count / trials,
-            idle_band_frequency=idle / trials,
-            trial_sum_rates=rates,
-        )
-    return aggregates
+            tally.sum_rates["centralized"][start:start + len(sinr)] = \
+                centralized.assignment_rates(sinr, users)
+        if tally.lam is not None:
+            table.add(point, start, contention.row, sinr,
+                      distributed.claim_bands(sinr, tally.lam))
+    if table is not None:
+        table.settle(tallies)
+    return [tally.aggregates() for tally in tallies]
 
 
 def run_trials(cfg: NetworkConfig, scheme: str, trials: int) -> TrialAggregate:

@@ -365,11 +365,17 @@ def test_expected_log_max_matches_density_quadrature():
     lambda: expected_log_max(4.0, 2.5),
     lambda: expected_log_max(math.nan, 10),
     lambda: expected_log_max(math.inf, 10),
+    lambda: expected_log_max(1.0, 10**400),
+    lambda: candidacy_probability(10**400, 4),
+    lambda: harmonic_moments(10**400),
+    lambda: partial_binomial_sum(0.5, 10**400, 3),
 ], ids=["harmonic_moments", "order_stat_cdf-population", "order_stat_cdf-rank",
         "partial_binomial_sum-i", "partial_binomial_sum-population",
         "candidacy_probability-population", "candidacy_probability-bands",
         "build_threshold_table", "expected_log_max-population", "expected_log_max-nan",
-        "expected_log_max-inf"])
+        "expected_log_max-inf", "expected_log_max-beyond-floats",
+        "candidacy_probability-beyond-floats", "harmonic_moments-beyond-floats",
+        "partial_binomial_sum-beyond-floats"])
 def test_analysis_rejects_non_integer_counts_and_non_finite_a(call):
     with pytest.raises(ConfigError):
         call()
@@ -380,6 +386,24 @@ def test_harmonic_moments_small():
     mean, var = harmonic_moments(3)
     assert mean == pytest.approx(11.0 / 6.0, rel=1e-15)
     assert var == pytest.approx(49.0 / 36.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("extra", [1, 1000])
+def test_harmonic_moments_beyond_the_cutoff_equal_the_sums(extra):
+    # The Euler-Maclaurin tails against the exactly rounded sums of the terms.
+    n = np.arange(1, analytics.HARMONIC_CUTOFF + extra + 1, dtype=float)
+    mean, var = harmonic_moments(n.size)
+    assert mean == pytest.approx(math.fsum((1.0 / n).tolist()), rel=1e-14)
+    assert var == pytest.approx(math.fsum((1.0 / n**2).tolist()), rel=1e-14)
+
+
+def test_harmonic_moments_of_a_huge_population():
+    # 10^12 terms, summed in constant memory: ln N + gamma + 1/(2N) and
+    # pi^2/6 - 1/N, up to terms below 1e-24.
+    big_n = 10**12
+    mean, var = harmonic_moments(big_n)
+    assert mean == pytest.approx(math.log(big_n) + np.euler_gamma + 0.5 / big_n, rel=1e-14)
+    assert var == pytest.approx(math.pi**2 / 6 - 1.0 / big_n, rel=1e-14)
 
 
 def test_harmonic_mean_euler_mascheroni_bracket():

@@ -15,6 +15,7 @@ from cogdiv import (
     optimal_assignment_matching,
     resolve_contention,
 )
+from cogdiv import channel, distributed
 
 from conftest import heterogeneous_config
 
@@ -103,6 +104,26 @@ def test_resolve_contention_deterministic():
 def test_resolve_contention_empty_rejected():
     with pytest.raises(ValueError):
         resolve_contention((), np.random.default_rng(0))
+
+
+def test_contention_winners_equal_per_band_contention_when_every_user_claims():
+    # N = 300 users all claim, so each trial draws 300 timers through the
+    # array step, and trial 2 puts every user on band 1.
+    num_bands, n, trials, seed = 4, 300, 5, 77
+    claims = np.random.default_rng(3).integers(0, num_bands, (trials, n))
+    claims[2] = 1
+    trial, user = np.nonzero(claims >= 0)
+    _, images = channel._stream_images([(seed, channel._trials(0, trials))])
+    cells, won = distributed.contention_winners(trial, claims[trial, user], num_bands,
+                                                channel.Contention(images, 0).timers)
+    expected = {}
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t, 1))
+        for m in range(num_bands):
+            members = np.flatnonzero(claims[t] == m)
+            if members.size:
+                expected[t * num_bands + m] = resolve_contention(members, rng)
+    assert dict(zip(cells.tolist(), user[won].tolist())) == expected
 
 
 def test_allocate_with_no_claims():

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_centralized_dominates_distributed_per_trial(hetero_cfg):
     dist = run_trials(hetero_cfg, "distributed", 60)
     assert np.all(dist.trial_sum_rates <= cent.trial_sum_rates + 1e-12)
     assert dist.mean_sum_rate <= cent.mean_sum_rate
+
+
+def test_distributed_run_sets_only_the_fading_streams():
+    # One stream is set per trial, its fading one: every contention timer
+    # of a seeding pass comes from the one array step.
+    cfg = NetworkConfig.homogeneous(50, 4, 4, 10.0, seed=9)
+    channel._check_seeding()
+    trials = 300
+    with mock.patch.object(channel, "_set_stream", wraps=channel._set_stream) as set_stream:
+        run_trials(cfg, "distributed", trials)
+    assert set_stream.call_count == trials
 
 
 def test_aggregates_recomputable(hetero_cfg):

@@ -455,6 +455,35 @@ def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift,
             np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
 
 
+def _pcg64_image(state: int, inc: int, layout) -> list[int]:
+    """The four words of a PCG64 state in the memory order ``layout``."""
+    words = (state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64)
+    return [words[k] for k in layout]
+
+
+PCG64_STREAMS = st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(PCG64_STREAMS, st.integers(0, 16)), max_size=8), PCG64_STREAMS)
+@example([((0, 0), 0), ((2**128 - 1, 2**127 - 1), 16)], (1, 0))
+def test_timer_step_equals_generator_random(streams, long_stream):
+    # Any state, any odd increment, 0 to 16 draws a stream, and one stream
+    # of 1000 draws, which outgrows every smaller jump table.
+    layout = channel._check_seeding()
+    streams = [*streams, (long_stream, 1000)]
+    images = np.array([_pcg64_image(state, 2 * k + 1, layout) for (state, k), _ in streams],
+                      dtype=np.uint64)
+    timers = channel._randoms(images, [count for _, count in streams], layout)
+    gen, expected = np.random.Generator(np.random.PCG64()), []
+    for (state, k), count in streams:
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": 2 * k + 1},
+                                   "has_uint32": 0, "uinteger": 0}
+        expected.extend(gen.random(count))
+    assert timers.tobytes() == np.array(expected).tobytes()
+
+
 # Seeds of one, two, three and four SeedSequence words.
 KEY_SEEDS = (0, 2**32 - 1, 2**32, 2**64, 2**96 + 3)
 
@@ -525,7 +554,7 @@ def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
 
 def test_trial_streams_of_interleaved_threads_equal_default_rng():
     # Each thread runs trial_blocks on its own seed, and every thread sets
-    # its fading or contention stream before any thread draws from its own.
+    # its fading stream, or reaches its timers, before any thread draws.
     seeds, count = (11, 12, 2**70 + 5), 40
     cfgs = [NetworkConfig.homogeneous(4, 2, (1, 3), 10.0, seed=seed) for seed in seeds]
     barrier = threading.Barrier(len(cfgs), timeout=60)
@@ -541,11 +570,10 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
         for _, start, g_sq, h_sq, contention in channel.trial_blocks([cfg], count):
             g_rows.extend(g_sq.copy())    # the next block overwrites g_sq and h_sq
             h_rows.extend(h_sq.copy())
-            for t in range(start, start + len(g_sq)):
-                gen = contention(t)
-                barrier.wait()
-                timers.append(gen.random(3))
-                barrier.wait()
+            rows = contention.row + np.arange(len(g_sq))
+            barrier.wait()
+            timers.extend(contention.timers(rows, np.full(len(rows), 3)).reshape(-1, 3))
+            barrier.wait()
         drawn[cfg.seed] = g_rows, h_rows, timers
 
     with mock.patch.object(channel, "_draw", draw_when_all_set):
@@ -573,6 +601,10 @@ def test_seeding_check_raises_when_streams_would_diverge():
     layout = channel._memory_layout(np.random.PCG64(0))
     swapped = tuple(layout[c ^ 1] for c in range(4))
     with mock.patch.object(channel, "_memory_layout", return_value=swapped):
+        with pytest.raises(RuntimeError):
+            channel._check_seeding.__wrapped__()
+    # The timer step's output with the wrong rotation.
+    with mock.patch.object(channel, "_ROTATE", channel._U64(57)):
         with pytest.raises(RuntimeError):
             channel._check_seeding.__wrapped__()
 
