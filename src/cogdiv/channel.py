@@ -305,15 +305,22 @@ def _stream_images(keys) -> tuple[np.ndarray, np.ndarray]:
     return images[:len(images) // 2], images[len(images) // 2:]
 
 
-def _draw(rng: np.random.Generator, g_sq: np.ndarray, h_sq: np.ndarray) -> None:
-    rng.standard_exponential(out=g_sq)
-    if h_sq.size:
-        rng.standard_exponential(out=h_sq)
+def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
+    """Fill one trial's row of draws from its stream ``rng``: the (M, N)
+    |g|^2 and then the (M, N, max K_m) |h|^2, in one call."""
+    rng.standard_exponential(out=row)
 
 
-def _empty_draws(cfg: NetworkConfig, count: int) -> tuple[np.ndarray, np.ndarray]:
-    m, n, k = cfg.num_bands, cfg.num_secondary, cfg.k_max()
-    return np.empty((count, m, n)), np.empty((count, m, n, k))
+def _draw_rows(cfg: NetworkConfig, count: int) -> np.ndarray:
+    """An empty (count, M N (max K_m + 1)) buffer, one row of draws a trial."""
+    return np.empty((count, cfg.num_bands * cfg.num_secondary * (cfg.k_max() + 1)))
+
+
+def _split(cfg: NetworkConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, M, N) |g|^2 and (B, M, N, max K_m) |h|^2 views of B rows of draws."""
+    m, n = cfg.num_bands, cfg.num_secondary
+    return (rows[:, :m * n].reshape(len(rows), m, n),
+            rows[:, m * n:].reshape(len(rows), m, n, cfg.k_max()))
 
 
 def block_trials(cfg: NetworkConfig) -> int:
@@ -366,9 +373,10 @@ def trial_blocks(cfgs, trials: int):
     own fading stream.  ``contention`` is a ``Contention``: the images of
     the contention streams of every trial of the block's seeding pass, in
     the pass's order, the block's trials from row ``contention.row`` on.
-    ``g_sq`` and ``h_sq`` are leading slices of two buffers allocated once
-    per span of ``seeding_passes``: they are valid until the next block is
-    asked for, which overwrites them.  The streams of every config are
+    ``g_sq`` and ``h_sq`` are views of the leading rows of one buffer
+    allocated once per span of ``seeding_passes``, each trial's draws one
+    row filled by one call: they are valid until the next block is asked
+    for, which overwrites them.  The streams of every config are
     seeded together, one pass per list of ``seeding_passes``: a sweep's
     points share their passes.
     """
@@ -378,13 +386,13 @@ def trial_blocks(cfgs, trials: int):
         row = 0
         for point, first, count in spans:
             cfg, step = cfgs[point], block_trials(cfgs[point])
-            g_buf, h_buf = _empty_draws(cfg, min(step, count))
+            buf = _draw_rows(cfg, min(step, count))
             for start in range(first, first + count, step):
                 size = min(step, first + count - start)
-                g_sq, h_sq = g_buf[:size], h_buf[:size]
-                for b in range(size):
-                    _draw(_set_stream(fading[row + b]), g_sq[b], h_sq[b])
-                yield point, start, g_sq, h_sq, Contention(contention, row)
+                rows = buf[:size]
+                for image, out in zip(fading[row:row + size], rows):
+                    _draw(_set_stream(image), out)
+                yield point, start, *_split(cfg, rows), Contention(contention, row)
                 row += size
 
 
@@ -395,8 +403,9 @@ def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     trial_index = as_int("trial_index", trial_index)
     if trial_index < 0:
         raise ConfigError("trial_index must be non-negative")
-    g_sq, h_sq = (a[0] for a in _empty_draws(cfg, 1))
-    _draw(np.random.default_rng((cfg.seed, trial_index)), g_sq, h_sq)
+    rows = _draw_rows(cfg, 1)
+    _draw(np.random.default_rng((cfg.seed, trial_index)), rows[0])
+    g_sq, h_sq = (a[0] for a in _split(cfg, rows))
     g_sq.setflags(write=False)
     h_sq.setflags(write=False)
     return FadingRealization(g_sq=g_sq, h_sq=h_sq)
@@ -459,10 +468,12 @@ def sinr_block(cfg: NetworkConfig, g_sq: np.ndarray, h_sq: np.ndarray) -> np.nda
     trial's slice equals its one-trial table bit for bit.
     """
     _check_shapes(cfg, g_sq, h_sq)
-    interference = _interference(cfg, h_sq, cfg.gamma)
-    return (cfg.power_secondary * cfg.eta * g_sq) / (
-        cfg.noise_power + cfg.power_primary * interference
-    )
+    denominator = _interference(cfg, h_sq, cfg.gamma)   # a new array
+    denominator *= cfg.power_primary
+    denominator += cfg.noise_power
+    sinr = cfg.power_secondary * cfg.eta * g_sq
+    sinr /= denominator
+    return sinr
 
 
 def compute_sinr(cfg: NetworkConfig, real: FadingRealization) -> SinrTable:

@@ -66,6 +66,21 @@ def _filled(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
     return _frozen(arr)
 
 
+def _cycled(name: str, arr: np.ndarray, rows: int) -> np.ndarray:
+    """A read-only array of ``rows`` rows, the rows of ``arr`` repeated in
+    turn: ``np.resize(arr, (rows,) + arr.shape[1:])``, which builds a tuple
+    of every repeat first and so fails with MemoryError, not ConfigError,
+    beyond numpy's index range."""
+    try:
+        out = np.empty((rows,) + arr.shape[1:])
+    except (ValueError, OverflowError):   # more elements or bytes than numpy can index
+        raise ConfigError(f"{name} of {rows} rows is beyond numpy's index range") from None
+    whole = rows - rows % len(arr)
+    out[:whole].reshape(whole // len(arr), *arr.shape)[...] = arr
+    out[whole:] = arr[:rows - whole]
+    return _frozen(out)
+
+
 def _extremes(name: str, arr: np.ndarray) -> tuple[float, float]:
     """(min, max) of ``arr``; ConfigError unless every entry is strictly
     positive and finite (a NaN makes both NaN)."""
@@ -205,15 +220,22 @@ class NetworkConfig:
         """Same scenario with a different number of secondary pairs.
 
         Path-loss vectors are cycled to the new length, so a homogeneous
-        template stays homogeneous at every population size.
+        template stays homogeneous at every population size.  The template
+        is checked, and cycled arrays keep within its extremes, so only the
+        new population and seed are checked: the result equals the
+        constructor's config of the same fields.
         """
-        return dataclasses.replace(
-            self,
-            num_secondary=num_secondary,
-            eta=np.resize(self.eta, num_secondary),
-            gamma=np.resize(self.gamma, (num_secondary, self.k_max())),
-            seed=self.seed if seed is None else seed,
-        )
+        n = as_int("num_secondary", num_secondary)
+        if n < self.num_bands:
+            raise ConfigError(f"num_bands ({self.num_bands}) must not exceed num_secondary ({n})")
+        seed = as_int("seed", self.seed if seed is None else seed)
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
+        config = object.__new__(type(self))   # no cached link_law is carried over
+        config.__dict__.update({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+                               num_secondary=n, eta=_cycled("eta", self.eta, n),
+                               gamma=_cycled("gamma", self.gamma, n), seed=seed)
+        return config
 
     def __eq__(self, other):
         if not isinstance(other, NetworkConfig):

@@ -34,24 +34,26 @@ class AllocationOutcome:
     idle_bands: tuple[int, ...]         # bands with empty H_m
 
 
-def claim_bands(sinr: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """(..., N) band each user claims, -1 for none.
+def claimants(sinr: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (trial, user, band) of every claimant of stacked (B, M, N) SINR
+    tables, in (trial, user) order.
 
     User n claims the band maximizing SINR / lambda (ties to the lowest
     band index) if SINR >= lambda there, and claims nothing otherwise.
     """
     ratio = sinr / lam
-    claims = np.full(ratio.shape[:-2] + ratio.shape[-1:], -1)
-    claimants = np.nonzero(np.any(ratio >= 1.0, axis=-2))
-    claims[claimants] = np.argmax(np.swapaxes(ratio, -1, -2)[claimants], axis=-1)
-    return claims
+    trial, user = np.nonzero(np.any(ratio >= 1.0, axis=-2))
+    return trial, user, np.argmax(ratio[trial, :, user], axis=-1)
 
 
 def build_candidate_sets(t: SinrTable, lam: np.ndarray) -> CandidateSets:
     """Group all users' claims against ``lam`` by band; sets are disjoint by construction."""
-    claims = claim_bands(t.sinr, lam)
+    num_bands, n = t.sinr.shape
+    _, users, bands = claimants(t.sinr[None], lam)
+    claims = np.full(n, -1)
+    claims[users] = bands
     claims.setflags(write=False)
-    sets = tuple(tuple(np.flatnonzero(claims == m).tolist()) for m in range(t.sinr.shape[0]))
+    sets = tuple(tuple(users[bands == m].tolist()) for m in range(num_bands))
     return CandidateSets(sets=sets, claims=claims)
 
 
@@ -89,15 +91,18 @@ def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
     order = np.argsort(cell, kind="stable")   # the timer order
     cell = cell[order]
     heads = np.flatnonzero(np.diff(cell, prepend=-1))   # each cell's first claimant
+    sizes = np.diff(heads, append=cell.size)
     per_trial = np.bincount(trials)
     contested = np.zeros(per_trial.size, dtype=bool)
-    contested[cell[heads[np.diff(heads, append=cell.size) > 1]] // num_bands] = True
+    contested[cell[heads[sizes > 1]] // num_bands] = True
     timer = np.zeros(cell.size)
     if contested.any():
         drawn = np.flatnonzero(contested)
         timer[contested[cell // num_bands]] = timers(drawn, per_trial[drawn])
-    # A stable sort by (cell, timer) puts each cell's winner first in its run.
-    return cell[heads], order[np.lexsort((timer, cell))[heads]]
+    # Every cell holds its earliest timer, so the first such timer at or
+    # after a cell's head is that cell's winner.
+    earliest = np.flatnonzero(timer == np.repeat(np.minimum.reduceat(timer, heads), sizes))
+    return cell[heads], order[earliest[np.searchsorted(earliest, heads)]]
 
 
 def allocate_distributed(t: SinrTable, lam: np.ndarray,

@@ -138,14 +138,13 @@ class _ClaimantTable:
         self.parts = []   # per block: rows, bands, users and SINR of its claimants
         self.spans = {}   # point: (first trial, first row, trials)
 
-    def add(self, point: int, start: int, row: int, sinr: np.ndarray, claims: np.ndarray) -> None:
+    def add(self, point: int, start: int, row: int, sinr: np.ndarray, lam: np.ndarray) -> None:
         """Add the block of trials from ``start`` of config ``point``, whose
-        first row is ``row``, with its (B, M, N) SINR and (B, N) claims."""
-        trial, user = np.nonzero(claims >= 0)
-        band = claims[trial, user]
+        first row is ``row``, with its (B, M, N) SINR and its thresholds."""
+        trial, user, band = distributed.claimants(sinr, lam)
         self.parts.append((row + trial, band, user, sinr[trial, band, user]))
         first, first_row, count = self.spans.get(point, (start, row, 0))
-        self.spans[point] = first, first_row, count + len(claims)
+        self.spans[point] = first, first_row, count + len(sinr)
 
     def settle(self, tallies: list[_Tally]) -> None:
         """Resolve the pass's contention, and add each config's distributed
@@ -208,8 +207,7 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
             tally.sum_rates["centralized"][start:start + len(sinr)] = \
                 centralized.assignment_rates(sinr, users)
         if tally.lam is not None:
-            table.add(point, start, contention.row, sinr,
-                      distributed.claim_bands(sinr, tally.lam))
+            table.add(point, start, contention.row, sinr, tally.lam)
     if table is not None:
         table.settle(tallies)
     return [tally.aggregates() for tally in tallies]

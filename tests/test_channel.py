@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -40,6 +42,38 @@ def test_blocks_of_one_span_reuse_their_buffers():
     assert start == 64
     assert np.shares_memory(g_first, g_next) and np.shares_memory(h_first, h_next)
     assert np.array_equal(g_next[0], draw_realization(cfg, 64).g_sq)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.homogeneous(12, 2, 0, 10.0, seed=1),
+    NetworkConfig.homogeneous(6, 4, (0, 2, 4, 8), 5.0, seed=2),
+    NetworkConfig.homogeneous(8, 1, 3, 0.0, seed=3),
+    NetworkConfig.homogeneous(9, 9, 2, 10.0, seed=2**64 + 4),
+], ids=["every_k_0", "k_0_2_4_8", "m_1", "m_9"])
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_row_buffer_blocks_equal_draw_realization(cfg, block):
+    # Blocks of `block` trials and passes of a few blocks, over two configs,
+    # so that the rows cross block, span and pass edges.
+    other = cfg.with_population(cfg.num_secondary + 1, seed=cfg.seed + 1)
+    per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
+    with mock.patch.object(channel, "BLOCK_BYTES", block * per_trial):
+        assert channel.block_trials(cfg) == block
+        trials = channel.BLOCK_BYTES // 64 + block + 1   # past a pass's room
+        assert len(list(channel.seeding_passes([cfg, other], trials))) > 1
+        covered = {0: [], 1: []}
+        for point, start, g_sq, h_sq, _ in channel.trial_blocks([cfg, other], trials):
+            c = (cfg, other)[point]
+            assert h_sq.shape == (len(g_sq), c.num_bands, c.num_secondary, c.k_max())
+            for b in range(len(g_sq)):
+                real = draw_realization(c, start + b)
+                assert np.array_equal(g_sq[b], real.g_sq) and np.array_equal(h_sq[b], real.h_sq)
+            covered[point].extend(range(start, start + len(g_sq)))
+    assert covered == {0: list(range(trials)), 1: list(range(trials))}
+    # A trial's one fill is its stream's |g|^2 and then its |h|^2.
+    rng, real = np.random.default_rng((cfg.seed, 5)), draw_realization(cfg, 5)
+    m, n, k = cfg.num_bands, cfg.num_secondary, cfg.k_max()
+    assert np.array_equal(real.g_sq, rng.standard_exponential((m, n)))
+    assert np.array_equal(real.h_sq, rng.standard_exponential((m, n, k)))
 
 
 def test_unit_mean_exponential_gains():

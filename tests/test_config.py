@@ -115,6 +115,18 @@ def test_with_population_cycles_rows():
     assert np.array_equal(big.gamma[7], cfg.gamma[1])
 
 
+@pytest.mark.parametrize("n, seed", [
+    (2.5, None), ("ten", None), (None, None),    # N not an integer
+    (3, None), (0, None), (-4, None),            # N < M = 4
+    (10, -1), (10, 1.5), (10, "seed"),           # seed negative or not an integer
+    (10**19, None), (2 * 10**18, None),          # beyond numpy's index range
+])
+def test_with_population_rejects_bad_values(n, seed):
+    template = heterogeneous_config(num_secondary=6)
+    with pytest.raises(ConfigError):
+        template.with_population(n, seed=seed)
+
+
 # One changed value per field; a primary_count of another length too.
 _ONE_FIELD_CHANGES = {
     "num_secondary": 4, "num_bands": 3, "primary_count": (1, 2, 1),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cogdiv import (
     NetworkConfig,
@@ -124,6 +125,70 @@ def test_contention_winners_equal_per_band_contention_when_every_user_claims():
             if members.size:
                 expected[t * num_bands + m] = resolve_contention(members, rng)
     assert dict(zip(cells.tolist(), user[won].tolist())) == expected
+
+
+def _lexsort_winners(trials, bands, num_bands, timers):
+    """``contention_winners`` by its earlier rule: a stable lexsort by
+    (cell, timer) puts each cell's first earliest timer first in its run."""
+    cell = trials * num_bands + bands
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    heads = np.flatnonzero(np.diff(cell, prepend=-1))
+    per_trial = np.bincount(trials)
+    contested = np.zeros(per_trial.size, dtype=bool)
+    contested[cell[heads[np.diff(heads, append=cell.size) > 1]] // num_bands] = True
+    timer = np.zeros(cell.size)
+    if contested.any():
+        drawn = np.flatnonzero(contested)
+        timer[contested[cell // num_bands]] = timers(drawn, per_trial[drawn])
+    return cell[heads], order[np.lexsort((timer, cell))[heads]]
+
+
+@st.composite
+def claim_tables(draw):
+    """(M, (T, N) claims): each user's claimed band, -1 for none."""
+    m = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, m - 1), min_size=1, max_size=8),
+                         min_size=1, max_size=6))
+    claims = np.full((len(rows), max(map(len, rows))), -1)
+    for t, row in enumerate(rows):
+        claims[t, :len(row)] = row
+    return m, claims
+
+
+# Timers from at most three values, so that cells tie often.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(claim_tables(), st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75)), min_size=1,
+                                max_size=3, unique=True), st.integers(0, 2**32 - 1))
+@example((3, np.array([[0, 1, 2], [2, -1, 0]])), [0.5], 0)     # lone claimants: no timers
+@example((2, np.array([[1, 1, 1, 0], [0, 0, -1, 1]])), [0.5], 1)   # every timer ties
+@example((2, np.full((2, 3), -1)), [0.5], 2)                     # no claimant
+def test_contention_winners_keep_the_lexsort_tie_rule(table, levels, seed):
+    num_bands, claims = table
+    trial, user = np.nonzero(claims >= 0)
+    calls = []
+
+    def timers(contested, counts):
+        calls.append((contested.tolist(), counts.tolist()))
+        return np.random.default_rng(seed).choice(levels, int(counts.sum()))
+
+    got = distributed.contention_winners(trial, claims[trial, user], num_bands, timers)
+    expected = _lexsort_winners(trial, claims[trial, user], num_bands, timers)
+    assert calls[:len(calls) // 2] == calls[len(calls) // 2:]
+    for a, b in zip(got, expected):
+        assert a.tolist() == b.tolist()
+
+
+def test_claimants_of_stacked_tables_equal_each_trials_candidate_sets():
+    cfg = heterogeneous_config(num_secondary=30, num_bands=3, k=(0, 2, 3))
+    lam = build_threshold_table(cfg) * 0.5   # several claimants a trial
+    tables = [compute_sinr(cfg, draw_realization(cfg, t)) for t in range(8)]
+    trial, user, band = distributed.claimants(np.stack([t.sinr for t in tables]), lam)
+    assert trial.size > 8 and np.all(np.diff(trial * cfg.num_secondary + user) > 0)
+    for t, table in enumerate(tables):
+        cs = build_candidate_sets(table, lam)
+        assert np.array_equal(cs.claims[user[trial == t]], band[trial == t])
+        assert np.count_nonzero(cs.claims >= 0) == np.count_nonzero(trial == t)
 
 
 def test_allocate_with_no_claims():

@@ -560,10 +560,13 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
     barrier = threading.Barrier(len(cfgs), timeout=60)
     draw = channel._draw
     drawn = {}
+    draws, lock = {}, threading.Lock()   # per thread, the trials that met the barrier
 
-    def draw_when_all_set(rng, g_sq, h_sq):
+    def draw_when_all_set(rng, row):
         barrier.wait()
-        draw(rng, g_sq, h_sq)
+        with lock:
+            draws[threading.get_ident()] = draws.get(threading.get_ident(), 0) + 1
+        draw(rng, row)
 
     def run(cfg):
         g_rows, h_rows, timers = [], [], []
@@ -583,6 +586,7 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
         for thread in threads:
             thread.join(timeout=120)
             assert not thread.is_alive()
+    assert sorted(draws.values()) == [count] * len(cfgs)
     for cfg in cfgs:
         g_rows, h_rows, timers = drawn[cfg.seed]
         reals = [draw_realization(cfg, t) for t in range(count)]
@@ -667,3 +671,33 @@ def test_network_is_rejected_or_runs_without_overflow(kwargs):
     for agg in aggs.values():
         assert np.all(np.isfinite(agg.trial_sum_rates)) and math.isfinite(agg.mean_sum_rate)
     assert np.all(np.isfinite(lam))
+
+
+# Templates of both kinds, populations below M and up to 3x the template,
+# and seeds of one to three words, negative ones among them.
+@PROPERTY_SETTINGS
+@given(st.one_of(network_configs(max_users=20, homogeneous=True), network_configs(max_users=20)),
+       st.integers(-2, 60), st.one_of(st.none(), st.integers(-3, 2**70)))
+@example(NetworkConfig.homogeneous(5, 2, 0, 10.0, seed=3), 12, None)            # every K_m = 0
+@example(NetworkConfig.homogeneous(9, 4, (0, 2, 4, 1), 0.0, seed=4), 4, 2**64)  # N = M
+def test_with_population_equals_the_constructors_config(template, n, seed):
+    template.link_law   # a template's cached law is not the new config's
+    if n < template.num_bands or (seed is not None and seed < 0):
+        with pytest.raises(ConfigError):
+            template.with_population(n, seed=seed)
+        return
+    cfg = template.with_population(n, seed=seed)
+    built = NetworkConfig(
+        num_secondary=n, num_bands=template.num_bands, primary_count=template.primary_count,
+        power_secondary=template.power_secondary, power_primary=template.power_primary,
+        noise_power=template.noise_power, eta=np.resize(template.eta, n),
+        gamma=np.resize(template.gamma, (n, template.k_max())),
+        seed=template.seed if seed is None else seed)
+    assert cfg == built and built == cfg
+    assert type(cfg.num_secondary) is int and type(cfg.seed) is int
+    for law, built_law in zip(cfg.link_law, built.link_law):
+        assert law.shape == built_law.shape and np.array_equal(law, built_law)
+    for arr in (cfg.eta, cfg.gamma, *cfg.link_law):
+        assert not arr.flags.writeable
+    for upper in (False, True):
+        assert cfg.bound_law(upper) == built.bound_law(upper)
