@@ -20,7 +20,7 @@ LN2 = math.log(2.0)
 def _check_x(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
-        raise ValueError("x must be non-negative")
+        raise ConfigError("x must be non-negative")
     return x
 
 
@@ -91,7 +91,7 @@ def partial_binomial_sum(p, big_n: int, i: int):
 
     big_n, i = as_population(big_n), as_int("i", i)
     if not 0 <= i <= big_n - 1:
-        raise ValueError(f"i must be in [0, {big_n - 1}], got {i}")
+        raise ConfigError(f"i must be in [0, {big_n - 1}], got {i}")
     p = np.asarray(p, dtype=float)
     return binom.cdf(i, big_n, 1.0 - p)
 
@@ -104,7 +104,7 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
     """
     i, big_n = as_int("rank", i), as_population(big_n)
     if not 1 <= i <= big_n:
-        raise ValueError(f"rank must be in [1, {big_n}], got {i}")
+        raise ConfigError(f"rank must be in [1, {big_n}], got {i}")
     return partial_binomial_sum(parent(x), big_n, i - 1)
 
 
@@ -214,7 +214,7 @@ def harmonic_moments(big_n: int) -> tuple[float, float]:
     """
     big_n = as_population(big_n)
     if big_n < 1:
-        raise ValueError("population size must be at least 1")
+        raise ConfigError("population size must be at least 1")
     n = np.arange(1, min(big_n, HARMONIC_CUTOFF) + 1, dtype=float)
     mean, var = float(np.sum(1.0 / n)), float(np.sum(1.0 / n**2))
     if big_n > HARMONIC_CUTOFF:

@@ -10,7 +10,6 @@ import ctypes
 import functools
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -157,22 +156,16 @@ def _mul(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return _mul_high(a_lo, b_lo) + a_lo * b_hi + a_hi * b_lo, a_lo * b_lo
 
 
-def _pcg64_images(states: np.ndarray, layout: tuple[int, ...]) -> np.ndarray:
-    """(rows, 4) uint64 PCG64 states after seeding with the generate_state
-    rows ``states``: state = (s + inc) * MULT + inc mod 2**128, inc = 2 i + 1.
-
-    Column c holds word ``layout[c]`` of (state low, state high, inc low,
-    inc high): the generator's memory order (see ``_memory_layout``).
-    """
+def _pcg64_images(states: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64 PCG64 images (state low, state high, inc low, inc
+    high) after seeding with the generate_state rows ``states``:
+    state = (s + inc) * MULT + inc mod 2**128, inc = 2 i + 1."""
     s_hi, s_lo, i_hi, i_lo = states.T
     inc_hi, inc_lo = i_hi << _U64(1) | i_lo >> _U64(63), i_lo << _U64(1) | _U64(1)
     a_hi, a_lo = _add(s_hi, s_lo, inc_hi, inc_lo)
     m_hi, m_lo = _U64(_PCG_MULT >> 64), _U64(_PCG_MULT & _LOW64)
     st_hi, st_lo = _add(*_mul(a_hi, a_lo, m_hi, m_lo), inc_hi, inc_lo)
-    words, images = (st_lo, st_hi, inc_lo, inc_hi), np.empty_like(states)
-    for column, k in enumerate(layout):
-        images[:, column] = words[k]
-    return images
+    return np.stack((st_lo, st_hi, inc_lo, inc_hi), axis=1)
 
 
 @functools.cache
@@ -189,9 +182,9 @@ def _jumps(mult: int, size: int) -> np.ndarray:
     return table
 
 
-def _randoms(images: np.ndarray, counts, layout: tuple[int, ...]) -> np.ndarray:
+def _randoms(images: np.ndarray, counts) -> np.ndarray:
     """The first counts[i] ``Generator.random`` draws of each PCG64 image
-    images[i] (its words in the memory order ``layout``), concatenated.
+    images[i] (in the word order of ``_pcg64_images``), concatenated.
 
     Every draw is computed from its image in one array step: the image's
     state is jumped ahead to the draw's (``_jumps``, whose tables grow in
@@ -202,8 +195,7 @@ def _randoms(images: np.ndarray, counts, layout: tuple[int, ...]) -> np.ndarray:
     draw = np.arange(stream.size) - np.repeat(np.cumsum(counts) - counts, counts)
     size = 1 << max(4, (int(counts.max(initial=0)) - 1).bit_length())
     a_hi, a_lo, c_hi, c_lo = np.take(_jumps(_PCG_MULT, size), draw, axis=1)
-    words = np.ascontiguousarray(images.T[np.argsort(layout)])   # state low, high, inc low, high
-    s_lo, s_hi, i_lo, i_hi = np.take(words, stream, axis=1)
+    s_lo, s_hi, i_lo, i_hi = np.take(np.ascontiguousarray(images.T), stream, axis=1)
     st_hi, st_lo = _add(*_mul(a_hi, a_lo, s_hi, s_lo), *_mul(c_hi, c_lo, i_hi, i_lo))
     x, turn = st_hi ^ st_lo, st_hi >> _ROTATE
     out = x >> turn | x << (_U64(64) - turn & _U64(63))
@@ -228,8 +220,9 @@ _THREAD = threading.local()
 
 
 def _set_stream(image: np.ndarray) -> np.random.Generator:
-    """This thread's reused generator, its PCG64 state set to ``image`` with
-    no buffered 32-bit draw, as the documented ``state`` setter leaves it."""
+    """This thread's reused generator, its PCG64 state set to ``image`` (its
+    words in the memory order ``_memory_layout``) with no buffered 32-bit
+    draw, as the documented ``state`` setter leaves it."""
     try:
         gen, words, head = _THREAD.stream
     except AttributeError:
@@ -269,17 +262,17 @@ def _check_seeding() -> tuple[int, ...]:
     """
     layout = _memory_layout(np.random.PCG64(0))
     seed, t = (1 << 96) + (1 << 64) + 3, (1 << 32) + 5
-    images = _pcg64_images(_seed_states([(seed, _trials(t, 1))]), layout)
+    images = _pcg64_images(_seed_states([(seed, _trials(t, 1))]))
     keys, counts = ((seed, t), (seed, t, 1)), (17, 2)
     def draws(gen: np.random.Generator) -> list:
         return gen.integers(0, 2**32, 3, dtype=np.uint32).tolist() + gen.random(2).tolist()
 
-    for image, key in zip(images, keys):
+    for image, key in zip(np.take(images, layout, axis=1), keys):
         if draws(_set_stream(image)) != draws(np.random.default_rng(key)):
             raise RuntimeError("this numpy seeds PCG64 differently from the trial "
                                "seeding pass; trial streams would diverge")
     expected = [x for key, k in zip(keys, counts) for x in np.random.default_rng(key).random(k)]
-    if _randoms(images, counts, layout).tolist() != expected:
+    if _randoms(images, counts).tolist() != expected:
         raise RuntimeError("this numpy's Generator.random differs from the contention "
                            "timer step; contention timers would diverge")
     return layout
@@ -300,9 +293,11 @@ def _trials(start: int, count: int) -> np.ndarray:
 
 def _stream_images(keys) -> tuple[np.ndarray, np.ndarray]:
     """PCG64 images of the fading and the contention streams of the keys
-    of ``_seed_states(keys)``, from one seeding pass."""
-    images = _pcg64_images(_seed_states(keys), _check_seeding())
-    return images[:len(images) // 2], images[len(images) // 2:]
+    of ``_seed_states(keys)``, from one seeding pass: the fading images in
+    the memory order of ``_set_stream``, the contention images in the word
+    order of ``_randoms``."""
+    images = _pcg64_images(_seed_states(keys))
+    return np.take(images[:len(images) // 2], _check_seeding(), axis=1), images[len(images) // 2:]
 
 
 def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
@@ -324,14 +319,14 @@ def _split(cfg: NetworkConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def block_trials(cfg: NetworkConfig) -> int:
-    """Trials per block of ``trial_blocks`` under ``BLOCK_BYTES``."""
+    """Trials per block of ``trial_passes`` under ``BLOCK_BYTES``."""
     per_trial = 8 * cfg.num_bands * cfg.num_secondary * max(1, cfg.k_max())
     return max(1, min(MAX_BLOCK_TRIALS, BLOCK_BYTES // per_trial))
 
 
 def seeding_passes(cfgs, trials: int):
     """Yield the spans (point, start, count) of each seeding pass of
-    ``trial_blocks(cfgs, trials)``: whole blocks of config ``cfgs[point]``,
+    ``trial_passes(cfgs, trials)``: whole blocks of config ``cfgs[point]``,
     in order, as many as keep the pass's stream states within
     ``BLOCK_BYTES``, and at least one block."""
     room, spans, used = max(1, BLOCK_BYTES // 64), [], 0
@@ -350,56 +345,53 @@ def seeding_passes(cfgs, trials: int):
         yield spans
 
 
-class Contention(NamedTuple):
-    """The contention streams of a block of ``trial_blocks``."""
+def trial_passes(cfgs, trials: int):
+    """An iterator of (spans, timers, blocks), one per seeding pass over
+    trials 0 to ``trials - 1`` of each config ``cfgs[point]`` in turn.
 
-    images: np.ndarray   # (R, 4) stream images of the R trials of the block's seeding pass
-    row: int             # the block's first trial's row; 0 opens a pass
+    ``spans`` is the pass's list of ``seeding_passes``; the pass's rows
+    are its spans' trials, in order.  ``timers(rows, counts)`` gives the
+    first counts[i] draws of the contention stream of row rows[i], for
+    every i, concatenated: ``default_rng((seed, t, 1)).random(counts[i])``
+    of that row's trial t, all computed in one array step.
 
-    def timers(self, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """The first counts[i] draws of the stream of row rows[i], for every
-        i, concatenated: ``default_rng((seed, t, 1)).random(counts[i])`` of
-        that row's trial t, all computed in one array step."""
-        return _randoms(self.images[rows], counts, _check_seeding())
-
-
-def trial_blocks(cfgs, trials: int):
-    """Yield (point, start, g_sq, h_sq, contention) for each block of trials
-    0 to ``trials - 1`` of each config ``cfgs[point]`` in turn,
-    ``block_trials`` of that config a block.
-
-    ``g_sq`` and ``h_sq`` are the block's stacked (B, M, N) and
-    (B, M, N, max K_m) fading draws, slice b drawn from trial start + b's
-    own fading stream.  ``contention`` is a ``Contention``: the images of
-    the contention streams of every trial of the block's seeding pass, in
-    the pass's order, the block's trials from row ``contention.row`` on.
-    ``g_sq`` and ``h_sq`` are views of the leading rows of one buffer
-    allocated once per span of ``seeding_passes``, each trial's draws one
-    row filled by one call: they are valid until the next block is asked
-    for, which overwrites them.  The streams of every config are
-    seeded together, one pass per list of ``seeding_passes``: a sweep's
-    points share their passes.
+    ``blocks`` yields (point, start, row, g_sq, h_sq) for each block of
+    ``block_trials`` trials of the pass: trials start to start + B - 1 of
+    config ``point``, at rows row to row + B - 1.  ``g_sq`` and ``h_sq``
+    are the block's stacked (B, M, N) and (B, M, N, max K_m) fading
+    draws, slice b drawn from trial start + b's own fading stream.  They
+    are views of the leading rows of one buffer allocated once per span,
+    each trial's draws one row filled by one call: they are valid until
+    the next block is asked for, which overwrites them.  The streams of
+    every config are seeded together, so a sweep's points share passes.
     """
-    for spans in seeding_passes(cfgs, trials):
-        fading, contention = _stream_images(
-            [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
+    return (_seeded_pass(cfgs, spans) for spans in seeding_passes(cfgs, trials))
+
+
+def _seeded_pass(cfgs, spans) -> tuple:
+    """The (spans, timers, blocks) of one seeding pass of ``trial_passes``."""
+    fading, contention = _stream_images(
+        [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
+
+    def blocks():
         row = 0
         for point, first, count in spans:
             cfg, step = cfgs[point], block_trials(cfgs[point])
             buf = _draw_rows(cfg, min(step, count))
             for start in range(first, first + count, step):
                 size = min(step, first + count - start)
-                rows = buf[:size]
-                for image, out in zip(fading[row:row + size], rows):
+                for image, out in zip(fading[row:row + size], buf):
                     _draw(_set_stream(image), out)
-                yield point, start, *_split(cfg, rows), Contention(contention, row)
+                yield point, start, row, *_split(cfg, buf[:size])
                 row += size
+
+    return spans, lambda rows, counts: _randoms(contention[rows], counts), blocks()
 
 
 def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     """Draw one fading realization from ``np.random.default_rng((cfg.seed,
     trial_index))``: the stream contract's definition of a trial's fading
-    stream, which ``trial_blocks`` sets from its seeding pass."""
+    stream, which ``trial_passes`` sets from its seeding pass."""
     trial_index = as_int("trial_index", trial_index)
     if trial_index < 0:
         raise ConfigError("trial_index must be non-negative")

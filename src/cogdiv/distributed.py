@@ -13,7 +13,7 @@ import numpy as np
 
 from .centralized import Assignment, assignment_rates
 from .channel import SinrTable
-from .config import as_int, as_population
+from .config import ConfigError, as_int, as_population
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,13 @@ def build_candidate_sets(t: SinrTable, lam: np.ndarray) -> CandidateSets:
     return CandidateSets(sets=sets, claims=claims)
 
 
-def first_expiry(timers: np.ndarray) -> np.ndarray:
-    """Position of the earliest backoff timer along the last axis (the winner)."""
-    return np.argmin(timers, axis=-1)
-
-
 def resolve_contention(candidates, rng: np.random.Generator) -> int:
     """Backoff-timer contention: every candidate draws a uniform timer,
     the earliest expiry wins.  The winner is uniform over the set."""
     candidates = tuple(candidates)
     if not candidates:
         raise ValueError("cannot resolve contention over an empty candidate set")
-    return candidates[int(first_expiry(rng.random(len(candidates))))]
+    return candidates[int(np.argmin(rng.random(len(candidates))))]
 
 
 def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
@@ -130,7 +125,7 @@ def candidacy_probability(big_n: int, num_bands: int) -> float:
     """Probability that a given user claims any band: 1 - (1 - 1/N)^M."""
     big_n, num_bands = as_population(big_n), as_int("num_bands", num_bands)
     if big_n < 1 or num_bands < 1:
-        raise ValueError("population and band count must be positive")
+        raise ConfigError("population and band count must be positive")
     if big_n == 1:
         return 1.0
     return -math.expm1(num_bands * math.log1p(-1.0 / big_n))

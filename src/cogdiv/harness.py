@@ -10,8 +10,8 @@ from decimal import Decimal
 import numpy as np
 
 from . import analytics, centralized, distributed
-from .channel import Contention, sinr_block, sinr_bounds, trial_blocks
-from .config import ConfigError, NetworkConfig, as_int, power_from_db
+from .channel import sinr_block, sinr_bounds, trial_passes
+from .config import ConfigError, NetworkConfig, _cycled, as_int, power_from_db
 
 SCHEMES = ("centralized", "distributed")
 
@@ -76,10 +76,10 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     substreams derived from (seed, trial_index) only, so a scheme's
     aggregate does not depend on which other schemes run beside it.
 
-    Trials run in the blocks of ``channel.trial_blocks``: each stage is
+    Trials run in the blocks of ``channel.trial_passes``: each stage is
     one array call per block, and only the matching of trials without
     event D is per trial, for M > 4.  The contention of a whole seeding
-    pass is resolved at once from its claimant table (``_ClaimantTable``).
+    pass is resolved at once from its claimants (``_settle``).
     Results equal a loop over the one-trial entry points bit for bit,
     whatever the block size.  This is the one-point call of
     ``_run_points``.
@@ -123,57 +123,36 @@ class _Tally:
         return aggregates
 
 
-class _ClaimantTable:
-    """The distributed claimants of one seeding pass of ``trial_blocks``:
-    each one's row in the pass (its trial), band, user and SINR, and each
-    config's span of rows.
+def _settle(spans, timers, parts, tallies: list[_Tally]) -> None:
+    """Resolve the contention of one seeding pass of ``trial_passes``, and
+    add each config's distributed rates, information bits, claim counts
+    and idle counts to its tally.
 
-    A block's rows are added while its SINR table is alive, since the
-    next block overwrites it; the pass's contention is resolved once its
-    last block has been added, with one timer evaluation for the pass.
+    ``parts`` holds each block's claimants: their rows in the pass (their
+    trials), bands, users and SINR.  Every config has the same M bands.
     """
-
-    def __init__(self, contention: Contention):
-        self.contention = contention
-        self.parts = []   # per block: rows, bands, users and SINR of its claimants
-        self.spans = {}   # point: (first trial, first row, trials)
-
-    def add(self, point: int, start: int, row: int, sinr: np.ndarray, lam: np.ndarray) -> None:
-        """Add the block of trials from ``start`` of config ``point``, whose
-        first row is ``row``, with its (B, M, N) SINR and its thresholds."""
-        trial, user, band = distributed.claimants(sinr, lam)
-        self.parts.append((row + trial, band, user, sinr[trial, band, user]))
-        first, first_row, count = self.spans.get(point, (start, row, 0))
-        self.spans[point] = first, first_row, count + len(sinr)
-
-    def settle(self, tallies: list[_Tally]) -> None:
-        """Resolve the pass's contention, and add each config's distributed
-        rates, information bits, claim counts and idle counts to its tally."""
-        if not self.parts:
-            return
-        rows, bands, users, sinr = (np.concatenate(c) for c in zip(*self.parts))
-        m = max(tallies[point].cfg.num_bands for point in self.spans)
-        cells, won = distributed.contention_winners(rows, bands, m, self.contention.timers)
-        size = len(self.contention.images)
-        busy, link = np.zeros(size * m, dtype=bool), np.zeros(size * m)
-        busy[cells], link[cells] = True, sinr[won]
-        busy, link = busy.reshape(size, m), link.reshape(size, m)
-        claimed = np.bincount(rows, minlength=size)
-        for point, (first, row, count) in self.spans.items():
-            tally = tallies[point]
-            n, m_p = tally.cfg.num_secondary, tally.cfg.num_bands
-            own, trials = slice(row, row + count), slice(first, first + count)
-            tally.sum_rates["distributed"][trials] = centralized.busy_rates(
-                link[own, :m_p], busy[own, :m_p])
-            tally.info_bits[trials] = claimed[own] * math.log2(m_p)
-            lo, hi = np.searchsorted(rows, (row, row + count))
-            tally.claim_counts += np.bincount(users[lo:hi], minlength=n)
-            tally.idle_counts += np.count_nonzero(~busy[own, :m_p], axis=0)
+    rows, bands, users, sinr = (np.concatenate(c) for c in zip(*parts))
+    m, size = tallies[0].cfg.num_bands, sum(count for _, _, count in spans)
+    cells, won = distributed.contention_winners(rows, bands, m, timers)
+    busy, link = np.zeros((size, m), dtype=bool), np.zeros((size, m))
+    busy.flat[cells], link.flat[cells] = True, sinr[won]
+    claimed = np.bincount(rows, minlength=size)
+    row = 0
+    for point, first, count in spans:
+        tally = tallies[point]
+        own, trials = slice(row, row + count), slice(first, first + count)
+        tally.sum_rates["distributed"][trials] = centralized.busy_rates(link[own], busy[own])
+        tally.info_bits[trials] = claimed[own] * math.log2(m)
+        lo, hi = np.searchsorted(rows, (row, row + count))
+        tally.claim_counts += np.bincount(users[lo:hi], minlength=tally.cfg.num_secondary)
+        tally.idle_counts += np.count_nonzero(~busy[own], axis=0)
+        row += count
 
 
 def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
-    """``run_schemes`` of each config of ``cfgs``, bit for bit, with the
-    trial streams of every config seeded together by ``trial_blocks``.
+    """``run_schemes`` of each config of ``cfgs``, configs of one band
+    count, bit for bit, with the trial streams of every config seeded
+    together by ``trial_passes``.
 
     Every config is checked, and its thresholds solved, before any trial
     runs.  A config's trials may span seeding passes, and a pass may hold
@@ -191,25 +170,23 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
                       claim_counts=np.zeros(cfg.num_secondary),
                       idle_counts=np.zeros(cfg.num_bands))
                for cfg in cfgs]
-    table = None
-    for point, start, g_sq, h_sq, contention in trial_blocks(cfgs, trials):
-        if contention.row == 0:   # a new seeding pass: the last one is complete
-            if table is not None:
-                table.settle(tallies)
-            table = _ClaimantTable(contention)
-        tally = tallies[point]
-        sinr = sinr_block(tally.cfg, g_sq, h_sq)
-        fav = centralized.favorite_users(sinr)
-        distinct = centralized.all_distinct(fav)
-        tally.event_d_count += int(np.count_nonzero(distinct))
-        if "centralized" in tally.sum_rates:
-            users = centralized.matched_users(sinr, fav, distinct)
-            tally.sum_rates["centralized"][start:start + len(sinr)] = \
-                centralized.assignment_rates(sinr, users)
-        if tally.lam is not None:
-            table.add(point, start, contention.row, sinr, tally.lam)
-    if table is not None:
-        table.settle(tallies)
+    for spans, timers, blocks in trial_passes(cfgs, trials):
+        parts = []   # per block: the rows, bands, users and SINR of its claimants
+        for point, start, row, g_sq, h_sq in blocks:
+            tally = tallies[point]
+            sinr = sinr_block(tally.cfg, g_sq, h_sq)
+            fav = centralized.favorite_users(sinr)
+            distinct = centralized.all_distinct(fav)
+            tally.event_d_count += int(np.count_nonzero(distinct))
+            if "centralized" in tally.sum_rates:
+                users = centralized.matched_users(sinr, fav, distinct)
+                tally.sum_rates["centralized"][start:start + len(sinr)] = \
+                    centralized.assignment_rates(sinr, users)
+            if tally.lam is not None:   # the next block overwrites this one's SINR
+                trial, user, band = distributed.claimants(sinr, tally.lam)
+                parts.append((row + trial, band, user, sinr[trial, band, user]))
+        if parts:   # the distributed scheme runs
+            _settle(spans, timers, parts, tallies)
     return [tally.aggregates() for tally in tallies]
 
 
@@ -370,10 +347,10 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
-        try:   # lambda(0, 0) reads user 0's row only: cycle it to K entries.
-            gamma = np.resize(cfg_template.gamma[0] if cfg_template.k_max() else 1.0, (1, k))
-        except (ValueError, OverflowError):   # negative, or beyond numpy's index range
-            raise ConfigError(f"k_values entry {k} is not a valid primary count") from None
+        if k < 0:
+            raise ConfigError(f"k_values entry {k} is not a valid primary count")
+        user_0 = cfg_template.gamma[0] if cfg_template.k_max() else np.ones(1)
+        gamma = _cycled("k_values", user_0, k)   # lambda(0, 0) reads user 0's row only
         for rho_db in rho_values_db:
             rho = power_from_db(rho_db)
             link = dataclasses.replace(   # user 0 alone: only its law need be valid
@@ -384,7 +361,7 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
                 power_secondary=rho * cfg_template.noise_power,
                 power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
                 eta=cfg_template.eta[:1],
-                gamma=gamma,
+                gamma=gamma[None],
             )
             for n in n_values:
                 lam = float(analytics.build_threshold_table(link, big_n=n)[0, 0])
@@ -532,7 +509,9 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     sandwich_bad = 0
     interleave_bad = 0
     event_d_big = 0
-    for _, start, g_sq, h_sq, _ in trial_blocks([cfg], max(n_pooled, n_real)):
+    blocks = (b for *_, pass_blocks in trial_passes([cfg], max(n_pooled, n_real))
+              for b in pass_blocks)
+    for _, start, _, g_sq, h_sq in blocks:
         pooled[start:start + len(g_sq)] = g_sq[:max(0, n_pooled - start)]
         g_sq, h_sq = g_sq[:max(0, n_real - start)], h_sq[:max(0, n_real - start)]
         if not len(g_sq):
@@ -588,16 +567,21 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     small = cfg.with_population(max(cfg.num_bands, cfg.num_secondary // 10),
                                 seed=cfg.seed + 1)
     freq_small = sum(_event_d_count(sinr_block(small, g_sq, h_sq))
-                     for _, _, g_sq, h_sq, _ in trial_blocks([small], n_real)) / n_real
+                     for *_, blocks in trial_passes([small], n_real)
+                     for *_, g_sq, h_sq in blocks) / n_real
     freq_big = event_d_big / n_real
     slack = 3.0 * math.sqrt(0.25 / n_real)
     checks.append(CheckResult("event_d_trend", freq_big + slack >= freq_small,
                               float(freq_big - freq_small), -slack))
 
-    # Contention winner uniformity (chi-square on the backoff mechanism):
-    # 30,000 contentions among 5 candidates, one row of timers each.
-    winners = distributed.first_expiry(rng.random((30_000, 5)))
-    p_value = _chisquare_p(np.bincount(winners, minlength=5))
+    # Contention winner uniformity (chi-square on the engine's backoff stage):
+    # 30,000 cells of 5 claimants, 5,000 cells a call to keep the arrays small.
+    trials, wins = np.arange(25_000) // 5, np.zeros(5, dtype=np.intp)
+    for _ in range(6):
+        cells, won = distributed.contention_winners(trials, np.zeros_like(trials), 1,
+                                                    lambda _, counts: rng.random(counts.sum()))
+        wins += np.bincount(won - 5 * cells, minlength=5)   # cell c's claimants: 5 c to 5 c + 4
+    p_value = _chisquare_p(wins)
     checks.append(CheckResult("contention_uniform_p", p_value > 0.001, p_value, 0.001))
 
     return ValidationReport(checks=tuple(checks))

@@ -180,6 +180,19 @@ def test_order_stat_rank_out_of_range():
         order_stat_cdf(parent, 11, 10, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cfg: partial_binomial_sum(0.5, 10, 20),
+    lambda cfg: harmonic_moments(0),
+    lambda cfg: cdf_exact(-1.0, 0, 0, cfg),
+    lambda cfg: candidacy_probability(0, 2),
+    lambda cfg: order_stat_cdf(functools.partial(cdf_lower, m=0, cfg=cfg), 11, 10, 1.0),
+], ids=["binomial_index", "harmonic_population", "negative_x", "candidacy_population",
+        "order_stat_rank"])
+def test_range_errors_are_config_errors(hetero_cfg, call):
+    with pytest.raises(ConfigError):
+        call(hetero_cfg)
+
+
 def test_lemma6_monotone_small():
     xs = np.linspace(0.0, 1.0, 200)
     for n_pop in (2, 5, 10):

@@ -36,9 +36,9 @@ def test_blocks_of_one_span_reuse_their_buffers():
     cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
     assert channel.block_trials(cfg) == 64
     assert [len(spans) for spans in channel.seeding_passes([cfg], 200)] == [1]
-    blocks = channel.trial_blocks([cfg], 200)
-    _, _, g_first, h_first, _ = next(blocks)
-    _, start, g_next, h_next, _ = next(blocks)
+    _, _, blocks = next(channel.trial_passes([cfg], 200))
+    _, _, _, g_first, h_first = next(blocks)
+    _, start, _, g_next, h_next = next(blocks)
     assert start == 64
     assert np.shares_memory(g_first, g_next) and np.shares_memory(h_first, h_next)
     assert np.array_equal(g_next[0], draw_realization(cfg, 64).g_sq)
@@ -61,13 +61,14 @@ def test_row_buffer_blocks_equal_draw_realization(cfg, block):
         trials = channel.BLOCK_BYTES // 64 + block + 1   # past a pass's room
         assert len(list(channel.seeding_passes([cfg, other], trials))) > 1
         covered = {0: [], 1: []}
-        for point, start, g_sq, h_sq, _ in channel.trial_blocks([cfg, other], trials):
-            c = (cfg, other)[point]
-            assert h_sq.shape == (len(g_sq), c.num_bands, c.num_secondary, c.k_max())
-            for b in range(len(g_sq)):
-                real = draw_realization(c, start + b)
-                assert np.array_equal(g_sq[b], real.g_sq) and np.array_equal(h_sq[b], real.h_sq)
-            covered[point].extend(range(start, start + len(g_sq)))
+        for _, _, blocks in channel.trial_passes([cfg, other], trials):
+            for point, start, _, g_sq, h_sq in blocks:
+                c = (cfg, other)[point]
+                assert h_sq.shape == (len(g_sq), c.num_bands, c.num_secondary, c.k_max())
+                for b in range(len(g_sq)):
+                    real = draw_realization(c, start + b)
+                    assert np.array_equal(g_sq[b], real.g_sq) and np.array_equal(h_sq[b], real.h_sq)
+                covered[point].extend(range(start, start + len(g_sq)))
     assert covered == {0: list(range(trials)), 1: list(range(trials))}
     # A trial's one fill is its stream's |g|^2 and then its |h|^2.
     rng, real = np.random.default_rng((cfg.seed, 5)), draw_realization(cfg, 5)

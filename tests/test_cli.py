@@ -299,6 +299,7 @@ def test_config_error_exit_code(tmp_path):
     ("simulate", "snr_db = -3100", ()),
     ("simulate", "eta = 1e308", ()),
     ("simulate", "gamma = 1e306", ()),           # P_p*gamma is finite, P_p*K*gamma*E is not
+    ("thresholds", "k_values = 2000000000000000000", ()),   # K beyond numpy's index range
 ])
 def test_bad_input_is_a_config_error(tmp_path, capsys, subcommand, extra_line, flags):
     # The extra line replaces the same key's line in SMALL_DOC.
@@ -352,7 +353,7 @@ def test_population_below_two_rejected_before_any_trial(tmp_path, capsys, monkey
 
     def no_draw(*args):
         raise AssertionError("a trial ran before the configuration was rejected")
-    monkeypatch.setattr(harness, "trial_blocks", no_draw)
+    monkeypatch.setattr(harness, "trial_passes", no_draw)
     config = tmp_path / "net.cfg"
     config.write_text(doc)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2

@@ -114,9 +114,9 @@ def test_contention_winners_equal_per_band_contention_when_every_user_claims():
     claims = np.random.default_rng(3).integers(0, num_bands, (trials, n))
     claims[2] = 1
     trial, user = np.nonzero(claims >= 0)
-    _, images = channel._stream_images([(seed, channel._trials(0, trials))])
-    cells, won = distributed.contention_winners(trial, claims[trial, user], num_bands,
-                                                channel.Contention(images, 0).timers)
+    cfg = NetworkConfig.homogeneous(n, num_bands, 1, 10.0, seed=seed)
+    [(_, timers, _)] = channel.trial_passes([cfg], trials)
+    cells, won = distributed.contention_winners(trial, claims[trial, user], num_bands, timers)
     expected = {}
     for t in range(trials):
         rng = np.random.default_rng((seed, t, 1))

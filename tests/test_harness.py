@@ -169,7 +169,7 @@ def test_scaling_sweep_checks_every_point_before_running_any(monkeypatch):
     # The N = 3e6 point is over the budget; the N = 1000 point must not run first.
     def no_draw(*args):
         raise AssertionError("a sweep point ran before the sweep was checked")
-    monkeypatch.setattr(harness, "trial_blocks", no_draw)
+    monkeypatch.setattr(harness, "trial_passes", no_draw)
     cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)
     with pytest.raises(ResourceError):
         scaling_sweep(cfg, [1000, 3_000_000], 2000)
@@ -329,13 +329,26 @@ def test_validate_exp1_statistics_equal_the_trial_draws():
     assert checks["exp1_ks"].statistic == harness._ks_distance(pooled, lambda x: -special.expm1(-x))
 
 
+def test_validate_contention_check_equals_first_earliest_timer_of_each_row():
+    # The engine's contention stage on 30,000 cells of 5 claimants picks, in
+    # each cell, the first earliest of the 5 timers that follow the direct
+    # SINR samples on validate's generator.
+    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
+    check = {c.name: c for c in validate(cfg, samples=10_000).checks}["contention_uniform_p"]
+    rng = np.random.default_rng((cfg.seed, 0xA11))
+    harness._simulate_sinr_samples(cfg, 0, 0, 10_000, rng)
+    winners = np.argmin(rng.random((30_000, 5)), axis=-1)
+    assert check.statistic == stats.chisquare(np.bincount(winners, minlength=5)).pvalue
+
+
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
-    def scaled_blocks(cfgs, trials):
-        for point, start, g_sq, h_sq, contention in channel.trial_blocks(cfgs, trials):
-            yield point, start, 1.05 * g_sq, h_sq, contention
+    def scaled_passes(cfgs, trials):
+        for spans, timers, blocks in channel.trial_passes(cfgs, trials):
+            yield spans, timers, ((point, start, row, 1.05 * g_sq, h_sq)
+                                  for point, start, row, g_sq, h_sq in blocks)
 
     simulate = harness._simulate_sinr_samples
-    monkeypatch.setattr(harness, "trial_blocks", scaled_blocks)
+    monkeypatch.setattr(harness, "trial_passes", scaled_passes)
     monkeypatch.setattr(harness, "_simulate_sinr_samples",
                         lambda *args: 1.05 * simulate(*args))
     report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=100_000)
@@ -426,14 +439,18 @@ def test_ks_distance_and_exp1_ks_fail_on_a_nan(monkeypatch):
     sample[123] = np.nan
     assert math.isnan(harness._ks_distance(sample, stats.expon.cdf))
 
-    def nan_blocks(cfgs, trials):
-        for point, start, g_sq, h_sq, contention in channel.trial_blocks(cfgs, trials):
+    def nan_blocks(blocks):
+        for point, start, row, g_sq, h_sq in blocks:
             if start == 0:
                 g_sq = g_sq.copy()
                 g_sq[0, 0, 0] = np.nan
-            yield point, start, g_sq, h_sq, contention
+            yield point, start, row, g_sq, h_sq
 
-    monkeypatch.setattr(harness, "trial_blocks", nan_blocks)
+    def nan_passes(cfgs, trials):
+        for spans, timers, blocks in channel.trial_passes(cfgs, trials):
+            yield spans, timers, nan_blocks(blocks)
+
+    monkeypatch.setattr(harness, "trial_passes", nan_passes)
     report = validate(NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3), samples=10_000)
     exp1_ks = {c.name: c for c in report.checks}["exp1_ks"]
     assert math.isnan(exp1_ks.statistic) and not exp1_ks.passed

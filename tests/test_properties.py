@@ -434,9 +434,10 @@ def test_block_engine_equals_trial_loop_across_seeding_chunks(cfg, words):
 @example(5, 0, 2**33, -2, 4)                  # t's high word steps from 1 to 2
 @example(2**32, 0, 2**64, -3, 3)              # up to t = 2**64 - 1
 def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift, count):
-    # The streams of one seed's run of trials, as trial_blocks sets them.
+    # The streams of one seed's run of trials, as trial_passes sets them.
     seed, start = max(0, seed_base + seed_shift), max(0, t_base + t_shift)
     fading, contention = channel._stream_images([(seed, channel._trials(start, count))])
+    contention = np.take(contention, channel._check_seeding(), axis=1)   # _set_stream's order
     assert len(fading) == len(contention) == count
     for i, t in enumerate(range(start, start + count)):
         assert np.array_equal(channel._set_stream(fading[i]).standard_exponential(6),
@@ -455,10 +456,9 @@ def test_trial_streams_equal_default_rng(seed_base, seed_shift, t_base, t_shift,
             np.random.default_rng((seed, t, 1)).integers(0, 2**32, size=5, dtype=np.uint32))
 
 
-def _pcg64_image(state: int, inc: int, layout) -> list[int]:
-    """The four words of a PCG64 state in the memory order ``layout``."""
-    words = (state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64)
-    return [words[k] for k in layout]
+def _pcg64_image(state: int, inc: int) -> list[int]:
+    """The four words (state low, state high, inc low, inc high) of a PCG64 state."""
+    return [state & 2**64 - 1, state >> 64, inc & 2**64 - 1, inc >> 64]
 
 
 PCG64_STREAMS = st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1))
@@ -470,11 +470,10 @@ PCG64_STREAMS = st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**127 - 1)
 def test_timer_step_equals_generator_random(streams, long_stream):
     # Any state, any odd increment, 0 to 16 draws a stream, and one stream
     # of 1000 draws, which outgrows every smaller jump table.
-    layout = channel._check_seeding()
     streams = [*streams, (long_stream, 1000)]
-    images = np.array([_pcg64_image(state, 2 * k + 1, layout) for (state, k), _ in streams],
+    images = np.array([_pcg64_image(state, 2 * k + 1) for (state, k), _ in streams],
                       dtype=np.uint64)
-    timers = channel._randoms(images, [count for _, count in streams], layout)
+    timers = channel._randoms(images, [count for _, count in streams])
     gen, expected = np.random.Generator(np.random.PCG64()), []
     for (state, k), count in streams:
         gen.bit_generator.state = {"bit_generator": "PCG64",
@@ -503,6 +502,7 @@ def test_one_seeding_pass_over_mixed_keys_equals_default_rng(spans):
     keys = [(seed, channel._trials(min(max(0, base + shift), 2**64 - count), count))
             for seed, base, shift, count in spans]
     fading, contention = channel._stream_images(keys)
+    contention = np.take(contention, channel._check_seeding(), axis=1)   # _set_stream's order
     rows = [(seed, int(t)) for seed, ts in keys for t in ts]
     assert len(fading) == len(contention) == len(rows)
     for fading_image, contention_image, (seed, t) in zip(fading, contention, rows):
@@ -553,7 +553,7 @@ def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
 
 
 def test_trial_streams_of_interleaved_threads_equal_default_rng():
-    # Each thread runs trial_blocks on its own seed, and every thread sets
+    # Each thread runs trial_passes on its own seed, and every thread sets
     # its fading stream, or reaches its timers, before any thread draws.
     seeds, count = (11, 12, 2**70 + 5), 40
     cfgs = [NetworkConfig.homogeneous(4, 2, (1, 3), 10.0, seed=seed) for seed in seeds]
@@ -570,13 +570,14 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
 
     def run(cfg):
         g_rows, h_rows, timers = [], [], []
-        for _, start, g_sq, h_sq, contention in channel.trial_blocks([cfg], count):
-            g_rows.extend(g_sq.copy())    # the next block overwrites g_sq and h_sq
-            h_rows.extend(h_sq.copy())
-            rows = contention.row + np.arange(len(g_sq))
-            barrier.wait()
-            timers.extend(contention.timers(rows, np.full(len(rows), 3)).reshape(-1, 3))
-            barrier.wait()
+        for _, pass_timers, blocks in channel.trial_passes([cfg], count):
+            for _, start, row, g_sq, h_sq in blocks:
+                g_rows.extend(g_sq.copy())    # the next block overwrites g_sq and h_sq
+                h_rows.extend(h_sq.copy())
+                rows = row + np.arange(len(g_sq))
+                barrier.wait()
+                timers.extend(pass_timers(rows, np.full(len(rows), 3)).reshape(-1, 3))
+                barrier.wait()
         drawn[cfg.seed] = g_rows, h_rows, timers
 
     with mock.patch.object(channel, "_draw", draw_when_all_set):
