@@ -417,8 +417,9 @@ def _interference(cfg: NetworkConfig, h_sq: np.ndarray,
                   weights: np.ndarray | None) -> np.ndarray:
     """(..., M, N) per-band interference sums, sum_j weights[n, j] * |h_mnj|^2.
 
-    ``weights`` None sums the raw |h|^2.  Bands with fewer primary users
-    than max K_m only see their first K_m interference terms.
+    The sums are a new array; ``weights`` None sums the raw |h|^2 with no
+    product.  Bands with fewer primary users than max K_m only see their
+    first K_m interference terms.
     """
     def total(h):   # (..., N, k) gains summed against the first k weights
         k = h.shape[-1]
@@ -443,12 +444,14 @@ def _sum_terms(k: int, term) -> np.ndarray:
     the last axis.  Below 8 terms np.sum adds them left to right, so they
     are made and added one at a time, with no (..., k) array and no
     reduction loop of length k; at none, or from 8 on, np.sum adds
-    pairwise, so it runs on the stacked terms.
+    pairwise, so it runs on the stacked terms.  The sum starts as the new
+    array term 0 + term 1, so k terms take k - 1 passes and no copy.
     """
     if not 0 < k < 8:
         return np.sum(term(slice(None)), axis=-1)
-    total = term(slice(0, 1))[..., 0].copy()   # a term may be a view of an input
-    for j in range(1, k):
+    first = term(slice(0, 1))[..., 0]
+    total = first + term(slice(1, 2))[..., 0] if k > 1 else first.copy()   # a term may be a view
+    for j in range(2, k):
         total += term(slice(j, j + 1))[..., 0]
     return total
 
@@ -457,10 +460,12 @@ def sinr_block(cfg: NetworkConfig, g_sq: np.ndarray, h_sq: np.ndarray) -> np.nda
     """(..., M, N) SINR of stacked realizations (leading axes are trials).
 
     Every operation is elementwise or a sum over the last axis, so each
-    trial's slice equals its one-trial table bit for bit.
+    trial's slice equals its one-trial table bit for bit.  On unit gamma the
+    |h|^2 are summed unweighted (``cfg.interference_weights``), bit for bit
+    the weighted sum.  The draws are only read; the result is a new array.
     """
     _check_shapes(cfg, g_sq, h_sq)
-    denominator = _interference(cfg, h_sq, cfg.gamma)   # a new array
+    denominator = _interference(cfg, h_sq, cfg.interference_weights)   # a new array
     denominator *= cfg.power_primary
     denominator += cfg.noise_power
     sinr = cfg.power_secondary * cfg.eta * g_sq

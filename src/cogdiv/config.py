@@ -186,6 +186,11 @@ class NetworkConfig:
         return (_frozen(1.0 / (self.snr() * self.eta)),
                 _frozen(self.pp_over_ps() * self.gamma / self.eta[:, None]))
 
+    @functools.cached_property
+    def interference_weights(self) -> np.ndarray | None:
+        """``gamma``, or None if it is all 1.0: x * 1.0 == x, so |h|^2 sum unweighted."""
+        return None if np.all(self.gamma == 1.0) else self.gamma
+
     def bound_law(self, upper: bool) -> tuple[float, float]:
         """(slope, coefficient) of the bound variable S_u or S_l.
 

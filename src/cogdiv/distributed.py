@@ -89,11 +89,11 @@ def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
     sizes = np.diff(heads, append=cell.size)
     per_trial = np.bincount(trials)
     contested = np.zeros(per_trial.size, dtype=bool)
-    contested[cell[heads[sizes > 1]] // num_bands] = True
+    contested[trials[order[heads[sizes > 1]]]] = True
     timer = np.zeros(cell.size)
     if contested.any():
         drawn = np.flatnonzero(contested)
-        timer[contested[cell // num_bands]] = timers(drawn, per_trial[drawn])
+        timer[contested[trials[order]]] = timers(drawn, per_trial[drawn])
     # Every cell holds its earliest timer, so the first such timer at or
     # after a cell's head is that cell's winner.
     earliest = np.flatnonzero(timer == np.repeat(np.minimum.reduceat(timer, heads), sizes))

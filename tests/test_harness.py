@@ -67,6 +67,42 @@ def test_distributed_run_sets_only_the_fading_streams():
     assert set_stream.call_count == trials
 
 
+def _run_tallies(cfg, trials):
+    """Each scheme's sums of ``run_schemes(cfg, both schemes, trials)``."""
+    tallies, aggregates = [], harness._Tally.aggregates
+
+    def keep(tally):
+        tallies.append(tally)
+        return aggregates(tally)
+
+    with mock.patch.object(harness._Tally, "aggregates", keep):
+        run_schemes(cfg, ("centralized", "distributed"), trials)
+    (tally,) = tallies
+    return ([tally.sum_rates[s].tobytes() for s in ("centralized", "distributed")],
+            tally.info_bits.tobytes(), tally.claim_counts.tobytes(),
+            tally.idle_counts.tobytes(), tally.event_d_count)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.homogeneous(50, 4, 4, 10.0, seed=12),
+    NetworkConfig.homogeneous(30, 4, (0, 3, 8, 9), 5.0, pp_over_ps=2.5, eta=0.6, seed=13),
+], ids=["paper", "k_0_3_8_9"])
+@pytest.mark.parametrize("block_bytes", [channel.BLOCK_BYTES, 3000], ids=["default", "split"])
+def test_unit_gamma_run_equals_the_weighted_route(cfg, block_bytes):
+    # Unit gamma sums the raw |h|^2; forcing gamma's products back in must
+    # not move any trial's rates, information bits, claims, idle bands or
+    # event D, also when a run spans many seeding passes.
+    trials = 200
+    assert cfg.interference_weights is None
+    with mock.patch.object(channel, "BLOCK_BYTES", block_bytes):
+        assert (len(list(channel.seeding_passes([cfg], trials))) > 1) == (block_bytes == 3000)
+        unit = _run_tallies(cfg, trials)
+        with mock.patch.object(NetworkConfig, "interference_weights",
+                               property(lambda self: self.gamma)):
+            weighted = _run_tallies(cfg, trials)
+    assert unit == weighted
+
+
 def test_aggregates_recomputable(hetero_cfg):
     agg = run_trials(hetero_cfg, "centralized", 30)
     assert agg.mean_sum_rate == pytest.approx(float(np.mean(agg.trial_sum_rates)), abs=1e-12)

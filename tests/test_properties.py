@@ -112,6 +112,55 @@ def test_sum_terms_equals_np_sum(k, rows, cols, fortran, seed):
         assert total.tobytes() == expected.tobytes()
 
 
+def _weighted_sinr(cfg, g_sq, h_sq):
+    """The SINR written out: every |h|^2 times its gamma, 1.0 included,
+    summed left to right below 8 terms and by np.sum from 8 on."""
+    interference = np.zeros(h_sq.shape[:-1])
+    for band, k_m in enumerate(cfg.primary_count):
+        terms = h_sq[..., band, :, :k_m] * cfg.gamma[:, :k_m]
+        if k_m >= 8:
+            interference[..., band, :] = np.sum(terms, axis=-1)
+        else:
+            for j in range(k_m):
+                interference[..., band, :] += terms[..., j]
+    denominator = interference * cfg.power_primary + cfg.noise_power
+    return cfg.power_secondary * cfg.eta * g_sq / denominator
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 7, 8, 9]), min_size=1, max_size=4),
+       st.integers(0, 5), st.sampled_from(["unit", "half", "spread", "one-off"]),
+       st.booleans(), st.floats(0.1, 10.0), st.sampled_from([(), (1,), (3,), (2, 2)]),
+       st.integers(0, 2**32 - 1))
+@example([4, 9, 0], 2, "one-off", False, 1.0, (3,), 0)   # one gamma of 2.0 among 1.0s
+def test_sinr_block_equals_the_weighted_oracle(counts, extra_users, gamma, spread_eta,
+                                               pp_over_ps, lead, seed):
+    # Unit gamma skips the products, and the engine's sums start from two
+    # terms: neither may move a bit on any gamma, eta, Pp/Ps or band mix.
+    rng = np.random.default_rng(seed)
+    m, k_max = len(counts), max(counts)
+    n = m + extra_users
+    weights = {"unit": np.ones((n, k_max)), "half": np.full((n, k_max), 0.5),
+               "spread": 10.0 ** rng.uniform(-1.0, 1.0, (n, k_max)),
+               "one-off": np.ones((n, k_max))}[gamma]
+    if gamma == "one-off" and k_max:
+        weights[rng.integers(n), rng.integers(k_max)] = 2.0
+    cfg = NetworkConfig.homogeneous(
+        n, m, counts, 10.0, pp_over_ps=pp_over_ps,
+        eta=10.0 ** rng.uniform(-1.0, 1.0, n) if spread_eta else 0.7, gamma=weights)
+    assert (cfg.interference_weights is None) == bool(np.all(weights == 1.0))
+    g_sq = rng.standard_exponential(lead + (m, n))
+    h_sq = rng.standard_exponential(lead + (m, n, k_max))
+    g_in, h_in = g_sq.copy(), h_sq.copy()
+    sinr = channel.sinr_block(cfg, g_sq, h_sq)
+    expected = _weighted_sinr(cfg, g_sq, h_sq)
+    assert sinr.shape == expected.shape
+    assert sinr.tobytes() == expected.tobytes()
+    # validate reads the same draws again for sinr_bounds.
+    assert g_sq.tobytes() == g_in.tobytes() and h_sq.tobytes() == h_in.tobytes()
+    assert not np.shares_memory(sinr, g_sq) and not np.shares_memory(sinr, h_sq)
+
+
 @pytest.mark.parametrize("k", range(11))
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("x_shape, users", [((400, 1), 64), ((100_000,), None), ((400, 64), 64)],
