@@ -12,22 +12,23 @@ from collections.abc import Callable
 import numpy as np
 
 from .channel import _sum_terms
-from .config import ConfigError, NetworkConfig, as_int, as_population
+from .config import ConfigError, NetworkConfig, _filled, as_int, as_population, as_real
 
 LN2 = math.log(2.0)
 
 
 def _check_x(x):
-    x = np.asarray(x, dtype=float)
+    x = _filled("x", x)
     if np.any(x < 0):
         raise ConfigError("x must be non-negative")
     return x
 
 
 def _check_index(name: str, index, size: int):
-    """``index``, an int or an index array, if every entry is in [0, size)."""
-    if np.any((np.asarray(index) < 0) | (np.asarray(index) >= size)):
-        raise ConfigError(f"{name} index {index} is outside [0, {size})")
+    """``index``, an int or an integer index array, if every entry is in [0, size)."""
+    arr = np.asarray(index)
+    if arr.dtype.kind not in "iu" or np.any((arr < 0) | (arr >= size)):
+        raise ConfigError(f"{name} index {index} must be integers in [0, {size})")
     return index
 
 
@@ -45,7 +46,7 @@ def _log_survival(x, slope, coeff):
 
 def _bound_cdf(x, m: int, cfg: NetworkConfig, upper: bool):
     slope, c = cfg.bound_law(upper)
-    k_m = cfg.primary_count[_check_index("band", m, cfg.num_bands)]
+    k_m = cfg.primary_count[as_int("band", m, 0, cfg.num_bands - 1)]
     return -np.expm1(-_log_survival(_check_x(x), slope, np.full(k_m, c)))
 
 
@@ -77,7 +78,7 @@ def cdf_exact(x, m: int, n, cfg: NetworkConfig):
     """
     slope, coeff = cfg.link_law
     n = _check_index("user", n, cfg.num_secondary)
-    k_m = cfg.primary_count[_check_index("band", m, cfg.num_bands)]
+    k_m = cfg.primary_count[as_int("band", m, 0, cfg.num_bands - 1)]
     return -np.expm1(-_log_survival(_check_x(x), slope[n], coeff[n, :k_m]))
 
 
@@ -89,10 +90,10 @@ def partial_binomial_sum(p, big_n: int, i: int):
     """
     from scipy.stats import binom   # here, since no trial path needs scipy.stats
 
-    big_n, i = as_population(big_n), as_int("i", i)
-    if not 0 <= i <= big_n - 1:
-        raise ConfigError(f"i must be in [0, {big_n - 1}], got {i}")
-    p = np.asarray(p, dtype=float)
+    big_n = as_population(big_n)
+    i, p = as_int("i", i, 0, big_n - 1), _filled("p", p)
+    if np.any((p < 0) | (p > 1)):
+        raise ConfigError("p must be in [0, 1]")
     return binom.cdf(i, big_n, 1.0 - p)
 
 
@@ -102,9 +103,8 @@ def order_stat_cdf(parent: Callable, i: int, big_n: int, x):
     ``parent`` maps x to a CDF value, for example
     ``functools.partial(cdf_lower, m=0, cfg=cfg)``.
     """
-    i, big_n = as_int("rank", i), as_population(big_n)
-    if not 1 <= i <= big_n:
-        raise ConfigError(f"rank must be in [1, {big_n}], got {i}")
+    big_n = as_population(big_n)
+    i = as_int("rank", i, 1, big_n)
     return partial_binomial_sum(parent(x), big_n, i - 1)
 
 
@@ -148,9 +148,7 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     same path-loss factors, it is one law's ``_law_threshold``, solved
     once per process; every entry equals its own law's ``_law_threshold``.
     """
-    big_n = cfg.num_secondary if big_n is None else as_int("population size", big_n)
-    if big_n < 2:
-        raise ConfigError("population size must be at least 2")
+    big_n = as_population(cfg.num_secondary if big_n is None else big_n, 2)
     slope, coeff = cfg.link_law
     alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))
     counts = np.asarray(cfg.primary_count)
@@ -184,9 +182,9 @@ def expected_log_max(a: float, big_n: int) -> float:
     the closed forms at a = 1e300 and 1e-300.  Tends to
     log2 log2 N + log2 a for large N.
     """
-    a, big_n = float(a), as_population(big_n)
-    if big_n < 1 or not (0 < a and 1 / a < math.inf and a * (math.log(big_n) + 45.0) < math.inf):
-        raise ConfigError(f"need N >= 1, and a > 0 with 1/a and a (ln N + 45) finite; "
+    a, big_n = as_real("a", a), as_population(big_n)
+    if not (0 < a and 1 / a < math.inf and a * (math.log(big_n) + 45.0) < math.inf):
+        raise ConfigError(f"need a > 0 with 1/a and a (ln N + 45) finite; "
                           f"got a = {a!r}, N = {big_n}")
     nodes, weights = _gauss_legendre()
     edges = np.concatenate([np.linspace(0.0, math.log1p(a), 17)[:-1],
@@ -213,8 +211,6 @@ def harmonic_moments(big_n: int) -> tuple[float, float]:
     are below 1/a^4.
     """
     big_n = as_population(big_n)
-    if big_n < 1:
-        raise ConfigError("population size must be at least 1")
     n = np.arange(1, min(big_n, HARMONIC_CUTOFF) + 1, dtype=float)
     mean, var = float(np.sum(1.0 / n)), float(np.sum(1.0 / n**2))
     if big_n > HARMONIC_CUTOFF:

@@ -392,9 +392,7 @@ def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     """Draw one fading realization from ``np.random.default_rng((cfg.seed,
     trial_index))``: the stream contract's definition of a trial's fading
     stream, which ``trial_passes`` sets from its seeding pass."""
-    trial_index = as_int("trial_index", trial_index)
-    if trial_index < 0:
-        raise ConfigError("trial_index must be non-negative")
+    trial_index = as_int("trial_index", trial_index, 0)
     rows = _draw_rows(cfg, 1)
     _draw(np.random.default_rng((cfg.seed, trial_index)), rows[0])
     g_sq, h_sq = (a[0] for a in _split(cfg, rows))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .config import ConfigError, NetworkConfig, power_from_db
+from .config import ConfigError, NetworkConfig
 
 DEFAULT_TRIALS = 2000
 DEFAULT_SAMPLES = 100_000
@@ -75,20 +75,18 @@ def parse_config(text: str) -> NetworkConfig:
     """Parse a network configuration document; ``NetworkConfig`` checks it,
     and its errors name the document's keys, not its own fields."""
     pairs = _parse_pairs(text)
-    p_s = power_from_db(_value(pairs, "snr_db", float))
     fields = dict(
         num_secondary=_value(pairs, "N", _scalar),
         num_bands=_value(pairs, "M", _scalar),
         primary_count=_value(pairs, "K", _list),
-        power_secondary=p_s,
-        power_primary=_value(pairs, "pp_over_ps", float, 1.0) * p_s,
-        noise_power=1.0,
+        snr_db=_value(pairs, "snr_db", float),
+        pp_over_ps=_value(pairs, "pp_over_ps", float, 1.0),
         eta=_value(pairs, "eta", _list, 1.0),
         gamma=_value(pairs, "gamma", _rows, 1.0),
         seed=_value(pairs, "seed", _scalar, 0),
     )
     try:
-        return NetworkConfig(**fields)
+        return NetworkConfig.homogeneous(**fields)
     except ConfigError as exc:
         message = str(exc)
         for field, key in (("num_secondary", "N"), ("num_bands", "M"), ("primary_count", "K")):

@@ -13,28 +13,40 @@ class ConfigError(ValueError):
     """Inconsistent or out-of-range network parameters."""
 
 
-def as_int(name: str, value) -> int:
-    """``value`` as an int; ConfigError unless it is a whole number."""
+def as_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int; ConfigError unless it is a whole number in
+    [low, high], either bound None for none."""
     try:
-        if float(value).is_integer():
-            return int(value)
+        n = int(value) if float(value).is_integer() else None
     except OverflowError:   # an int beyond the float range
-        return int(value)
+        n = int(value)
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+        n = None
+    if n is None:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and n < low) or (high is not None and n > high):
+        span = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        # str(n) raises beyond 4300 digits, so longer ints are shown by their size.
+        got = n if n.bit_length() < 8192 else f"an integer of {n.bit_length()} bits"
+        raise ConfigError(f"{name} must be {span}, got {got}")
+    return n
 
 
-def as_population(value) -> int:
-    """``value`` as an int population size; ConfigError unless it is a whole
-    number whose float is finite, as the analysis's float arithmetic needs."""
-    big_n = as_int("population size", value)
+def as_population(value, low: int = 1) -> int:
+    """``value`` as an int population size of at least ``low``; ConfigError
+    unless its float is finite too, as the analysis's float arithmetic needs."""
+    big_n = as_int("population size", value, low)
     try:
         float(big_n)
     except OverflowError:
         raise ConfigError(f"a population size of {big_n.bit_length()} bits is beyond "
                           "the float range") from None
     return big_n
+
+
+def as_real(name: str, value) -> float:
+    """``value`` as a float; ConfigError naming ``name`` unless it is one number."""
+    return float(_filled(name, value, ()))
 
 
 def power_from_db(db: float) -> float:
@@ -50,18 +62,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _filled(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
-    """``values`` as a read-only float array of ``shape``; one value fills it."""
+def _filled(name: str, values, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``values`` as a read-only float array of ``shape`` (any shape if None);
+    one value fills it."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be numbers, in rows of equal length") from None
-    if arr.size == 1 and arr.shape != shape:
+        rows = "" if shape == () else ", in rows of equal length"
+        raise ConfigError(f"{name} must be numbers{rows}") from None
+    if shape is not None and arr.size == 1 and arr.shape != shape:
         try:
             arr = np.full(shape, arr.item())
         except (ValueError, OverflowError):   # more elements or bytes than numpy can index
             raise ConfigError(f"{name} of shape {shape} is beyond numpy's index range") from None
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise ConfigError(f"{name} needs 1 value or shape {shape}, got shape {arr.shape}")
     return _frozen(arr)
 
@@ -118,20 +132,14 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        n = as_int("num_secondary", self.num_secondary)
-        m = as_int("num_bands", self.num_bands)
-        if n < 1:
-            raise ConfigError("num_secondary must be positive")
-        if m < 1:
-            raise ConfigError("num_bands must be positive")
+        n = as_int("num_secondary", self.num_secondary, 1)
+        m = as_int("num_bands", self.num_bands, 1)
         if m > n:
             raise ConfigError(f"num_bands ({m}) must not exceed num_secondary ({n})")
-        counts = tuple(as_int("primary_count", k)
+        counts = tuple(as_int("primary_count", k, 0)
                        for k in _filled("primary_count", self.primary_count, (m,)))
-        if any(k < 0 for k in counts):
-            raise ConfigError("primary_count entries must be non-negative")
         for name in ("power_secondary", "power_primary", "noise_power"):
-            power = float(_filled(name, getattr(self, name), ()))
+            power = as_real(name, getattr(self, name))
             if not 0 < power < math.inf:
                 raise ConfigError(f"{name} must be strictly positive and finite")
             object.__setattr__(self, name, power)
@@ -154,9 +162,7 @@ class NetworkConfig:
             raise ConfigError("(Pp/Ps)*gamma/eta and the SINR's numerator P_s*eta_max*E, "
                               "denominator N_0 + P_p*K_max*gamma_max*E and bound rho*eta_max*E "
                               f"must be finite, E = {_MAX_DRAW:g} bounding every fading draw")
-        seed = as_int("seed", self.seed)
-        if seed < 0:
-            raise ConfigError("seed must be non-negative")
+        seed = as_int("seed", self.seed, 0)
         for name, value in (("num_secondary", n), ("num_bands", m),
                             ("primary_count", counts), ("eta", eta),
                             ("gamma", gamma), ("seed", seed)):
@@ -207,14 +213,17 @@ class NetworkConfig:
     @classmethod
     def homogeneous(cls, num_secondary, num_bands, primary_count, snr_db,
                     pp_over_ps=1.0, eta=1.0, gamma=1.0, seed=0) -> "NetworkConfig":
-        """Build a config with identical path-loss factors for every link."""
-        p_s = power_from_db(snr_db)
+        """Build a config from the SNR in dB and the ratio P_p/P_s: P_s =
+        10^(snr_db/10), P_p = pp_over_ps * P_s and N_0 = 1.  ``eta`` and
+        ``gamma`` are one value for every link or per user, as the
+        constructor takes them."""
+        p_s = power_from_db(as_real("snr_db", snr_db))
         return cls(
             num_secondary=num_secondary,
             num_bands=num_bands,
             primary_count=primary_count,
             power_secondary=p_s,
-            power_primary=pp_over_ps * p_s,
+            power_primary=as_real("pp_over_ps", pp_over_ps) * p_s,
             noise_power=1.0,
             eta=eta,
             gamma=gamma,
@@ -230,12 +239,8 @@ class NetworkConfig:
         new population and seed are checked: the result equals the
         constructor's config of the same fields.
         """
-        n = as_int("num_secondary", num_secondary)
-        if n < self.num_bands:
-            raise ConfigError(f"num_bands ({self.num_bands}) must not exceed num_secondary ({n})")
-        seed = as_int("seed", self.seed if seed is None else seed)
-        if seed < 0:
-            raise ConfigError("seed must be non-negative")
+        n = as_int("num_secondary", num_secondary, self.num_bands)
+        seed = as_int("seed", self.seed if seed is None else seed, 0)
         config = object.__new__(type(self))   # no cached link_law is carried over
         config.__dict__.update({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
                                num_secondary=n, eta=_cycled("eta", self.eta, n),

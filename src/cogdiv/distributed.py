@@ -13,7 +13,7 @@ import numpy as np
 
 from .centralized import Assignment, assignment_rates
 from .channel import SinrTable
-from .config import ConfigError, as_int, as_population
+from .config import as_int, as_population
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,7 @@ def allocate_distributed(t: SinrTable, lam: np.ndarray,
 
 def candidacy_probability(big_n: int, num_bands: int) -> float:
     """Probability that a given user claims any band: 1 - (1 - 1/N)^M."""
-    big_n, num_bands = as_population(big_n), as_int("num_bands", num_bands)
-    if big_n < 1 or num_bands < 1:
-        raise ConfigError("population and band count must be positive")
+    big_n, num_bands = as_population(big_n), as_int("num_bands", num_bands, 1)
     if big_n == 1:
         return 1.0
     return -math.expm1(num_bands * math.log1p(-1.0 / big_n))

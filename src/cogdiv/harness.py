@@ -11,7 +11,8 @@ import numpy as np
 
 from . import analytics, centralized, distributed
 from .channel import sinr_block, sinr_bounds, trial_passes
-from .config import ConfigError, NetworkConfig, _cycled, as_int, power_from_db
+from .config import (ConfigError, NetworkConfig, _cycled, as_int, as_population, as_real,
+                     power_from_db)
 
 SCHEMES = ("centralized", "distributed")
 
@@ -56,9 +57,7 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 def _checked_trials(trials, sizes) -> int:
     """``trials`` as an int; ConfigError below 1, and ResourceError if
     N*M*trials exceeds the budget for any (N, M) of ``sizes``."""
-    trials = as_int("trials", trials)
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
+    trials = as_int("trials", trials, 1)
     cells = max(n * m for n, m in sizes) * trials
     if cells > DEFAULT_CELL_BUDGET:
         raise ResourceError(   # Decimal: cells may be beyond the float range
@@ -231,8 +230,8 @@ FIT_MIN_POPULATION = 50
 
 
 def fit_double_log(n_values, means) -> FitResult:
-    """Least squares of mean rate against log2 log2 N."""
-    x = np.log2(np.log2(np.asarray(n_values, dtype=float)))
+    """Least squares of mean rate against log2 log2 N; every N at least 2."""
+    x = np.log2(np.log2([float(as_population(n, 2)) for n in n_values]))
     y = np.asarray(means, dtype=float)
     if x.size < 2:
         return FitResult(a=0.0, b=float(y[0]), r_squared=1.0)
@@ -253,14 +252,12 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     others.  Every point is checked before any runs, and the trial streams
     of all points are seeded together.
     """
-    n_values = tuple(as_int("n_values", v) for v in n_values)
+    m = cfg_template.num_bands
+    n_values = tuple(as_int("n_values", v, max(2, m)) for v in n_values)
     if not n_values:
         raise ConfigError("n_values must not be empty")
     if any(b >= a for a, b in zip(n_values[1:], n_values)):
         raise ConfigError("n_values must be strictly increasing")
-    m = cfg_template.num_bands
-    if n_values[0] < max(2, m):
-        raise ConfigError(f"every population size must be at least 2 and at least M = {m}")
     trials = _checked_trials(trials, [(n, m) for n in n_values])
     cfgs = [cfg_template.with_population(
                 n, seed=np.random.SeedSequence((cfg_template.seed, n)).generate_state(1)[0])
@@ -340,15 +337,13 @@ class ThresholdSweep:
 def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
                     k_values) -> ThresholdSweep:
     """Tabulate lambda(0, 0) over population size, SNR and primary count."""
-    n_values = tuple(as_int("n_values", n) for n in n_values)
-    k_values = tuple(as_int("k_values", k) for k in k_values)
-    rho_values_db = tuple(rho_values_db)
+    n_values = tuple(as_int("n_values", n, 2) for n in n_values)
+    k_values = tuple(as_int("k_values", k, 0) for k in k_values)
+    rho_values_db = tuple(as_real("rho_values_db", r) for r in rho_values_db)
     if not (n_values and rho_values_db and k_values):
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
-        if k < 0:
-            raise ConfigError(f"k_values entry {k} is not a valid primary count")
         user_0 = cfg_template.gamma[0] if cfg_template.k_max() else np.ones(1)
         gamma = _cycled("k_values", user_0, k)   # lambda(0, 0) reads user 0's row only
         for rho_db in rho_values_db:
@@ -365,7 +360,7 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
             )
             for n in n_values:
                 lam = float(analytics.build_threshold_table(link, big_n=n)[0, 0])
-                rows.append({"N": n, "rho_db": float(rho_db), "K": k, "lam": lam})
+                rows.append({"N": n, "rho_db": rho_db, "K": k, "lam": lam})
 
     # The rows run over K, then rho, then N: a (K, rho, N) grid of lambda.
     lam = np.reshape([r["lam"] for r in rows], (len(k_values), len(rho_values_db), -1))
@@ -490,9 +485,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """
     from scipy import special
 
-    samples = as_int("samples", samples)
-    if samples < 10_000:
-        raise ConfigError("validation needs at least 1e4 samples")
+    samples = as_int("samples", samples, 10_000)
     if samples > DEFAULT_CELL_BUDGET:
         raise ResourceError(f"samples = {Decimal(samples):.3g} exceeds the budget of "
                             f"{DEFAULT_CELL_BUDGET:.3g}")

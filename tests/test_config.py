@@ -1,10 +1,14 @@
 import copy
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cogdiv import ConfigError, NetworkConfig
+from cogdiv import ConfigError, NetworkConfig, analytics, harness
+from cogdiv.config import as_int, as_population
 
 from conftest import heterogeneous_config
 
@@ -169,3 +173,89 @@ def test_homogeneous_rejects_bad_values(kwargs):
     args = {"num_secondary": 10, "num_bands": 2, "primary_count": 2, "snr_db": 10.0, **kwargs}
     with pytest.raises(ConfigError):
         NetworkConfig.homogeneous(**args)
+
+
+BEYOND_FLOATS = st.integers(2**1024, 2**1100)
+BOUND = st.none() | st.integers(-2**64, 2**64) | BEYOND_FLOATS
+NON_INTEGERS = (st.floats().filter(lambda f: not f.is_integer())
+                | st.sampled_from([None, "x", "", "1.5", [1], {}, 1 + 1j, np.float64(0.5)]))
+
+
+def _whole_forms(n):
+    """n as an int, and as an integral float and a numpy int where those hold it exactly."""
+    return ([n] + ([float(n)] if abs(n) <= 2**53 else [])
+            + ([np.int64(n)] if -2**63 <= n < 2**63 else []))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low=BOUND, width=st.none() | st.integers(0, 2**70), data=st.data())
+def test_as_int_takes_whole_numbers_in_range(low, width, data):
+    high = None if low is None or width is None else low + width
+    n = data.draw(st.integers(low, high))
+    for value in _whole_forms(n):
+        got = as_int("count", value, low, high)
+        assert type(got) is int and got == n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low=BOUND, width=st.none() | st.integers(0, 2**70), data=st.data())
+def test_as_int_rejects_anything_else(low, width, data):
+    high = None if low is None or width is None else low + width
+    outside = [st.integers(max_value=low - 1)] if low is not None else []
+    outside += [st.integers(min_value=high + 1)] if high is not None else []
+    value = data.draw(st.one_of(NON_INTEGERS, *outside))
+    with pytest.raises(ConfigError, match="^count must be"):
+        as_int("count", value, low, high)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low=st.integers(1, 2**64), extra=st.integers(0, 2**64))
+def test_as_population_takes_finite_whole_numbers(low, extra):
+    for value in _whole_forms(low + extra):
+        got = as_population(value, low)
+        assert type(got) is int and got == low + extra
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low=st.integers(1, 2**64), data=st.data())
+def test_as_population_rejects_anything_else(low, data):
+    value = data.draw(NON_INTEGERS | BEYOND_FLOATS | st.integers(max_value=low - 1))
+    with pytest.raises(ConfigError, match="population size"):
+        as_population(value, low)
+
+
+def _cfg():
+    return NetworkConfig.homogeneous(20, 2, 2, 10.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, "x"), "snr_db must be numbers"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, 10.0, pp_over_ps="x"),
+     "pp_over_ps must be numbers"),
+    (lambda: harness.threshold_sweep(_cfg(), [10], ["x"], [1]), "rho_values_db must be numbers"),
+    (lambda: analytics.expected_log_max("x", 10), "a must be numbers"),
+    (lambda: analytics.expected_log_max(None, 10), "need a > 0"),
+    (lambda: analytics.cdf_exact("x", 0, 0, _cfg()), "x must be numbers"),
+    (lambda: analytics.cdf_exact(1.0, 0.5, 0, _cfg()), "band must be an integer"),
+    (lambda: analytics.cdf_lower(1.0, 1.5, _cfg()), "band must be an integer"),
+    (lambda: analytics.cdf_exact(1.0, 0, 0.5, _cfg()), "user index"),
+    (lambda: analytics.partial_binomial_sum(2.0, 10, 3), "p must be in"),
+    (lambda: analytics.order_stat_cdf(lambda x: x, 1, 10, 2.0), "p must be in"),
+    (lambda: harness.fit_double_log([1, 4], [1.0, 2.0]), "population size must be at least 2"),
+    (lambda: analytics.build_threshold_table(_cfg(), 10**400), "a population size of"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, 10.0, seed=-10**5000),
+     "seed must be at least 0, got an integer of 16610 bits"),
+], ids=["snr_db", "pp_over_ps", "threshold_sweep-rho", "expected_log_max-str",
+        "expected_log_max-None", "cdf_exact-x", "cdf_exact-band", "cdf_lower-band",
+        "cdf_exact-user", "partial_binomial_sum-p", "order_stat_cdf-p", "fit_double_log-N",
+        "build_threshold_table-beyond-floats", "seed-beyond-str"])
+def test_bad_scalar_or_index_is_a_config_error_naming_it(call, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        call()
+
+
+def test_nan_x_gives_a_nan_cdf():
+    cfg = _cfg()
+    assert math.isnan(analytics.cdf_exact(math.nan, 0, 0, cfg))
+    assert math.isnan(analytics.order_stat_cdf(
+        functools.partial(analytics.cdf_lower, m=0, cfg=cfg), 1, 10, math.nan))
