@@ -14,7 +14,6 @@ from .centralized import (
     Assignment,
     event_d,
     favorites,
-    optimal_assignment_exhaustive,
     optimal_assignment_matching,
 )
 from .channel import FadingRealization, SinrTable, compute_sinr, draw_realization
@@ -25,7 +24,6 @@ from .distributed import (
     allocate_distributed,
     build_candidate_sets,
     candidacy_probability,
-    resolve_contention,
 )
 from .harness import (
     ScalingReport,

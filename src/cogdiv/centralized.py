@@ -9,16 +9,9 @@ import numpy as np
 
 from .channel import SinrTable
 
-#: Size guard for the exhaustive search (N!/(N-M)! arrangements).
-EXHAUSTIVE_MAX_USERS = 12
-EXHAUSTIVE_MAX_BANDS = 4
 #: Largest M whose matching enumerates the M**M choices of one of each
 #: band's M best users; a larger M runs scipy's assignment solver.
 ENUMERATED_MAX_BANDS = 4
-
-
-class CapacityError(ValueError):
-    """Instance too large for exhaustive search."""
 
 
 @dataclass(frozen=True)
@@ -52,31 +45,6 @@ def favorites(t: SinrTable) -> list[int]:
 def event_d(fav: list[int]) -> bool:
     """True iff all bands have distinct most favorable users."""
     return bool(all_distinct(np.asarray(fav)))
-
-
-def optimal_assignment_exhaustive(t: SinrTable) -> Assignment:
-    """Globally optimal assignment by enumerating every injective map.
-
-    Retained as the correctness oracle for the matching solver; guarded
-    against factorial blow-up.
-    """
-    m, n = t.sinr.shape
-    if n > EXHAUSTIVE_MAX_USERS or m > EXHAUSTIVE_MAX_BANDS:
-        raise CapacityError(
-            f"exhaustive search limited to N <= {EXHAUSTIVE_MAX_USERS}, "
-            f"M <= {EXHAUSTIVE_MAX_BANDS} (got N={n}, M={m}); "
-            "use optimal_assignment_matching instead"
-        )
-    rates = _rates(t.sinr)
-    best_users = None
-    best_rate = -np.inf
-    for users in itertools.permutations(range(n), m):
-        rate = float(rates[np.arange(m), users].sum())
-        if rate > best_rate:
-            best_rate = rate
-            best_users = users
-    pairs = tuple((band, user) for band, user in enumerate(best_users))
-    return Assignment(pairs=pairs, sum_rate=best_rate)
 
 
 @functools.cache

@@ -162,14 +162,14 @@ def main(argv=None) -> int:
                 [(scheme, cfg.num_secondary, agg) for scheme, agg in aggs.items()],
                 cfg.num_bands, out_dir / "simulate.csv")
             harness.write_json(
-                {scheme: agg.to_json_dict() for scheme, agg in aggs.items()},
+                {scheme: harness.json_data(agg) for scheme, agg in aggs.items()},
                 out_dir / "simulate.json")
 
         elif args.subcommand == "scaling":
             report = harness.scaling_sweep(
                 cfg, settings.get("n_values", DEFAULT_N_VALUES), trials)
             harness.write_scaling_csv(report, cfg.num_bands, out_dir / "scaling.csv")
-            harness.write_json(report.to_json_dict(), out_dir / "scaling.json")
+            harness.write_json(harness.json_data(report), out_dir / "scaling.json")
 
         elif args.subcommand == "thresholds":
             sweep = harness.threshold_sweep(

@@ -66,6 +66,8 @@ def _filled(name: str, values, shape: tuple[int, ...] | None = None) -> np.ndarr
     """``values`` as a read-only float array of ``shape`` (any shape if None);
     one value fills it."""
     try:
+        if values is None:   # np.array(None, dtype=float) is NaN
+            raise TypeError
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         rows = "" if shape == () else ", in rows of equal length"

@@ -57,15 +57,6 @@ def build_candidate_sets(t: SinrTable, lam: np.ndarray) -> CandidateSets:
     return CandidateSets(sets=sets, claims=claims)
 
 
-def resolve_contention(candidates, rng: np.random.Generator) -> int:
-    """Backoff-timer contention: every candidate draws a uniform timer,
-    the earliest expiry wins.  The winner is uniform over the set."""
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValueError("cannot resolve contention over an empty candidate set")
-    return candidates[int(np.argmin(rng.random(len(candidates))))]
-
-
 def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
                        timers) -> tuple[np.ndarray, np.ndarray]:
     """The claimed (trial, band) cells of a claimant table and their winners.
@@ -73,11 +64,12 @@ def contention_winners(trials: np.ndarray, bands: np.ndarray, num_bands: int,
     ``trials`` and ``bands`` are the claimants' trials and bands, the
     claimants in (trial, user) order.  Each trial with a contested band
     draws one backoff timer per claimant, in (band, user) order, which is
-    the order of per-band ``resolve_contention`` calls: ``timers(contested,
-    counts)`` gives counts[i] timers of trial contested[i], for the
-    contested trials in increasing order, concatenated.  Each cell's
-    winner is its first earliest timer.  A lone claimant wins whatever its
-    timer, so a trial without a contested band draws none.
+    the order of per-band calls of the test oracle ``resolve_contention``
+    (``tests/oracles.py``): ``timers(contested, counts)`` gives counts[i]
+    timers of trial contested[i], for the contested trials in increasing
+    order, concatenated.  Each cell's winner is its first earliest timer.
+    A lone claimant wins whatever its timer, so a trial without a
+    contested band draws none.
 
     Returns the cells trial * num_bands + band, increasing, and the index
     among the claimants of each cell's winner.

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import analytics, centralized, distributed
 from .channel import sinr_block, sinr_bounds, trial_passes
-from .config import (ConfigError, NetworkConfig, _cycled, as_int, as_population, as_real,
-                     power_from_db)
+from .config import (ConfigError, NetworkConfig, _cycled, _filled, as_int, as_population,
+                     as_real, power_from_db)
 
 SCHEMES = ("centralized", "distributed")
 
@@ -41,9 +41,6 @@ class TrialAggregate:
     event_d_frequency: float
     idle_band_frequency: np.ndarray     # (M,)
     trial_sum_rates: np.ndarray = field(metadata={"json": False})   # per trial, for audits
-
-    def to_json_dict(self) -> dict:
-        return json_data(self)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -221,18 +218,17 @@ class ScalingReport:
     gap_stderr: tuple[float, ...]
     fit: FitResult
 
-    def to_json_dict(self) -> dict:
-        return json_data(self)
-
 
 #: Fits exclude smaller populations; the diversity trend stabilizes near N=50.
 FIT_MIN_POPULATION = 50
 
 
 def fit_double_log(n_values, means) -> FitResult:
-    """Least squares of mean rate against log2 log2 N; every N at least 2."""
+    """Least squares of mean rate against log2 log2 N; one mean per N >= 2."""
     x = np.log2(np.log2([float(as_population(n, 2)) for n in n_values]))
-    y = np.asarray(means, dtype=float)
+    y = _filled("means", means)
+    if not x.size or y.shape != x.shape:
+        raise ConfigError(f"means must be one value per N (1 or more), got {y.size} for {x.size}")
     if x.size < 2:
         return FitResult(a=0.0, b=float(y[0]), r_squared=1.0)
     a, b = np.polyfit(x, y, 1)
@@ -278,20 +274,18 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
                          predicted=predicted, gap_mean=gap_mean, gap_stderr=gap_stderr, fit=fit)
 
 
-def _write_lines(lines, path) -> None:
+def _write_csv(path, header: str, rows) -> None:
+    """``header``, then one line per row of ``rows``, each value written as
+    its ``str``: for a Python float, its shortest round-trip ``repr``."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n")
 
 
 def write_rates_csv(rows, num_bands: int, path) -> None:
     """One row per (scheme, N, TrialAggregate) in the documented column order."""
-    lines = ["scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq"]
-    for scheme, n, agg in rows:
-        lines.append(
-            f"{scheme},{n},{num_bands},{agg.trials},{agg.mean_sum_rate!r},"
-            f"{agg.stderr_sum_rate!r},{agg.mean_info_bits!r},{agg.event_d_frequency!r}"
-        )
-    _write_lines(lines, path)
+    _write_csv(path, "scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq",
+               [(scheme, n, num_bands, agg.trials, agg.mean_sum_rate, agg.stderr_sum_rate,
+                 agg.mean_info_bits, agg.event_d_frequency) for scheme, n, agg in rows])
 
 
 def write_scaling_csv(report: ScalingReport, num_bands: int, path) -> None:
@@ -378,10 +372,8 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
 
 
 def write_threshold_csv(sweep: ThresholdSweep, path) -> None:
-    lines = ["N,rho_db,K,lambda"]
-    for r in sweep.rows:
-        lines.append(f"{r['N']},{r['rho_db']!r},{r['K']},{r['lam']!r}")
-    _write_lines(lines, path)
+    _write_csv(path, "N,rho_db,K,lambda",
+               [(r["N"], r["rho_db"], r["K"], r["lam"]) for r in sweep.rows])
 
 
 # ---------------------------------------------------------------------------

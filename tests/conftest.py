@@ -24,6 +24,13 @@ def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
     )
 
 
+def assert_csv_field(field: str, value) -> None:
+    """A CSV field holds ``value`` exactly, in shortest round-trip form: the
+    ``repr`` of its float, or of its int for an integer ``value``."""
+    assert float(field) == value
+    assert repr(type(value)(field)) == field
+
+
 @pytest.fixture
 def hetero_cfg():
     return heterogeneous_config()

@@ -25,6 +25,7 @@ from cogdiv import (
     harness,
 )
 from conftest import heterogeneous_config
+from oracles import optimal_assignment_exhaustive
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -83,7 +84,7 @@ def test_matching_equals_exhaustive():
             seed=trial,
         )
         table = channel.compute_sinr(cfg, channel.draw_realization(cfg, 0))
-        exact = centralized.optimal_assignment_exhaustive(table)
+        exact = optimal_assignment_exhaustive(table)
         fast = centralized.optimal_assignment_matching(table)
         worst = max(worst, abs(fast.sum_rate - exact.sum_rate)
                     / max(exact.sum_rate, 1e-300))

@@ -9,12 +9,12 @@ from cogdiv import (
     draw_realization,
     event_d,
     favorites,
-    optimal_assignment_exhaustive,
     optimal_assignment_matching,
 )
-from cogdiv.centralized import CapacityError, assignment_rates
+from cogdiv.centralized import assignment_rates
 
 from conftest import heterogeneous_config
+from oracles import CapacityError, optimal_assignment_exhaustive
 
 
 def table_from(sinr):

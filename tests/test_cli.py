@@ -11,6 +11,8 @@ import cogdiv
 from cogdiv import ConfigError
 from cogdiv.cli import main, parse_config, render_config
 
+from conftest import assert_csv_field
+
 FIG1_DOC = """
 # Fig-1 style homogeneous configuration
 N = 100
@@ -106,6 +108,15 @@ def test_simulate_end_to_end(tmp_path):
     assert len(lines) == 3
     doc = json.loads((out / "simulate.json").read_text())
     assert set(doc) == {"centralized", "distributed"}
+    # Every number of the CSV is its JSON value, written in full.
+    for line in lines[1:]:
+        scheme, *fields = line.split(",")
+        agg = doc[scheme]
+        for field, value in zip(fields, (
+                len(agg["per_user_candidacy"]), len(agg["idle_band_frequency"]), agg["trials"],
+                agg["mean_sum_rate"], agg["stderr_sum_rate"], agg["mean_info_bits"],
+                agg["event_d_frequency"]), strict=True):
+            assert_csv_field(field, value)
 
 
 def test_identical_invocations_identical_outputs(tmp_path):
@@ -141,6 +152,10 @@ def test_thresholds_subcommand(tmp_path):
     assert len(lines) == 9
     doc = json.loads((out / "thresholds.json").read_text())
     assert doc["increasing_in_rho"] is True
+    for line, row in zip(lines[1:], doc["rows"], strict=True):
+        for field, value in zip(line.split(","), (row["N"], row["rho_db"], row["K"], row["lam"]),
+                                strict=True):
+            assert_csv_field(field, value)
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -234,7 +234,7 @@ def _cfg():
      "pp_over_ps must be numbers"),
     (lambda: harness.threshold_sweep(_cfg(), [10], ["x"], [1]), "rho_values_db must be numbers"),
     (lambda: analytics.expected_log_max("x", 10), "a must be numbers"),
-    (lambda: analytics.expected_log_max(None, 10), "need a > 0"),
+    (lambda: analytics.expected_log_max(None, 10), "a must be numbers"),
     (lambda: analytics.cdf_exact("x", 0, 0, _cfg()), "x must be numbers"),
     (lambda: analytics.cdf_exact(1.0, 0.5, 0, _cfg()), "band must be an integer"),
     (lambda: analytics.cdf_lower(1.0, 1.5, _cfg()), "band must be an integer"),
@@ -245,10 +245,16 @@ def _cfg():
     (lambda: analytics.build_threshold_table(_cfg(), 10**400), "a population size of"),
     (lambda: NetworkConfig.homogeneous(20, 2, 2, 10.0, seed=-10**5000),
      "seed must be at least 0, got an integer of 16610 bits"),
+    # None is not a number: np.array(None, dtype=float) would read it as NaN.
+    (lambda: analytics.cdf_exact(None, 0, 0, _cfg()), "x must be numbers"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, None), "snr_db must be numbers"),
+    (lambda: harness.fit_double_log([], []), "means must be one value per N"),
+    (lambda: harness.fit_double_log([10, 20, 30], [1.0, 2.0]), "means must be one value per N"),
 ], ids=["snr_db", "pp_over_ps", "threshold_sweep-rho", "expected_log_max-str",
         "expected_log_max-None", "cdf_exact-x", "cdf_exact-band", "cdf_lower-band",
         "cdf_exact-user", "partial_binomial_sum-p", "order_stat_cdf-p", "fit_double_log-N",
-        "build_threshold_table-beyond-floats", "seed-beyond-str"])
+        "build_threshold_table-beyond-floats", "seed-beyond-str", "cdf_exact-x-None",
+        "snr_db-None", "fit_double_log-empty", "fit_double_log-lengths"])
 def test_bad_scalar_or_index_is_a_config_error_naming_it(call, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
         call()

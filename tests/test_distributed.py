@@ -14,11 +14,11 @@ from cogdiv import (
     compute_sinr,
     draw_realization,
     optimal_assignment_matching,
-    resolve_contention,
 )
 from cogdiv import channel, distributed
 
 from conftest import heterogeneous_config
+from oracles import resolve_contention
 
 
 def table_from(sinr):

@@ -27,11 +27,12 @@ from cogdiv.channel import sinr_bounds
 from cogdiv.harness import (
     ResourceError,
     fit_double_log,
+    json_data,
     write_scaling_csv,
     write_json,
 )
 
-from conftest import heterogeneous_config
+from conftest import assert_csv_field, heterogeneous_config
 
 
 def test_single_trial_matches_realization(hetero_cfg):
@@ -241,9 +242,18 @@ def test_csv_and_json_outputs(tmp_path):
     assert lines[0] == "scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq"
     assert len(lines) == 1 + 2 * 3
     assert lines[1].startswith("centralized,10,2,30,")
+    rows = [(scheme, n, agg) for scheme in ("centralized", "distributed")
+            for n, agg in zip(report.n_values, getattr(report, scheme))]
+    for line, (scheme, n, agg) in zip(lines[1:], rows, strict=True):
+        name, *fields = line.split(",")
+        assert name == scheme
+        for field, value in zip(fields, (n, cfg.num_bands, agg.trials, agg.mean_sum_rate,
+                                         agg.stderr_sum_rate, agg.mean_info_bits,
+                                         agg.event_d_frequency), strict=True):
+            assert_csv_field(field, value)
 
     json_path = tmp_path / "scaling.json"
-    write_json(report.to_json_dict(), json_path)
+    write_json(json_data(report), json_path)
     doc = json.loads(json_path.read_text())
     assert doc["n_values"] == [10, 20, 50]
     assert set(doc["fit"]) == {"a", "b", "r_squared"}

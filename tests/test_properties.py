@@ -30,9 +30,7 @@ from cogdiv import (
     draw_realization,
     event_d,
     favorites,
-    optimal_assignment_exhaustive,
     optimal_assignment_matching,
-    resolve_contention,
     run_schemes,
     run_trials,
     scaling_sweep,
@@ -40,6 +38,9 @@ from cogdiv import (
 )
 from cogdiv import analytics, centralized, channel, harness
 from cogdiv.channel import sinr_bounds
+from cogdiv.harness import json_data
+
+from oracles import optimal_assignment_exhaustive, resolve_contention
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -376,7 +377,7 @@ def test_paired_sweep_equals_one_scheme_runs(sweep):
         for scheme, paired in (("centralized", report.centralized[i]),
                                ("distributed", report.distributed[i])):
             alone = run_trials(cfg_n, scheme, trials)
-            assert paired.to_json_dict() == alone.to_json_dict()
+            assert json_data(paired) == json_data(alone)
             assert np.array_equal(paired.trial_sum_rates, alone.trial_sum_rates)
         cent, dist = report.centralized[i], report.distributed[i]
         gap = cent.trial_sum_rates - dist.trial_sum_rates
@@ -455,7 +456,7 @@ def test_block_engine_equals_trial_loop(cfg, block):
     for scheme in harness.SCHEMES:   # and the default block size gives the same
         assert np.array_equal(paired[scheme].trial_sum_rates,
                               reference[scheme].trial_sum_rates)
-        assert paired[scheme].to_json_dict() == reference[scheme].to_json_dict()
+        assert json_data(paired[scheme]) == json_data(reference[scheme])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=25)
@@ -597,7 +598,7 @@ def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
         for scheme, paired in (("centralized", report.centralized[i]),
                                ("distributed", report.distributed[i])):
             alone = run_trials(cfg, scheme, trials)
-            assert paired.to_json_dict() == alone.to_json_dict()
+            assert json_data(paired) == json_data(alone)
             assert np.array_equal(paired.trial_sum_rates, alone.trial_sum_rates)
 
 
