@@ -49,12 +49,16 @@ def as_real(name: str, value) -> float:
     return float(_filled(name, value, ()))
 
 
-def power_from_db(db: float) -> float:
-    """Linear power ratio 10^(db/10); ConfigError when it overflows."""
+def power_from_db(name: str, db: float) -> float:
+    """Linear power ratio 10^(db/10); ConfigError naming ``name`` unless it
+    is strictly positive and finite (not overflowing, underflowing or NaN)."""
     try:
-        return 10.0 ** (db / 10.0)
+        power = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise ConfigError(f"{db!r} dB is out of range") from None
+        power = math.inf
+    if not 0 < power < math.inf:
+        raise ConfigError(f"{name} = {db!r} dB gives no strictly positive and finite power")
+    return power
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -70,7 +74,8 @@ def _filled(name: str, values, shape: tuple[int, ...] | None = None) -> np.ndarr
             raise TypeError
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        rows = "" if shape == () else ", in rows of equal length"
+        sequence = shape != () and isinstance(values, (list, tuple))
+        rows = ", in rows of equal length" if sequence else ""
         raise ConfigError(f"{name} must be numbers{rows}") from None
     if shape is not None and arr.size == 1 and arr.shape != shape:
         try:
@@ -219,13 +224,17 @@ class NetworkConfig:
         10^(snr_db/10), P_p = pp_over_ps * P_s and N_0 = 1.  ``eta`` and
         ``gamma`` are one value for every link or per user, as the
         constructor takes them."""
-        p_s = power_from_db(as_real("snr_db", snr_db))
+        p_s = power_from_db("snr_db", as_real("snr_db", snr_db))
+        p_p = as_real("pp_over_ps", pp_over_ps) * p_s
+        if not 0 < p_p < math.inf:   # so pp_over_ps is too, P_s being so
+            raise ConfigError("pp_over_ps and the primary power pp_over_ps * 10^(snr_db/10) "
+                              "must be strictly positive and finite")
         return cls(
             num_secondary=num_secondary,
             num_bands=num_bands,
             primary_count=primary_count,
             power_secondary=p_s,
-            power_primary=as_real("pp_over_ps", pp_over_ps) * p_s,
+            power_primary=p_p,
             noise_power=1.0,
             eta=eta,
             gamma=gamma,

@@ -51,14 +51,16 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(squares.sum() / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
 
 
-def _checked_trials(trials, sizes) -> int:
-    """``trials`` as an int; ConfigError below 1, and ResourceError if
-    N*M*trials exceeds the budget for any (N, M) of ``sizes``."""
-    trials = as_int("trials", trials, 1)
+def _checked_trials(trials, sizes, name="trials", low=1) -> int:
+    """``trials`` as an int; ConfigError naming ``name`` below ``low``, and
+    ResourceError if its cells, N*M*trials, exceed the budget for any (N, M)
+    of ``sizes``."""
+    trials = as_int(name, trials, low)
     cells = max(n * m for n, m in sizes) * trials
     if cells > DEFAULT_CELL_BUDGET:
         raise ResourceError(   # Decimal: cells may be beyond the float range
-            f"N*M*trials = {Decimal(cells):.3g} exceeds the budget of {DEFAULT_CELL_BUDGET:.3g}")
+            f"{name} = {Decimal(trials):.3g} needs {Decimal(cells):.3g} cells, beyond the "
+            f"budget of {DEFAULT_CELL_BUDGET:.3g}")
     return trials
 
 
@@ -334,14 +336,14 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
     n_values = tuple(as_int("n_values", n, 2) for n in n_values)
     k_values = tuple(as_int("k_values", k, 0) for k in k_values)
     rho_values_db = tuple(as_real("rho_values_db", r) for r in rho_values_db)
+    rhos = [power_from_db("rho_values_db", r) for r in rho_values_db]
     if not (n_values and rho_values_db and k_values):
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
         user_0 = cfg_template.gamma[0] if cfg_template.k_max() else np.ones(1)
         gamma = _cycled("k_values", user_0, k)   # lambda(0, 0) reads user 0's row only
-        for rho_db in rho_values_db:
-            rho = power_from_db(rho_db)
+        for rho_db, rho in zip(rho_values_db, rhos):
             link = dataclasses.replace(   # user 0 alone: only its law need be valid
                 cfg_template,
                 num_secondary=1,
@@ -477,10 +479,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """
     from scipy import special
 
-    samples = as_int("samples", samples, 10_000)
-    if samples > DEFAULT_CELL_BUDGET:
-        raise ResourceError(f"samples = {Decimal(samples):.3g} exceeds the budget of "
-                            f"{DEFAULT_CELL_BUDGET:.3g}")
+    samples = _checked_trials(samples, [(1, 1)], "samples", 10_000)
     rng = np.random.default_rng((cfg.seed, 0xA11))
     checks = []
 

@@ -349,11 +349,22 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, subcomman
     # Messages that quote the document are not rewritten.
     ("num_bands = 2\n", "line 1: unknown key 'num_bands'"),
     ("num_bands 2\n", "line 1: expected 'key = value', got 'num_bands 2'"),
+    ("N = 10\nM = 2\nK = 1\nsnr_db = nan\n",
+     "snr_db = nan dB gives no strictly positive and finite power"),
+    ("N = 10\nM = 2\nK = 1\nsnr_db = -4000\n",
+     "snr_db = -4000.0 dB gives no strictly positive and finite power"),
+    ("N = 10\nM = 2\nK = 1\nsnr_db = 10\npp_over_ps = 0\n",
+     "pp_over_ps and the primary power pp_over_ps * 10^(snr_db/10) must be strictly positive "
+     "and finite"),
+    # The library's sweep calls this list rho_values_db.
+    ("N = 10\nM = 2\nK = 1\nsnr_db = 10\nrho_db_values = nan\n",
+     "rho_db_values = nan dB gives no strictly positive and finite power"),
 ])
 def test_config_error_names_the_document_keys(tmp_path, capsys, doc, message):
+    # thresholds reads both the network keys and the sweep lists.
     config = tmp_path / "bad.cfg"
     config.write_text(doc)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert main(["thresholds", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 

@@ -250,11 +250,32 @@ def _cfg():
     (lambda: NetworkConfig.homogeneous(20, 2, 2, None), "snr_db must be numbers"),
     (lambda: harness.fit_double_log([], []), "means must be one value per N"),
     (lambda: harness.fit_double_log([10, 20, 30], [1.0, 2.0]), "means must be one value per N"),
+    # A dB value whose power is not strictly positive and finite names its own parameter.
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, math.inf),
+     "snr_db = inf dB gives no strictly positive and finite power$"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, -4000.0),
+     "snr_db = -4000.0 dB gives no strictly positive and finite power$"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, 10.0, pp_over_ps=0),
+     "pp_over_ps and the primary power"),
+    (lambda: NetworkConfig.homogeneous(20, 2, 2, 10.0, pp_over_ps=math.nan),
+     "pp_over_ps and the primary power"),
+    (lambda: harness.threshold_sweep(_cfg(), [10], [math.nan], [1]),
+     "rho_values_db = nan dB gives no strictly positive and finite power$"),
+    (lambda: harness.threshold_sweep(_cfg(), [10], [-4000.0], [1]),
+     "rho_values_db = -4000.0 dB gives no strictly positive and finite power$"),
+    (lambda: harness.threshold_sweep(_cfg(), [10], [4000.0], [1]),
+     "rho_values_db = 4000.0 dB gives no strictly positive and finite power$"),
+    # A bare scalar has no rows to blame.
+    (lambda: analytics.cdf_exact(None, 0, 0, _cfg()), "x must be numbers$"),
+    (lambda: analytics.cdf_exact("x", 0, 0, _cfg()), "x must be numbers$"),
 ], ids=["snr_db", "pp_over_ps", "threshold_sweep-rho", "expected_log_max-str",
         "expected_log_max-None", "cdf_exact-x", "cdf_exact-band", "cdf_lower-band",
         "cdf_exact-user", "partial_binomial_sum-p", "order_stat_cdf-p", "fit_double_log-N",
         "build_threshold_table-beyond-floats", "seed-beyond-str", "cdf_exact-x-None",
-        "snr_db-None", "fit_double_log-empty", "fit_double_log-lengths"])
+        "snr_db-None", "fit_double_log-empty", "fit_double_log-lengths", "snr_db-inf",
+        "snr_db-underflow", "pp_over_ps-0", "pp_over_ps-nan", "threshold_sweep-rho-nan",
+        "threshold_sweep-rho-underflow", "threshold_sweep-rho-overflow",
+        "cdf_exact-x-None-no-rows", "cdf_exact-x-str-no-rows"])
 def test_bad_scalar_or_index_is_a_config_error_naming_it(call, message):
     with pytest.raises(ConfigError, match=f"^{message}"):
         call()

@@ -66,6 +66,15 @@ MUTANTS = (
     Mutant("fit-without-length-check", "src/cogdiv/harness.py",
            "    if not x.size or y.shape != x.shape:\n",
            "    if False:\n"),
+    Mutant("db-power-unchecked", "src/cogdiv/config.py",
+           "        power = math.inf\n    if not 0 < power < math.inf:\n",
+           "        power = math.inf\n    if False:\n"),
+    Mutant("library-names-in-cli-errors", "src/cogdiv/cli.py",
+           "            message = message.replace(name, key)\n",
+           "            pass\n"),
+    Mutant("rows-blamed-on-scalars", "src/cogdiv/config.py",
+           "sequence = shape != () and isinstance(values, (list, tuple))",
+           "sequence = shape != ()"),
 )
 
 
