@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .config import ConfigError, NetworkConfig
+from .config import ConfigError, NetworkConfig, power_from_db
 
 DEFAULT_TRIALS = 2000
 DEFAULT_SAMPLES = 100_000
@@ -99,11 +99,25 @@ def parse_config(text: str) -> NetworkConfig:
     return _parse(text)[0]
 
 
+def _db_text(power: float) -> str:
+    """The shortest dB value that ``power_from_db`` turns into ``power``, if
+    one does: 10 log10(power) can be 2 ulp off it (3 dB gives 2.999999999999999)."""
+    db = 10.0 * math.log10(power)
+    below, above = math.nextafter(db, -math.inf), math.nextafter(db, math.inf)
+    near = (db, below, above, math.nextafter(below, -math.inf), math.nextafter(above, math.inf))
+    for digits in range(1, 18):
+        for text in (repr(float(f"{value:.{digits}g}")) for value in near):
+            with contextlib.suppress(ConfigError):
+                if power_from_db("snr_db", float(text)) == power:
+                    return text
+    return repr(db)
+
+
 def render_config(cfg: NetworkConfig) -> str:
     """Inverse of parse_config for configs built through it."""
     values = dict(num_secondary=cfg.num_secondary, num_bands=cfg.num_bands,
                   primary_count=",".join(map(str, cfg.primary_count)),
-                  snr_db=repr(10.0 * math.log10(cfg.snr())), pp_over_ps=repr(cfg.pp_over_ps()),
+                  snr_db=_db_text(cfg.snr()), pp_over_ps=repr(cfg.pp_over_ps()),
                   eta=",".join(map(repr, cfg.eta.tolist())), seed=cfg.seed)
     if cfg.k_max():
         values["gamma"] = ";".join(",".join(map(repr, row)) for row in cfg.gamma.tolist())

@@ -336,21 +336,28 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
     n_values = tuple(as_int("n_values", n, 2) for n in n_values)
     k_values = tuple(as_int("k_values", k, 0) for k in k_values)
     rho_values_db = tuple(as_real("rho_values_db", r) for r in rho_values_db)
-    rhos = [power_from_db("rho_values_db", r) for r in rho_values_db]
+    noise, pp_over_ps = cfg_template.noise_power, cfg_template.pp_over_ps()
+    powers = []   # (P_s, P_p) at each SNR
+    for rho_db in rho_values_db:
+        rho = power_from_db("rho_values_db", rho_db)
+        powers.append((rho * noise, pp_over_ps * rho * noise))
+        if not all(0 < power < math.inf for power in powers[-1]):
+            raise ConfigError(f"rho_values_db = {rho_db!r} dB with pp_over_ps = {pp_over_ps!r} "
+                              "gives no strictly positive and finite powers")
     if not (n_values and rho_values_db and k_values):
         raise ConfigError("sweep lists must be non-empty")
     rows = []
     for k in k_values:
         user_0 = cfg_template.gamma[0] if cfg_template.k_max() else np.ones(1)
         gamma = _cycled("k_values", user_0, k)   # lambda(0, 0) reads user 0's row only
-        for rho_db, rho in zip(rho_values_db, rhos):
+        for rho_db, (p_s, p_p) in zip(rho_values_db, powers):
             link = dataclasses.replace(   # user 0 alone: only its law need be valid
                 cfg_template,
                 num_secondary=1,
                 num_bands=1,
                 primary_count=(k,),
-                power_secondary=rho * cfg_template.noise_power,
-                power_primary=cfg_template.pp_over_ps() * rho * cfg_template.noise_power,
+                power_secondary=p_s,
+                power_primary=p_p,
                 eta=cfg_template.eta[:1],
                 gamma=gamma[None],
             )
@@ -435,50 +442,137 @@ def _event_d_count(sinr: np.ndarray) -> int:
     return int(np.count_nonzero(centralized.all_distinct(centralized.favorite_users(sinr))))
 
 
-def _ks_distance(x: np.ndarray, cdf) -> float:
+def _ks_distance(x: np.ndarray, cdf, exact=None) -> float:
     """Two-sided KS distance of the sample ``x`` from ``cdf``.
 
     scipy's ``stats.ks_1samp(x, cdf).statistic`` bit for bit, from one
     sort and one CDF pass, ``SAMPLE_CHUNK`` points at a time; a NaN in
-    ``x`` gives NaN.
+    ``x`` gives NaN.  ``exact``, if given, recomputes the CDF at a chunk's
+    points whose term lies within 2^-50 of the chunk's largest; a ``cdf``
+    within a few ulp of ``exact`` then gives ``exact``'s distance.
     """
     x = np.sort(x)
     worst = []
     for start in range(0, x.size, SAMPLE_CHUNK):
-        c = cdf(x[start:start + SAMPLE_CHUNK])
+        chunk = x[start:start + SAMPLE_CHUNK]
+        c = cdf(chunk)
         i = np.arange(start, start + c.size, dtype=float)   # the points' ranks - 1
-        worst += [np.max((i + 1.0) / x.size - c), np.max(c - i / x.size)]
+        up, down = (i + 1.0) / x.size - c, c - i / x.size
+        if exact is not None:   # a NaN largest term makes every point near
+            near = ~((up < np.max(up) - 2.0 ** -50) & (down < np.max(down) - 2.0 ** -50))
+            c, i = exact(chunk[near]), i[near]
+            up, down = (i + 1.0) / x.size - c, c - i / x.size
+        worst += [np.max(up), np.max(down)]
     return float(np.max(worst))
+
+
+#: ``ndtri(1 - 5e-4)``, the two-sided 1e-3 normal quantile, and
+#: ``kolmogi(1e-3)``, the Kolmogorov distribution's 1e-3 upper quantile, as
+#: scipy.special gives them.
+_NORMAL_LIMIT = 3.2905267314919255
+_KOLMOGOROV_LIMIT = 1.9494746035043753
+
+#: cephes' ``expm1`` on [-0.5, 0.5]: x P(x^2) / (Q(x^2) - x P(x^2)), doubled.
+_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
+            9.9999999999999999991025e-1)
+_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
+            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
+
+
+def _exp1_cdf(x: np.ndarray, libm: bool = False) -> np.ndarray:
+    """The Exp(1) CDF ``-expm1(-x)`` as cephes computes it (scipy's
+    ``expon``), at sorted x >= 0: the rational form up to 0.5, then
+    ``1 - exp(-x)``.  That ``exp`` is numpy's, or with ``libm`` the C
+    library's, which scipy's C code calls: numpy's own can be 1 ulp off it
+    (on about 5% of these inputs with numpy 2.4's AVX-512 ``exp``)."""
+    k = np.searchsorted(x, 0.5, side="right")
+    t = -x[:k]
+    tt = t * t
+    p, q = _EXPM1_P, _EXPM1_Q
+    r = t * ((p[0] * tt + p[1]) * tt + p[2])
+    r = r / ((((q[0] * tt + q[1]) * tt + q[2]) * tt + q[3]) - r)
+    tail = -x[k:]
+    e = np.array([math.exp(v) for v in tail.tolist()]) if libm else np.exp(tail)
+    return np.concatenate((-(r + r), 1.0 - e))
+
+
+def _exp1_ks(x: np.ndarray) -> float:
+    """KS distance of the sample ``x`` >= 0 from Exp(1): scipy's
+    ``stats.kstest(x, "expon").statistic`` bit for bit."""
+    return _ks_distance(x, _exp1_cdf, lambda near: _exp1_cdf(near, libm=True))
 
 
 def _ks_limit(samples: int) -> float:
     """The KS distance that ``samples`` draws of the tested law exceed with
     probability 1e-3 (Kolmogorov's limit law), the level of
-    ``contention_uniform_p``; ``kolmogi`` is what scipy's
-    ``stats.kstwobign.isf`` evaluates."""
-    from scipy import special
+    ``contention_uniform_p``; scipy's ``stats.kstwobign.isf`` gives it."""
+    return _KOLMOGOROV_LIMIT / math.sqrt(samples)
 
-    return float(special.kolmogi(1e-3)) / math.sqrt(samples)
+
+#: cephes' unit roundoff, log(DBL_MAX), the continued fraction's rescaling
+#: threshold and its inverse, and the Lanczos prefactor's F = g + 1.5
+#: (g = 6.024680040776729583740234375) and C = sqrt(F / e^F) /
+#: lanczos_sum_expg_scaled(2).
+_MACHEP, _MAXLOG = 2.0 ** -53, 7.09782712893383996843e2
+_BIG, _BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16
+_LANCZOS_F, _LANCZOS_C = 7.524680040776729583740234375, 7.662793320009829
+
+
+def _gamma_q2(x: float) -> float:
+    """The regularized upper incomplete gamma function Q(2, x), cephes'
+    ``igamc(2, x)`` step for step in libm arithmetic: 1 at x <= 0."""
+    if x <= 0.0:
+        return 1.0
+    if abs(2.0 - x) > 0.8:   # x^2 e^-x / Gamma(2), Gamma(2) being 1; 0 once it underflows
+        ax = 2.0 * math.log(x) - x
+        fac = 0.0 if ax < -_MAXLOG else math.exp(ax)
+    else:
+        fac = _LANCZOS_C * (math.exp(2.0 - x) * math.pow(x / _LANCZOS_F, 2.0))
+    if fac == 0.0:   # Q(2, x) is 0 past 2, else 1 - 0
+        return 0.0 if x >= 2.0 else 1.0
+    if x > 1.1 and x >= 2.0:   # cephes' test for a = 2: the continued fraction
+        y, z, c = -1.0, x, 0.0   # y = 1 - a, z = x + y + 1
+        pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
+        ans = pkm1 / qkm1
+        for _ in range(2000):
+            c, y, z = c + 1.0, y + 1.0, z + 2.0
+            pk, qk = pkm1 * z - pkm2 * (y * c), qkm1 * z - qkm2 * (y * c)
+            t = 1.0
+            if qk != 0:
+                r = pk / qk
+                t, ans = abs((ans - r) / r), r
+            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+            if abs(pk) > _BIG:
+                pkm2, pkm1, qkm2, qkm1 = (v * _BIGINV for v in (pkm2, pkm1, qkm2, qkm1))
+            if t <= _MACHEP:
+                break
+        return ans * fac
+    r, c, ans = 2.0, 1.0, 1.0   # 1 - the power series of P(2, x)
+    for _ in range(2000):
+        r += 1.0
+        c *= x / r
+        ans += c
+        if c <= _MACHEP * ans:
+            break
+    return 1.0 - ans * fac / 2.0
 
 
 def _chisquare_p(counts: np.ndarray) -> float:
-    """The p-value of Pearson's chi-square test of equal frequencies:
-    scipy's ``stats.chisquare(counts).pvalue`` bit for bit."""
-    from scipy import special
-
+    """The p-value of Pearson's chi-square test of equal frequencies over
+    five counts: scipy's ``stats.chisquare(counts).pvalue`` bit for bit,
+    ``chdtrc(4, s)`` being Q(2, s / 2)."""
     f = counts.astype(float)
+    if f.size != 5:
+        raise ValueError(f"the chi-square p-value takes 5 counts, got {f.size}")
     expected = f.mean()
-    return float(special.chdtrc(f.size - 1, np.sum((f - expected) ** 2 / expected)))
+    return _gamma_q2(float(np.sum((f - expected) ** 2 / expected)) / 2.0)
 
 
 def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     """Run the statistical validation suite against one configuration.
 
-    Failures are reported as data, not raised.  Only validation loads
-    ``scipy.special``; no trial path imports scipy.
+    Failures are reported as data, not raised.
     """
-    from scipy import special
-
     samples = _checked_trials(samples, [(1, 1)], "samples", 10_000)
     rng = np.random.default_rng((cfg.seed, 0xA11))
     checks = []
@@ -508,13 +602,12 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
 
     # Exp(1) marginals of the raw fading draws.  An Exp(1) draw has unit
     # variance, so the mean's limit is the two-sided 1e-3 normal quantile
-    # over the square root of the draws; -expm1(-x) is the CDF scipy's
-    # expon evaluates.
+    # over the square root of the draws.
     pooled = pooled.ravel()
     mean = float(pooled.mean())
-    limit = float(special.ndtri(1 - 5e-4)) / math.sqrt(pooled.size)
+    limit = _NORMAL_LIMIT / math.sqrt(pooled.size)
     checks.append(CheckResult("exp1_mean", abs(mean - 1.0) < limit, mean, limit))
-    ks = _ks_distance(pooled, lambda x: -special.expm1(-x))
+    ks = _exp1_ks(pooled)
     limit = _ks_limit(pooled.size)
     checks.append(CheckResult("exp1_ks", ks < limit, float(ks), limit))
 

@@ -265,6 +265,15 @@ def _cfg():
      "rho_values_db = -4000.0 dB gives no strictly positive and finite power$"),
     (lambda: harness.threshold_sweep(_cfg(), [10], [4000.0], [1]),
      "rho_values_db = 4000.0 dB gives no strictly positive and finite power$"),
+    # A finite SNR whose primary power overflows or underflows names both factors.
+    (lambda: harness.threshold_sweep(
+        NetworkConfig.homogeneous(20, 2, 2, 10.0, pp_over_ps=1e300), [10], [0.0, 100.0], [1]),
+     "rho_values_db = 100.0 dB with pp_over_ps = 1e\\+300 gives no strictly positive and "
+     "finite powers$"),
+    (lambda: harness.threshold_sweep(
+        NetworkConfig.homogeneous(20, 2, 2, 10.0, pp_over_ps=1e-300), [10], [-300.0], [1]),
+     "rho_values_db = -300.0 dB with pp_over_ps = 1e-300 gives no strictly positive and "
+     "finite powers$"),
     # A bare scalar has no rows to blame.
     (lambda: analytics.cdf_exact(None, 0, 0, _cfg()), "x must be numbers$"),
     (lambda: analytics.cdf_exact("x", 0, 0, _cfg()), "x must be numbers$"),
@@ -275,6 +284,7 @@ def _cfg():
         "snr_db-None", "fit_double_log-empty", "fit_double_log-lengths", "snr_db-inf",
         "snr_db-underflow", "pp_over_ps-0", "pp_over_ps-nan", "threshold_sweep-rho-nan",
         "threshold_sweep-rho-underflow", "threshold_sweep-rho-overflow",
+        "threshold_sweep-primary-overflow", "threshold_sweep-primary-underflow",
         "cdf_exact-x-None-no-rows", "cdf_exact-x-str-no-rows"])
 def test_bad_scalar_or_index_is_a_config_error_naming_it(call, message):
     with pytest.raises(ConfigError, match=f"^{message}"):

@@ -480,6 +480,34 @@ def test_ks_distance_equals_scipy_statistic(size, ties):
             == stats.ks_1samp(sinr, exact, method="asymp").statistic)
 
 
+@pytest.mark.parametrize("size", [10, *CHUNK_SIZES, 100_000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_exp1_ks_equals_scipy_statistic(size, ties):
+    # The chunked rational form and numpy's exp, with the C library's exp
+    # at the points nearest the distance: scipy's statistic bit for bit.
+    x = np.random.default_rng(size).exponential(size=size)
+    if ties:
+        x = np.round(x, 2)
+    assert harness._exp1_ks(x) == stats.kstest(x, "expon", method="asymp").statistic
+    x[size // 2] = np.nan   # sorted last, so in the last chunk
+    assert math.isnan(harness._exp1_ks(x))
+
+
+def test_gamma_q2_equals_scipy_on_a_grid():
+    # Every branch: the power series below 2 (its prefactor x^2 e^-x, or the
+    # Lanczos form within 0.8 of 2), the continued fraction from 2 on, and
+    # the underflowing prefactor at both ends.
+    x = np.concatenate([np.linspace(0.0, 10.0, 10_001), np.geomspace(1e-320, 1e5, 10_000),
+                        np.linspace(1.1, 2.9, 5_000)])
+    assert np.array_equal([harness._gamma_q2(v) for v in x.tolist()], special.gammaincc(2.0, x))
+    assert harness._gamma_q2(1e-300 / 2) == special.chdtrc(4, 1e-300) == 1.0
+
+
+def test_chisquare_p_takes_five_counts():
+    with pytest.raises(ValueError, match="takes 5 counts"):
+        harness._chisquare_p(np.full(4, 7500))
+
+
 def test_ks_distance_and_exp1_ks_fail_on_a_nan(monkeypatch):
     sample = np.random.default_rng(0).exponential(size=10_000)
     sample[123] = np.nan

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import binom
 
@@ -38,6 +38,7 @@ from cogdiv import (
 )
 from cogdiv import analytics, centralized, channel, harness
 from cogdiv.channel import sinr_bounds
+from cogdiv.cli import parse_config, render_config
 from cogdiv.harness import json_data
 
 from oracles import optimal_assignment_exhaustive, resolve_contention
@@ -682,6 +683,54 @@ def _five_bins(first_four):
 def test_chisquare_p_equals_scipy(counts):
     counts = np.array(counts)
     assert harness._chisquare_p(counts) == stats.chisquare(counts).pvalue
+
+
+def _around(edge, ulps=4):
+    """``edge`` and its ``ulps`` nearest floats on each side."""
+    below, above = [edge], [edge]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+# Q(2, x) over the half-statistics of five counts of 30,000 (up to 60,000)
+# and beyond, around cephes' branch edges, and at tiny x, where the series'
+# prefactor x^2 e^-x underflows to 0 and Q is 1 - 0.
+@PROPERTY_SETTINGS
+@given(st.floats(0.0, 1e5) | st.floats(0.0, 1e-150)
+       | st.sampled_from([x for edge in (0.5, 1.1, 1.2, 2.0, 2.8) for x in _around(edge)]))
+@example(0.0)
+@example(5e-301)    # a statistic of 1e-300
+@example(5e-324)
+@example(1e5)
+def test_gamma_q2_equals_scipy(x):
+    assert harness._gamma_q2(x) == special.gammaincc(2.0, x) == special.chdtrc(4, 2.0 * x)
+
+
+# Samples of Exp(1)'s support, with ties when rounded to 0.1.
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=300), st.booleans())
+@example([0.52], False)   # numpy 2.4's AVX-512 exp(-0.52) is 1 ulp off the C library's
+@example([0.52, 0.52, 3.0], False)
+@example([0.0, 0.5, 0.5, math.nextafter(0.5, 1.0), 40.0], False)   # both sides of 0.5
+def test_exp1_ks_equals_scipy(values, ties):
+    x = np.round(values, 1) if ties else np.array(values)
+    assert harness._exp1_ks(x) == stats.kstest(x, "expon", method="asymp").statistic
+
+
+# snr_db over nearly all of the range NetworkConfig accepts (rho and 1/rho
+# finite, 64 rho finite), and tenth-dB values.
+@PROPERTY_SETTINGS
+@given(st.floats(-3080.0, 3060.0) | st.integers(-40, 60).map(lambda tenths: tenths / 10))
+@example(3.0)
+@example(2.999999999999999)
+def test_render_config_round_trips_every_snr_db(snr_db):
+    cfg = NetworkConfig.homogeneous(4, 2, 1, snr_db)
+    text = render_config(cfg)
+    assert parse_config(text) == cfg
+    rendered = float(text.split("snr_db = ", 1)[1].split("\n", 1)[0])
+    assert len(repr(rendered)) <= len(repr(snr_db))
 
 
 def _small_doc(**changes):

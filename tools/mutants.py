@@ -75,6 +75,15 @@ MUTANTS = (
     Mutant("rows-blamed-on-scalars", "src/cogdiv/config.py",
            "sequence = shape != () and isinstance(values, (list, tuple))",
            "sequence = shape != ()"),
+    Mutant("exp1-ks-without-libm-exp", "src/cogdiv/harness.py",
+           "_ks_distance(x, _exp1_cdf, lambda near: _exp1_cdf(near, libm=True))",
+           "_ks_distance(x, _exp1_cdf)"),
+    Mutant("continued-fraction-above-1.1", "src/cogdiv/harness.py",
+           "    if x > 1.1 and x >= 2.0:",
+           "    if x > 1.1:"),
+    Mutant("q2-prefactor-without-lanczos", "src/cogdiv/harness.py",
+           "    if abs(2.0 - x) > 0.8:",
+           "    if True:"),
 )
 
 
