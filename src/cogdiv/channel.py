@@ -216,6 +216,8 @@ def _state_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, _Pcg64Stat
     return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(head.pcg_state)), head
 
 
+#: Per thread: the reused generator of ``_set_stream`` and the draw
+#: buffer of ``trial_passes``, while no pass holds it.
 _THREAD = threading.local()
 
 
@@ -306,9 +308,9 @@ def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
     rng.standard_exponential(out=row)
 
 
-def _draw_rows(cfg: NetworkConfig, count: int) -> np.ndarray:
-    """An empty (count, M N (max K_m + 1)) buffer, one row of draws a trial."""
-    return np.empty((count, cfg.num_bands * cfg.num_secondary * (cfg.k_max() + 1)))
+def _row_width(cfg: NetworkConfig) -> int:
+    """The draws of one trial: its M N |g|^2 and then its M N max K_m |h|^2."""
+    return cfg.num_bands * cfg.num_secondary * (cfg.k_max() + 1)
 
 
 def _split(cfg: NetworkConfig, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,10 +362,15 @@ def trial_passes(cfgs, trials: int):
     config ``point``, at rows row to row + B - 1.  ``g_sq`` and ``h_sq``
     are the block's stacked (B, M, N) and (B, M, N, max K_m) fading
     draws, slice b drawn from trial start + b's own fading stream.  They
-    are views of the leading rows of one buffer allocated once per span,
-    each trial's draws one row filled by one call: they are valid until
-    the next block is asked for, which overwrites them.  The streams of
-    every config are seeded together, so a sweep's points share passes.
+    are views of the leading rows of the thread's draw buffer, each
+    trial's draws one row filled by one call: they are valid until the
+    next block is asked for, which overwrites them, or the pass ends.
+    A pass takes the buffer at its first block, grows it to its largest
+    block and gives it back when its blocks end or are closed; a pass
+    that finds it taken, by another live pass of the thread, allocates
+    its own.  The thread keeps it only up to 2 ``BLOCK_BYTES``, the most
+    a block within ``BLOCK_BYTES`` takes.  The streams of every config
+    are seeded together, so a sweep's points share passes.
     """
     return (_seeded_pass(cfgs, spans) for spans in seeding_passes(cfgs, trials))
 
@@ -374,16 +381,23 @@ def _seeded_pass(cfgs, spans) -> tuple:
         [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
 
     def blocks():
-        row = 0
-        for point, first, count in spans:
-            cfg, step = cfgs[point], block_trials(cfgs[point])
-            buf = _draw_rows(cfg, min(step, count))
-            for start in range(first, first + count, step):
-                size = min(step, first + count - start)
-                for image, out in zip(fading[row:row + size], buf):
-                    _draw(_set_stream(image), out)
-                yield point, start, row, *_split(cfg, buf[:size])
-                row += size
+        buf, row = vars(_THREAD).pop("rows", np.empty(0)), 0
+        try:
+            for point, first, count in spans:
+                cfg, step = cfgs[point], block_trials(cfgs[point])
+                width = _row_width(cfg)
+                need = min(step, count) * width
+                buf = buf if buf.size >= need else np.empty(need)
+                rows = buf[:need].reshape(-1, width)
+                for start in range(first, first + count, step):
+                    size = min(step, first + count - start)
+                    for image, out in zip(fading[row:row + size], rows):
+                        _draw(_set_stream(image), out)
+                    yield point, start, row, *_split(cfg, rows[:size])
+                    row += size
+        finally:
+            if buf.nbytes <= 2 * BLOCK_BYTES:
+                _THREAD.rows = buf
 
     return spans, lambda rows, counts: _randoms(contention[rows], counts), blocks()
 
@@ -393,7 +407,7 @@ def draw_realization(cfg: NetworkConfig, trial_index: int) -> FadingRealization:
     trial_index))``: the stream contract's definition of a trial's fading
     stream, which ``trial_passes`` sets from its seeding pass."""
     trial_index = as_int("trial_index", trial_index, 0)
-    rows = _draw_rows(cfg, 1)
+    rows = np.empty((1, _row_width(cfg)))
     _draw(np.random.default_rng((cfg.seed, trial_index)), rows[0])
     g_sq, h_sq = (a[0] for a in _split(cfg, rows))
     g_sq.setflags(write=False)

@@ -156,6 +156,9 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
     runs.  A config's trials may span seeding passes, and a pass may hold
     several configs, so each config's sums persist across passes.
     """
+    if isinstance(schemes, str):
+        raise ConfigError(f"schemes must be a tuple of scheme names, such as "
+                          f"({schemes!r},), not the string {schemes!r}")
     schemes = tuple(schemes)
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ConfigError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
@@ -415,17 +418,18 @@ def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,
     streams: ``sinr_block`` of the one-link config of user n on band m.
 
     All ``count`` |g|^2 are drawn first and then the |h|^2, the stream's
-    order, the |h|^2 ``SAMPLE_CHUNK`` samples at a time.
+    order, the |h|^2 ``SAMPLE_CHUNK`` samples at a time.  The |g|^2 are
+    drawn into the returned array, and each chunk's SINR overwrites its
+    own |g|^2 once they are read.
     """
     k_m = cfg.primary_count[m]
     link = dataclasses.replace(cfg, num_secondary=1, num_bands=1, primary_count=(k_m,),
                                eta=cfg.eta[n:n + 1], gamma=cfg.gamma[n:n + 1, :k_m])
-    g_sq = rng.exponential(size=(count, 1, 1))
-    sinr = np.empty(count)
+    sinr = rng.standard_exponential(count)
     for start in range(0, count, SAMPLE_CHUNK):
-        g = g_sq[start:start + SAMPLE_CHUNK]
-        h_sq = rng.exponential(size=(len(g), 1, 1, k_m))
-        sinr[start:start + len(g)] = sinr_block(link, g, h_sq).ravel()
+        g = sinr[start:start + SAMPLE_CHUNK]
+        h_sq = rng.standard_exponential((len(g), 1, 1, k_m))
+        g[:] = sinr_block(link, g.reshape(-1, 1, 1), h_sq).ravel()
     return sinr
 
 

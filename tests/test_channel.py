@@ -44,6 +44,53 @@ def test_blocks_of_one_span_reuse_their_buffers():
     assert np.array_equal(g_next[0], draw_realization(cfg, 64).g_sq)
 
 
+def _first_blocks(cfg, trials, runs=2):
+    """The first block of each of ``runs`` runs of ``cfg`` in this thread,
+    each run's blocks drawn to the end before the next run starts."""
+    firsts = []
+    for _ in range(runs):
+        [(_, _, blocks)] = channel.trial_passes([cfg], trials)
+        firsts.append(next(blocks))
+        for _ in blocks:
+            pass
+    return firsts
+
+
+def test_interleaved_passes_of_one_thread_draw_into_their_own_rows():
+    # A larger run first leaves the thread a buffer that fits both passes;
+    # of two passes live at once, only one may take it.
+    _first_blocks(NetworkConfig.homogeneous(40, 4, 4, 10.0, seed=5), 64, runs=1)
+    cfgs = (NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3),
+            NetworkConfig.homogeneous(12, 3, 2, 10.0, seed=4))
+    [(_, _, first)], [(_, _, second)] = (channel.trial_passes([cfg], 200) for cfg in cfgs)
+    covered = {0: [], 1: []}
+    for pair in zip(first, second):
+        for point, (cfg, (_, start, _, g_sq, h_sq)) in enumerate(zip(cfgs, pair)):
+            for b in range(len(g_sq)):
+                real = draw_realization(cfg, start + b)
+                assert np.array_equal(g_sq[b], real.g_sq) and np.array_equal(h_sq[b], real.h_sq)
+            covered[point].extend(range(start, start + len(g_sq)))
+    assert covered == {0: list(range(200)), 1: list(range(200))}
+
+
+def test_runs_of_one_thread_reuse_its_buffer():
+    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
+    (*_, g_a, h_a), (*_, g_b, h_b) = _first_blocks(cfg, 100)
+    assert np.shares_memory(g_a, g_b) and np.shares_memory(h_a, h_b)
+
+
+def test_buffer_past_twice_block_bytes_is_not_kept():
+    # One trial's row of 320 bytes exceeds BLOCK_BYTES = 80 and its bound of
+    # 160: each run allocates its own buffer.
+    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
+    with mock.patch.object(channel, "BLOCK_BYTES", 80):
+        assert channel.block_trials(cfg) == 1
+        (*_, g_a, h_a), (*_, g_b, h_b) = _first_blocks(cfg, 1)
+    assert not np.shares_memory(g_a, g_b) and not np.shares_memory(h_a, h_b)
+    real = draw_realization(cfg, 0)
+    assert np.array_equal(g_b[0], real.g_sq) and np.array_equal(h_b[0], real.h_sq)
+
+
 @pytest.mark.parametrize("cfg", [
     NetworkConfig.homogeneous(12, 2, 0, 10.0, seed=1),
     NetworkConfig.homogeneous(6, 4, (0, 2, 4, 8), 5.0, seed=2),

@@ -165,6 +165,9 @@ def test_unknown_scheme_rejected(hetero_cfg):
         run_trials(hetero_cfg, "optimal", 1)
     with pytest.raises(ConfigError):
         run_schemes(hetero_cfg, (), 1)
+    # A bare string is not read as a tuple of its letters.
+    with pytest.raises(ConfigError, match=r"schemes .*\('distributed',\)"):
+        run_schemes(hetero_cfg, "distributed", 5)
 
 
 def test_non_integer_sweep_entries_rejected():

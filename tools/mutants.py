@@ -84,6 +84,12 @@ MUTANTS = (
     Mutant("q2-prefactor-without-lanczos", "src/cogdiv/harness.py",
            "    if abs(2.0 - x) > 0.8:",
            "    if True:"),
+    Mutant("pass-shares-thread-buffer", "src/cogdiv/channel.py",
+           'vars(_THREAD).pop("rows", ',
+           'vars(_THREAD).get("rows", '),
+    Mutant("buffer-kept-past-bound", "src/cogdiv/channel.py",
+           "            if buf.nbytes <= 2 * BLOCK_BYTES:\n",
+           "            if True:\n"),
 )
 
 
