@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +98,10 @@ def test_render_config_writes_the_shortest_snr_db():
         assert f"\nsnr_db = {tenths / 10!r}\n" in render_config(cfg)
         assert parse_config(render_config(cfg)) == cfg
     assert "\nsnr_db = 3.0\n" in render_config(NetworkConfig.homogeneous(10, 2, 1, 3))
+    # No dB value gives the power one ulp above 10; it renders as 10 log10 of it.
+    cfg = dataclasses.replace(NetworkConfig.homogeneous(10, 2, 1, 10.0),
+                              power_secondary=math.nextafter(10.0, math.inf))
+    assert "\nsnr_db = 10.0\n" in render_config(cfg)
 
 
 @pytest.mark.parametrize("extra_line, message", [
@@ -109,24 +115,26 @@ def test_unknown_or_repeated_key_rejected(extra_line, message):
 
 
 def test_simulate_end_to_end(tmp_path):
-    config = tmp_path / "net.cfg"
-    config.write_text(SMALL_DOC)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    lines = (out / "simulate.csv").read_text().strip().splitlines()
-    assert lines[0] == "scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq"
-    assert len(lines) == 3
-    doc = json.loads((out / "simulate.json").read_text())
-    assert set(doc) == {"centralized", "distributed"}
-    # Every number of the CSV is its JSON value, written in full.
-    for line in lines[1:]:
-        scheme, *fields = line.split(",")
-        agg = doc[scheme]
-        for field, value in zip(fields, (
-                len(agg["per_user_candidacy"]), len(agg["idle_band_frequency"]), agg["trials"],
-                agg["mean_sum_rate"], agg["stderr_sum_rate"], agg["mean_info_bits"],
-                agg["event_d_frequency"]), strict=True):
-            assert_csv_field(field, value)
+    # gamma = 0.5 runs the weighted SINR sum, unit gamma the raw |h|^2 one.
+    for name, extra_line in (("unit", ""), ("weighted", "gamma = 0.5\n")):
+        config = tmp_path / f"{name}.cfg"
+        config.write_text(SMALL_DOC + extra_line)
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "simulate.csv").read_text().strip().splitlines()
+        assert lines[0] == "scheme,N,M,trials,mean_sum_rate,stderr,mean_info_bits,event_d_freq"
+        assert len(lines) == 3
+        doc = json.loads((out / "simulate.json").read_text())
+        assert set(doc) == {"centralized", "distributed"}
+        # Every number of the CSV is its JSON value, written in full.
+        for line in lines[1:]:
+            scheme, *fields = line.split(",")
+            agg = doc[scheme]
+            for field, value in zip(fields, (
+                    len(agg["per_user_candidacy"]), len(agg["idle_band_frequency"]),
+                    agg["trials"], agg["mean_sum_rate"], agg["stderr_sum_rate"],
+                    agg["mean_info_bits"], agg["event_d_frequency"]), strict=True):
+                assert_csv_field(field, value)
 
 
 def test_identical_invocations_identical_outputs(tmp_path):
@@ -150,6 +158,16 @@ def test_scaling_subcommand(tmp_path):
     assert len(lines) == 1 + 2 * 3
     doc = json.loads((out / "scaling.json").read_text())
     assert doc["n_values"] == [10, 20, 50]
+
+
+def test_thresholds_warns_when_monotonicity_fails(tmp_path, capsys):
+    # Two equal populations give equal thresholds, not increasing ones.
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC + "n_values = 10, 10\n")
+    out = tmp_path / "out"
+    assert main(["thresholds", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: threshold monotonicity violated\n"
+    assert json.loads((out / "thresholds.json").read_text())["increasing_in_n"] is False
 
 
 def test_thresholds_subcommand(tmp_path):
@@ -177,6 +195,18 @@ def test_validate_subcommand(tmp_path, capsys):
     assert doc["passed"] is True
     printed = capsys.readouterr().out
     assert "exact_cdf_ks" in printed
+
+
+def test_validate_failure_exits_1(tmp_path, capsys, monkeypatch):
+    from cogdiv import harness
+    failing = harness.ValidationReport(checks=(harness.CheckResult("exp1_mean", False, 1.5, 0.03),))
+    monkeypatch.setattr(harness, "validate", lambda cfg, samples: failing)
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(config), "--out", str(out)]) == 1
+    assert "FAIL  exp1_mean: statistic=1.5 threshold=0.03" in capsys.readouterr().out
+    assert json.loads((out / "validate.json").read_text())["passed"] is False
 
 
 def test_validate_recorded_homogeneous_config_passes(tmp_path):
@@ -241,10 +271,11 @@ def test_trial_paths_and_validate_load_no_scipy(tmp_path):
     assert _fresh_python(
         "import contextlib, io, sys\n"
         "import cogdiv\n"
-        "from cogdiv import NetworkConfig, cli, harness\n"
+        "from cogdiv import NetworkConfig, analytics, cli, harness\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(scipy_modules())\n"
+        "analytics.expected_log_max(4.0, 1000)   # its quadrature rule is in the package\n"
         "cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)\n"
         "aggs = harness.run_schemes(cfg, harness.SCHEMES, 200)\n"
         "harness.scaling_sweep(cfg, (10, 20), 20)\n"
@@ -281,6 +312,14 @@ def test_config_error_exit_code(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("N=4\nM=5\nK=1\nsnr_db=10\n")
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+
+
+def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC)
+    assert main(["simulate", "--config", str(config), "--out", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "File exists" in err
 
 
 @pytest.mark.parametrize("subcommand, extra_line, flags", [

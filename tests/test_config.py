@@ -154,6 +154,7 @@ def test_equality_and_immutability():
     cfg = heterogeneous_config()
     assert cfg == heterogeneous_config()
     assert cfg != heterogeneous_config(seed=8)
+    assert not cfg == 5 and cfg != "x"   # __eq__ leaves other types to them
     with pytest.raises(ValueError):
         cfg.eta[0] = 2.0
 

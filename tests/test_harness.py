@@ -369,13 +369,22 @@ def test_validate_exp1_mean_limit_scales_with_the_samples():
 
 def test_validate_exp1_statistics_equal_the_trial_draws():
     # 500 pooled trials run in 8 blocks; each block's arrays are overwritten
-    # by the next, so validate must keep copies of its pooled draws.
-    cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
-    assert channel.block_trials(cfg) < 500
-    checks = {c.name: c for c in validate(cfg, samples=10_000).checks}
-    pooled = np.concatenate([draw_realization(cfg, t).g_sq.ravel() for t in range(500)])
-    assert checks["exp1_mean"].statistic == pooled.mean()
-    assert checks["exp1_ks"].statistic == harness._ks_distance(pooled, lambda x: -special.expm1(-x))
+    # by the next, so validate must keep copies of its pooled draws.  At
+    # M N = 3 it pools 33,333 trials but reads the whole table of only the
+    # first 10,000, so the later blocks feed the pool alone.
+    for cfg, samples, pooled_trials in ((NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3),
+                                         10_000, 500),
+                                        (NetworkConfig.homogeneous(3, 1, 1, 10.0, seed=2),
+                                         100_000, 33_333)):
+        assert channel.block_trials(cfg) < pooled_trials
+        report = validate(cfg, samples=samples)
+        checks = {c.name: c for c in report.checks}
+        pooled = np.concatenate([draw_realization(cfg, t).g_sq.ravel()
+                                 for t in range(pooled_trials)])
+        assert checks["exp1_mean"].statistic == pooled.mean()
+        assert checks["exp1_ks"].statistic == harness._ks_distance(
+            pooled, lambda x: -special.expm1(-x))
+        assert report.passed
 
 
 def test_validate_contention_check_equals_first_earliest_timer_of_each_row():

@@ -4,16 +4,20 @@ Run from anywhere: ``python tools/mutants.py``.  The script first runs the
 tier-1 tests on an unchanged copy of the repository (the control), then
 applies each mutant below, one at a time, to a fresh copy in a temporary
 directory and runs the tier-1 command plus ``-x -p no:cacheprovider``
-there.  The working tree is never edited.
+there, on tier-1's test files named in order: by name, with
+``test_acceptance.py``, which takes most of tier-1's time, last.  With
+``-x`` a mutant that an earlier file kills never pays for it; a mutant is
+still killed exactly when some tier-1 test fails.  The working tree is
+never edited.
 
 A mutant is a file, an old string that must occur in it exactly once and
 the new string that replaces it.  A mutant is killed when the tests fail
 on it.  The script prints one JSON report: for each mutant, killed or
-survived, the first failing test and the seconds its run took.  It exits
-non-zero if the control fails, if a mutant survives, or if a mutant's
-old string no longer occurs exactly once (a refactor that moves the code
-must move the mutant with it).  Add the mutants that a change's new tests
-kill; never remove or weaken one to make the gate pass.
+survived, the node id of the first failing test and the seconds its run
+took.  It exits non-zero if the control fails, if a mutant survives, or
+if a mutant's old string no longer occurs exactly once (a refactor that
+moves the code must move the mutant with it).  Add the mutants that a
+change's new tests kill; never remove or weaken one to make the gate pass.
 """
 from __future__ import annotations
 
@@ -34,6 +38,10 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-x", "-p", "n
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                                  ".benchmarks", "build", "*.egg-info")
 TIMEOUT_S = 900
+#: Tier-1's test files, in the order every run takes them.
+TEST_FILES = tuple(f"tests/{name}" for name in sorted(
+    (path.name for path in (ROOT / "tests").glob("test_*.py")),
+    key=lambda name: (name == "test_acceptance.py", name)))
 
 
 class Mutant(NamedTuple):
@@ -90,6 +98,18 @@ MUTANTS = (
     Mutant("buffer-kept-past-bound", "src/cogdiv/channel.py",
            "            if buf.nbytes <= 2 * BLOCK_BYTES:\n",
            "            if True:\n"),
+    Mutant("validate-failure-exits-0", "src/cogdiv/cli.py",
+           "                    return 1\n",
+           "                    return 0\n"),
+    Mutant("io-error-exits-0", "src/cogdiv/cli.py",
+           'print(f"i/o error: {exc}", file=sys.stderr)\n        return 2',
+           'print(f"i/o error: {exc}", file=sys.stderr)\n        return 0'),
+    Mutant("monotonicity-warning-dropped", "src/cogdiv/cli.py",
+           'print("warning: threshold monotonicity violated", file=sys.stderr)',
+           "pass"),
+    Mutant("pool-stops-with-the-table", "src/cogdiv/harness.py",
+           "        if not len(g_sq):\n            continue\n",
+           "        if not len(g_sq):\n            break\n"),
 )
 
 
@@ -100,11 +120,13 @@ def _run_tier1(tree: Path) -> tuple[int, str, float]:
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
-                              text=True, timeout=TIMEOUT_S)
+        proc = subprocess.run([sys.executable, *TIER1, *TEST_FILES], cwd=tree, env=env,
+                              capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return -1, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    # A summary line is "FAILED <node id>", then " - <message>" if it fits;
+    # a parametrized id can hold spaces.
+    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)
     return proc.returncode, failed.group(1) if failed else "", time.perf_counter() - start
 
 
