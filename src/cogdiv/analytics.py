@@ -148,7 +148,8 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     same path-loss factors, it is one law's ``_law_threshold``, solved
     once per process; every entry equals its own law's ``_law_threshold``.
     """
-    big_n = as_population(cfg.num_secondary if big_n is None else big_n, 2)
+    big_n = (as_int("num_secondary", cfg.num_secondary, 2) if big_n is None
+             else as_population(big_n, 2))
     slope, coeff = cfg.link_law
     alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))
     counts = np.asarray(cfg.primary_count)

@@ -144,7 +144,7 @@ class NetworkConfig:
         if m > n:
             raise ConfigError(f"num_bands ({m}) must not exceed num_secondary ({n})")
         counts = tuple(as_int("primary_count", k, 0)
-                       for k in _filled("primary_count", self.primary_count, (m,)))
+                       for k in _filled("primary_count", self.primary_count, (m,)).tolist())
         for name in ("power_secondary", "power_primary", "noise_power"):
             power = as_real(name, getattr(self, name))
             if not 0 < power < math.inf:

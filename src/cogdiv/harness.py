@@ -347,8 +347,10 @@ def threshold_sweep(cfg_template: NetworkConfig, n_values, rho_values_db,
         if not all(0 < power < math.inf for power in powers[-1]):
             raise ConfigError(f"rho_values_db = {rho_db!r} dB with pp_over_ps = {pp_over_ps!r} "
                               "gives no strictly positive and finite powers")
-    if not (n_values and rho_values_db and k_values):
-        raise ConfigError("sweep lists must be non-empty")
+    for name, values in (("n_values", n_values), ("rho_values_db", rho_values_db),
+                         ("k_values", k_values)):
+        if not values:
+            raise ConfigError(f"{name} must not be empty")
     rows = []
     for k in k_values:
         user_0 = cfg_template.gamma[0] if cfg_template.k_max() else np.ones(1)

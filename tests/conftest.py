@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogdiv import NetworkConfig
+from cogdiv import NetworkConfig, SinrTable
 
 
 def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
@@ -22,6 +22,11 @@ def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
         gamma=rng.uniform(0.25, 4.0, (num_secondary, k_max)),
         seed=seed,
     )
+
+
+def table_from(sinr):
+    """A SinrTable of the given (M, N) values."""
+    return SinrTable(sinr=np.asarray(sinr, dtype=float))
 
 
 def assert_csv_field(field: str, value) -> None:

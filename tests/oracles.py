@@ -2,9 +2,10 @@
 
 ``optimal_assignment_exhaustive`` is the centralized optimum by searching
 every injective band -> user map; ``resolve_contention`` is one band's
-backoff contention, one timer per candidate.  Neither runs on a package
-path: the engine's own implementations are ``centralized.matched_users``
-and ``distributed.contention_winners``.
+backoff contention, one timer per candidate; ``weighted_sinr`` is the
+SINR formula written out.  None runs on a package path: the engine's own
+implementations are ``centralized.matched_users``,
+``distributed.contention_winners`` and ``channel.sinr_block``.
 """
 from __future__ import annotations
 
@@ -56,3 +57,19 @@ def resolve_contention(candidates, rng: np.random.Generator) -> int:
     if not candidates:
         raise ValueError("cannot resolve contention over an empty candidate set")
     return candidates[int(np.argmin(rng.random(len(candidates))))]
+
+
+def weighted_sinr(cfg, g_sq, h_sq):
+    """SINR of stacked (..., M, N) draws with no package code: every |h|^2
+    times its gamma, 1.0 included, summed left to right below 8 terms and
+    by np.sum from 8 on, as np.sum adds them."""
+    interference = np.zeros(h_sq.shape[:-1])
+    for band, k_m in enumerate(cfg.primary_count):
+        terms = h_sq[..., band, :, :k_m] * cfg.gamma[:, :k_m]
+        if k_m >= 8:
+            interference[..., band, :] = np.sum(terms, axis=-1)
+        else:
+            for j in range(k_m):
+                interference[..., band, :] += terms[..., j]
+    denominator = interference * cfg.power_primary + cfg.noise_power
+    return cfg.power_secondary * cfg.eta * g_sq / denominator

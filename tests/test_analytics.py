@@ -63,14 +63,6 @@ def test_cdf_exact_hand_value():
     assert cdf_exact(1.0, 0, 0, cfg) == pytest.approx(expected, rel=1e-12)
 
 
-def test_homogeneous_cdfs_collapse(homog_cfg):
-    lo = cdf_lower(GRID, 0, homog_cfg)
-    hi = cdf_upper(GRID, 0, homog_cfg)
-    ex = cdf_exact(GRID, 0, 17, homog_cfg)
-    assert np.array_equal(lo, hi)
-    assert np.array_equal(ex, lo)
-
-
 def test_cdf_exact_takes_user_blocks(hetero_cfg):
     users = np.array([0, 3, 7, 49])
     block = cdf_exact(GRID[:, None], 2, users, hetero_cfg)
@@ -101,14 +93,6 @@ def test_cdf_dominance(hetero_cfg):
         ex = cdf_exact(GRID, 0, n, hetero_cfg)
         assert np.all(hi <= ex + 1e-15)
         assert np.all(ex <= lo + 1e-15)
-
-
-@pytest.mark.parametrize("k", [0, 4, 8])
-def test_log_survival_equals_np_sum_form(k):
-    slope, coeff = heterogeneous_config(num_secondary=64, k=k).link_law
-    x = GRID[:, None]
-    expected = x * slope + np.sum(np.log1p(coeff * x[..., None]), axis=-1)
-    assert analytics._log_survival(x, slope, coeff).tobytes() == expected.tobytes()
 
 
 def test_cdfs_valid(hetero_cfg):

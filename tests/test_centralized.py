@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cogdiv import (
-    SinrTable,
     compute_sinr,
     draw_realization,
     event_d,
@@ -13,13 +12,8 @@ from cogdiv import (
 )
 from cogdiv.centralized import assignment_rates
 
-from conftest import heterogeneous_config
+from conftest import table_from
 from oracles import CapacityError, optimal_assignment_exhaustive
-
-
-def table_from(sinr):
-    sinr = np.asarray(sinr, dtype=float)
-    return SinrTable(sinr=sinr)
 
 
 def random_table(rng, m, n):
@@ -62,32 +56,6 @@ def test_exhaustive_size_guard():
     rng = np.random.default_rng(0)
     with pytest.raises(CapacityError):
         optimal_assignment_exhaustive(random_table(rng, 2, 13))
-
-
-def test_matching_equals_exhaustive():
-    rng = np.random.default_rng(101)
-    for _ in range(100):
-        m = int(rng.integers(1, 4))
-        n = int(rng.integers(m, 9))
-        t = random_table(rng, m, n)
-        a = optimal_assignment_exhaustive(t)
-        b = optimal_assignment_matching(t)
-        assert b.sum_rate == pytest.approx(a.sum_rate, rel=1e-9)
-        assert len(b.pairs) == m
-        assert len({u for _, u in b.pairs}) == m
-
-
-def test_matching_equals_favorites_under_event_d(hetero_cfg):
-    hits = 0
-    for t_idx in range(50):
-        table = compute_sinr(hetero_cfg, draw_realization(hetero_cfg, t_idx))
-        fav = favorites(table)
-        if not event_d(fav):
-            continue
-        hits += 1
-        a = optimal_assignment_matching(table)
-        assert sorted(a.pairs) == [(m, u) for m, u in enumerate(fav)]
-    assert hits > 0
 
 
 def test_matching_bounded_by_per_band_maxima(hetero_cfg):

@@ -395,6 +395,8 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, subcomman
     ("N = 10.7\nM = 2\nK = 1\nsnr_db = 10\n", "N must be an integer, got 10.7"),
     ("N = 10\nM = 2\nK = 1,2,3\nsnr_db = 10\n", "K needs 1 value or shape (2,), got shape (3,)"),
     ("N = 3\nM = 4\nK = 1\nsnr_db = 10\n", "M (4) must not exceed N (3)"),
+    # The same message on every numpy: K's entries are not shown as numpy scalars.
+    ("N = 10\nM = 2\nK = 1.5\nsnr_db = 10\n", "K must be an integer, got 1.5"),
     # Messages that quote the document are not rewritten.
     ("num_bands = 2\n", "line 1: unknown key 'num_bands'"),
     ("num_bands 2\n", "line 1: expected 'key = value', got 'num_bands 2'"),
@@ -411,6 +413,7 @@ def test_flag_a_subcommand_does_not_read_is_rejected(tmp_path, capsys, subcomman
     ("N = 10\nM = 2\nK = 1\nsnr_db = 10\npp_over_ps = 1e10\nrho_db_values = 0, 3000\n",
      "rho_db_values = 3000.0 dB with pp_over_ps = 10000000000.0 gives no strictly positive "
      "and finite powers"),
+    ("N = 10\nM = 2\nK = 1\nsnr_db = 10\nrho_db_values =\n", "rho_db_values must not be empty"),
 ])
 def test_config_error_names_the_document_keys(tmp_path, capsys, doc, message):
     # thresholds reads both the network keys and the sweep lists.
@@ -435,7 +438,8 @@ def test_population_below_two_rejected_before_any_trial(tmp_path, capsys, monkey
     config = tmp_path / "net.cfg"
     config.write_text(doc)
     assert main([subcommand, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert "configuration error" in capsys.readouterr().err
+    key = {"scaling": "n_values", "simulate": "N"}[subcommand]
+    assert capsys.readouterr().err == f"configuration error: {key} must be at least 2, got 1\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cogdiv import (
     NetworkConfig,
-    SinrTable,
     allocate_distributed,
     build_candidate_sets,
     build_threshold_table,
@@ -17,13 +16,8 @@ from cogdiv import (
 )
 from cogdiv import channel, distributed
 
-from conftest import heterogeneous_config
+from conftest import heterogeneous_config, table_from
 from oracles import resolve_contention
-
-
-def table_from(sinr):
-    sinr = np.asarray(sinr, dtype=float)
-    return SinrTable(sinr=sinr)
 
 
 def test_claim_picks_largest_normalized():
@@ -261,20 +255,6 @@ def test_info_bits_zero_for_single_band():
     table = compute_sinr(cfg, draw_realization(cfg, 0))
     out = allocate_distributed(table, lam, np.random.default_rng(0))
     assert out.info_bits == 0.0
-
-
-def test_mean_candidate_union_size():
-    cfg = NetworkConfig.homogeneous(200, 4, 4, 10.0, seed=31)
-    lam = build_threshold_table(cfg)
-    trials = 3000
-    total = 0
-    for t_idx in range(trials):
-        table = compute_sinr(cfg, draw_realization(cfg, t_idx))
-        total += int(np.count_nonzero(build_candidate_sets(table, lam).claims >= 0))
-    omega = candidacy_probability(200, 4)
-    expected = 200 * omega
-    stderr = math.sqrt(200 * omega * (1 - omega) / trials)
-    assert abs(total / trials - expected) <= 4 * stderr
 
 
 def test_candidacy_probability_values():

@@ -53,8 +53,8 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("threshold-at-1-1/(2N)", "src/cogdiv/analytics.py",
-           "big_n = as_population(cfg.num_secondary if big_n is None else big_n, 2)",
-           "big_n = 2 * as_population(cfg.num_secondary if big_n is None else big_n, 2)"),
+           "    big_n = (as_int(",
+           "    big_n = 2 * (as_int("),
     Mutant("sinr-without-noise", "src/cogdiv/channel.py",
            "denominator += cfg.noise_power",
            "denominator += 0.0"),
@@ -110,6 +110,30 @@ MUTANTS = (
     Mutant("pool-stops-with-the-table", "src/cogdiv/harness.py",
            "        if not len(g_sq):\n            continue\n",
            "        if not len(g_sq):\n            break\n"),
+    Mutant("one-threshold-for-every-user", "src/cogdiv/analytics.py",
+           "alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))",
+           "alike = True"),
+    Mutant("bounds-with-swapped-extremes", "src/cogdiv/config.py",
+           "pick = np.min if upper else np.max",
+           "pick = np.max if upper else np.min"),
+    Mutant("interference-term-dropped", "src/cogdiv/channel.py",
+           "for j in range(2, k):",
+           "for j in range(3, k):"),
+    Mutant("one-step-newton", "src/cogdiv/analytics.py",
+           "        x = np.where(active, step, x)",
+           "        return np.where(active, step, x)"),
+    Mutant("pass-row-offset-frozen", "src/cogdiv/channel.py",
+           "                    row += size\n",
+           ""),
+    Mutant("timers-reversed", "src/cogdiv/distributed.py",
+           "timers(drawn, per_trial[drawn])",
+           "timers(drawn, per_trial[drawn])[::-1]"),
+    Mutant("thread-state-shared", "src/cogdiv/channel.py",
+           "_THREAD = threading.local()",
+           "_THREAD = type('_Shared', (), {})()"),
+    Mutant("layout-check-skipped", "src/cogdiv/channel.py",
+           "    if sorted(layout) != [0, 1, 2, 3] or (head.has_uint32, head.uinteger) != (1, 5):",
+           "    if False:"),
 )
 
 
