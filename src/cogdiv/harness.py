@@ -19,9 +19,10 @@ SCHEMES = ("centralized", "distributed")
 #: Guard against accidentally huge runs (N * M * trials cells).
 DEFAULT_CELL_BUDGET = 2e10
 
-#: Validation draws its direct SINR samples, and evaluates a KS distance's
-#: CDF, this many samples at a time.
-SAMPLE_CHUNK = 1 << 14
+#: Validation bounds every chunked temporary by this many values: the
+#: direct SINR samples' |h|^2, a KS distance's CDF pass, the dominance
+#: check's grid-by-users CDF block and the contention check's claimants.
+SAMPLE_CHUNK = 1 << 13
 
 
 class ResourceError(ConfigError):
@@ -414,21 +415,22 @@ class ValidationReport:
         return {"passed": self.passed, **json_data(self)}
 
 
-def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, count: int,
+def _simulate_sinr_samples(cfg: NetworkConfig, m: int, n: int, sinr: np.ndarray,
                            rng: np.random.Generator) -> np.ndarray:
-    """Direct draws of SINR_{m,n} from ``rng``, independent of the trial
-    streams: ``sinr_block`` of the one-link config of user n on band m.
+    """Fill the 1-D float array ``sinr`` with direct draws of SINR_{m,n}
+    from ``rng``, independent of the trial streams: ``sinr_block`` of the
+    one-link config of user n on band m.  Returns ``sinr``.
 
-    All ``count`` |g|^2 are drawn first and then the |h|^2, the stream's
-    order, the |h|^2 ``SAMPLE_CHUNK`` samples at a time.  The |g|^2 are
-    drawn into the returned array, and each chunk's SINR overwrites its
+    All ``sinr.size`` |g|^2 are drawn first and then the |h|^2, the
+    stream's order, the |h|^2 ``SAMPLE_CHUNK`` samples at a time.  The
+    |g|^2 are drawn into ``sinr``, and each chunk's SINR overwrites its
     own |g|^2 once they are read.
     """
     k_m = cfg.primary_count[m]
     link = dataclasses.replace(cfg, num_secondary=1, num_bands=1, primary_count=(k_m,),
                                eta=cfg.eta[n:n + 1], gamma=cfg.gamma[n:n + 1, :k_m])
-    sinr = rng.standard_exponential(count)
-    for start in range(0, count, SAMPLE_CHUNK):
+    rng.standard_exponential(out=sinr)
+    for start in range(0, sinr.size, SAMPLE_CHUNK):
         g = sinr[start:start + SAMPLE_CHUNK]
         h_sq = rng.standard_exponential((len(g), 1, 1, k_m))
         g[:] = sinr_block(link, g.reshape(-1, 1, 1), h_sq).ravel()
@@ -453,11 +455,12 @@ def _ks_distance(x: np.ndarray, cdf, exact=None) -> float:
 
     scipy's ``stats.ks_1samp(x, cdf).statistic`` bit for bit, from one
     sort and one CDF pass, ``SAMPLE_CHUNK`` points at a time; a NaN in
-    ``x`` gives NaN.  ``exact``, if given, recomputes the CDF at a chunk's
-    points whose term lies within 2^-50 of the chunk's largest; a ``cdf``
-    within a few ulp of ``exact`` then gives ``exact``'s distance.
+    ``x`` gives NaN.  ``x`` is sorted in place, so the caller's sample
+    comes back sorted.  ``exact``, if given, recomputes the CDF at a
+    chunk's points whose term lies within 2^-50 of the chunk's largest; a
+    ``cdf`` within a few ulp of ``exact`` then gives ``exact``'s distance.
     """
-    x = np.sort(x)
+    x.sort()
     worst = []
     for start in range(0, x.size, SAMPLE_CHUNK):
         chunk = x[start:start + SAMPLE_CHUNK]
@@ -586,10 +589,14 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     # One pass over the realizations: the first n_pooled feed the Exp(1)
     # checks, the first n_real the whole-table checks and event D.  A
     # block's arrays are overwritten by the next block, so the pooled
-    # draws are copied out.
-    n_pooled = max(1, samples // (cfg.num_bands * cfg.num_secondary))
+    # draws are copied out, into the leading part of the call's one
+    # workspace; the direct SINR samples reuse it once the Exp(1) checks
+    # have read the draws.
+    mn = cfg.num_bands * cfg.num_secondary
+    n_pooled = max(1, samples // mn)
     n_real = max(100, min(10_000, n_pooled))
-    pooled = np.empty((n_pooled, cfg.num_bands, cfg.num_secondary))
+    work = np.empty(max(samples, n_pooled * mn))
+    pooled = work[:n_pooled * mn].reshape(n_pooled, cfg.num_bands, cfg.num_secondary)
     sandwich_bad = 0
     interleave_bad = 0
     event_d_big = 0
@@ -603,8 +610,10 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
         sinr = sinr_block(cfg, g_sq, h_sq)
         s_lower, s_upper = sinr_bounds(cfg, g_sq, h_sq)
         sandwich_bad += _order_violations(s_lower, sinr, s_upper)
-        interleave_bad += _order_violations(*(np.sort(a, axis=-1) for a in (s_lower, sinr, s_upper)))
         event_d_big += _event_d_count(sinr)
+        for a in (s_lower, sinr, s_upper):
+            a.sort(axis=-1)
+        interleave_bad += _order_violations(s_lower, sinr, s_upper)
 
     # Exp(1) marginals of the raw fading draws.  An Exp(1) draw has unit
     # variance, so the mean's limit is the two-sided 1e-3 normal quantile
@@ -613,7 +622,7 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     mean = float(pooled.mean())
     limit = _NORMAL_LIMIT / math.sqrt(pooled.size)
     checks.append(CheckResult("exp1_mean", abs(mean - 1.0) < limit, mean, limit))
-    ks = _exp1_ks(pooled)
+    ks = _exp1_ks(pooled)   # sorts the pooled draws
     limit = _ks_limit(pooled.size)
     checks.append(CheckResult("exp1_ks", ks < limit, float(ks), limit))
 
@@ -625,19 +634,19 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
 
     # Exact CDF against an empirical-CDF oracle (and the bound CDFs too).
     m0, n0 = 0, 0
-    sinr_samples = _simulate_sinr_samples(cfg, m0, n0, samples, rng)
+    sinr_samples = _simulate_sinr_samples(cfg, m0, n0, work[:samples], rng)
     ks_exact = _ks_distance(sinr_samples, lambda x: analytics.cdf_exact(x, m0, n0, cfg))
     limit = _ks_limit(sinr_samples.size)
     checks.append(CheckResult("exact_cdf_ks", ks_exact < limit, float(ks_exact), limit))
 
-    # One column per user, in blocks of 64 users so the array stays small.
+    # One column per user, in blocks of at most SAMPLE_CHUNK grid-by-user values.
     grid = np.logspace(-3, 3, 400)[:, None]
     lo_cdf = analytics.cdf_lower(grid, m0, cfg)
     hi_cdf = analytics.cdf_upper(grid, m0, cfg)
     worst = 0.0
-    users = np.arange(cfg.num_secondary)
-    for start in range(0, users.size, 64):
-        ex = analytics.cdf_exact(grid, m0, users[start:start + 64], cfg)
+    users, width = np.arange(cfg.num_secondary), SAMPLE_CHUNK // grid.size
+    for start in range(0, users.size, width):
+        ex = analytics.cdf_exact(grid, m0, users[start:start + width], cfg)
         worst = max(worst, float(np.max(hi_cdf - ex)), float(np.max(ex - lo_cdf)))
     checks.append(CheckResult("cdf_dominance", worst <= 1e-12, worst, 1e-12))
 
@@ -658,9 +667,11 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
                               float(freq_big - freq_small), -slack))
 
     # Contention winner uniformity (chi-square on the engine's backoff stage):
-    # 30,000 cells of 5 claimants, 5,000 cells a call to keep the arrays small.
-    trials, wins = np.arange(25_000) // 5, np.zeros(5, dtype=np.intp)
-    for _ in range(6):
+    # 30,000 cells of 5 claimants, at most SAMPLE_CHUNK claimants a call.  The
+    # timers are drawn cell after cell, so any split gives the same winners.
+    wins, per_call = np.zeros(5, dtype=np.intp), SAMPLE_CHUNK // 5
+    for first in range(0, 30_000, per_call):
+        trials = np.arange(5 * min(per_call, 30_000 - first)) // 5
         cells, won = distributed.contention_winners(trials, np.zeros_like(trials), 1,
                                                     lambda _, counts: rng.random(counts.sum()))
         wins += np.bincount(won - 5 * cells, minlength=5)   # cell c's claimants: 5 c to 5 c + 4

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -378,7 +379,7 @@ def test_validate_contention_check_equals_first_earliest_timer_of_each_row():
     cfg = NetworkConfig.homogeneous(10, 2, 1, 10.0, seed=3)
     check = {c.name: c for c in validate(cfg, samples=10_000).checks}["contention_uniform_p"]
     rng = np.random.default_rng((cfg.seed, 0xA11))
-    harness._simulate_sinr_samples(cfg, 0, 0, 10_000, rng)
+    harness._simulate_sinr_samples(cfg, 0, 0, np.empty(10_000), rng)
     winners = np.argmin(rng.random((30_000, 5)), axis=-1)
     assert check.statistic == stats.chisquare(np.bincount(winners, minlength=5)).pvalue
 
@@ -399,6 +400,23 @@ def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
         assert not checks[name].passed, f"{name}: {checks[name].statistic}"
 
 
+def test_validate_works_in_one_sample_sized_workspace(homog_cfg):
+    # The pooled draws and the direct samples share one array and every sort
+    # runs in place, so a warm call peaks below 2.5 sample-sized arrays
+    # (numpy reports its buffers to tracemalloc): 1.65 MB here.  A sorted
+    # copy of either sample, or the direct samples in an array of their own,
+    # takes it to 2.45 MB.
+    samples = 100_000
+    validate(homog_cfg, samples)   # warms the trial engine's draw buffer
+    tracemalloc.start()
+    try:
+        validate(homog_cfg, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * samples
+
+
 def _direct_sinr_samples(cfg, m, n, count, rng):
     """SINR_{m,n} by the written-out formula on the one link's draws: all
     |g|^2 first, then the |h|^2, the sampler's stream order."""
@@ -416,14 +434,16 @@ def test_one_link_sampler_equals_the_direct_formula(m):
     # contention timers validate draws next are unchanged.
     cfg = heterogeneous_config(k=(0, 2, 4, 8))
     rng, oracle = np.random.default_rng(17), np.random.default_rng(17)
-    samples = harness._simulate_sinr_samples(cfg, m, 5, 20_000, rng)
+    samples = harness._simulate_sinr_samples(cfg, m, 5, np.empty(20_000), rng)
     expected = _direct_sinr_samples(cfg, m, 5, 20_000, oracle)
     assert samples.shape == expected.shape and samples.tobytes() == expected.tobytes()
     assert rng.random() == oracle.random()
 
 
-CHUNK_SIZES = [harness.SAMPLE_CHUNK - 1, harness.SAMPLE_CHUNK, harness.SAMPLE_CHUNK + 1,
-               3 * harness.SAMPLE_CHUNK + 5]
+# About a chunk boundary: the last of two chunks one short, two whole
+# chunks, one point more, and six chunks and a few.
+CHUNK_SIZES = [2 * harness.SAMPLE_CHUNK - 1, 2 * harness.SAMPLE_CHUNK,
+               2 * harness.SAMPLE_CHUNK + 1, 6 * harness.SAMPLE_CHUNK + 5]
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES)
@@ -432,7 +452,7 @@ def test_chunked_sampler_equals_one_shot_draws(size):
     # formula, and the generator left at the same place.
     cfg = heterogeneous_config(k=(0, 2, 4, 8))
     rng, oracle = np.random.default_rng(size), np.random.default_rng(size)
-    samples = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    samples = harness._simulate_sinr_samples(cfg, 2, 5, np.empty(size), rng)
     expected = _direct_sinr_samples(cfg, 2, 5, size, oracle)
     assert samples.shape == expected.shape and samples.tobytes() == expected.tobytes()
     assert rng.random() == oracle.random()
@@ -450,7 +470,7 @@ def _one_shot_ks(x, cdf):
 def test_chunked_ks_distance_equals_one_shot(size):
     cfg = heterogeneous_config(k=(0, 2, 4, 8))
     rng = np.random.default_rng(size)
-    sinr = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    sinr = harness._simulate_sinr_samples(cfg, 2, 5, np.empty(size), rng)
     exact = functools.partial(cdf_exact, m=2, n=5, cfg=cfg)
     assert harness._ks_distance(sinr, exact) == _one_shot_ks(sinr, exact)
     sinr[size // 2] = np.nan   # sorted last, so in the last chunk
@@ -463,7 +483,7 @@ def test_ks_distance_equals_scipy_statistic(size, ties):
     cfg = heterogeneous_config(k=(0, 2, 4, 8))
     rng = np.random.default_rng(size)
     exp1 = rng.exponential(size=size)
-    sinr = harness._simulate_sinr_samples(cfg, 2, 5, size, rng)
+    sinr = harness._simulate_sinr_samples(cfg, 2, 5, np.empty(size), rng)
     if ties:
         exp1, sinr = np.round(exp1, 2), np.round(sinr, 2)
     exact = functools.partial(cdf_exact, m=2, n=5, cfg=cfg)

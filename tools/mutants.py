@@ -11,13 +11,15 @@ still killed exactly when some tier-1 test fails.  The working tree is
 never edited.
 
 A mutant is a file, an old string that must occur in it exactly once and
-the new string that replaces it.  A mutant is killed when the tests fail
-on it.  The script prints one JSON report: for each mutant, killed or
-survived, the node id of the first failing test and the seconds its run
-took.  It exits non-zero if the control fails, if a mutant survives, or
-if a mutant's old string no longer occurs exactly once (a refactor that
-moves the code must move the mutant with it).  Add the mutants that a
-change's new tests kill; never remove or weaken one to make the gate pass.
+the new string that replaces it.  A mutant is killed when a test fails on
+it (``_verdict``); a run that cannot collect a test file, or that ends in
+any other way, is an error, not a kill.  The script prints one JSON
+report: for each mutant, killed, survived or error, the node id of the
+first failing test (or what went wrong) and the seconds its run took.  It
+exits non-zero if the control fails, if a mutant is not killed, or if a
+mutant's old string no longer occurs exactly once (a refactor that moves
+the code must move the mutant with it).  Add the mutants that a change's
+new tests kill; never remove or weaken one to make the gate pass.
 """
 from __future__ import annotations
 
@@ -134,24 +136,55 @@ MUTANTS = (
     Mutant("layout-check-skipped", "src/cogdiv/channel.py",
            "    if sorted(layout) != [0, 1, 2, 3] or (head.has_uint32, head.uinteger) != (1, 5):",
            "    if False:"),
+    Mutant("first-feasible-matching", "src/cogdiv/centralized.py",
+           "totals.argmax(axis=1)",
+           "np.isfinite(totals).argmax(axis=1)"),
+    Mutant("event-d-favorites-reversed", "src/cogdiv/centralized.py",
+           "    users = fav.copy()",
+           "    users = fav[..., ::-1].copy()"),
+    Mutant("ks-sorts-a-copy", "src/cogdiv/harness.py",
+           "    x.sort()",
+           "    x = np.sort(x)"),
 )
 
 
-def _run_tier1(tree: Path) -> tuple[int, str, float]:
-    """The tier-1 command's exit code, its first failing test (or '') and
-    its seconds, run in ``tree``."""
+def _verdict(code: int | None, stdout: str) -> tuple[str, str]:
+    """A tier-1 run's status and detail, from pytest's exit code (None if
+    the run timed out) and its output.
+
+    ``killed``, with the node id of the first failing test, when pytest
+    exits 1 naming a test; ``survived`` when it exits 0; else ``error``:
+    a test file that failed to collect (with its path, even if a test
+    failed too), a timeout, or any other exit.
+    """
+    # A summary line is "FAILED <node id>" or "ERROR <node id or file>",
+    # then " - <message>" if it fits; a parametrized id can hold spaces.
+    # A test's node id holds "::", a file's path does not.
+    named = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", stdout, re.MULTILINE)
+    files = [name for name in named if "::" not in name]
+    if files:
+        return "error", f"collection error in {files[0]}"
+    if code is None:
+        return "error", f"timed out after {TIMEOUT_S} s"
+    if code == 0:
+        return "survived", ""
+    if code == 1 and named:
+        return "killed", named[0]
+    return "error", f"pytest exited {code}"
+
+
+def _run_tier1(tree: Path) -> tuple[str, str, float]:
+    """``_verdict`` of the tier-1 command run in ``tree``, and its seconds."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     start = time.perf_counter()
     try:
         proc = subprocess.run([sys.executable, *TIER1, *TEST_FILES], cwd=tree, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT_S)
+        code, stdout = proc.returncode, proc.stdout
     except subprocess.TimeoutExpired:
-        return -1, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
-    # A summary line is "FAILED <node id>", then " - <message>" if it fits;
-    # a parametrized id can hold spaces.
-    failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", proc.stdout, re.MULTILINE)
-    return proc.returncode, failed.group(1) if failed else "", time.perf_counter() - start
+        code, stdout = None, ""
+    return (*_verdict(code, stdout), time.perf_counter() - start)
 
 
 def _mutated_copy(scratch: Path, mutant: Mutant | None) -> Path:
@@ -168,8 +201,10 @@ def main() -> int:
     results = []
     with tempfile.TemporaryDirectory(prefix="cogdiv-mutants-") as tmp:
         scratch = Path(tmp)
-        code, failed, seconds = _run_tier1(_mutated_copy(scratch, None))
-        control = {"passed": code == 0, "failed_test": failed, "seconds": round(seconds, 1)}
+        status, detail, seconds = _run_tier1(_mutated_copy(scratch, None))
+        control = {"passed": status == "survived",   # every test passed
+                   "failed_test": detail,
+                   "seconds": round(seconds, 1)}
         # A kill means nothing unless the unchanged tree passes.
         for mutant in MUTANTS if control["passed"] else ():
             matches = (ROOT / mutant.path).read_text().count(mutant.old)
@@ -177,12 +212,9 @@ def main() -> int:
                 results.append({"name": mutant.name, "status": "stale",
                                 "detail": f"old string occurs {matches} times in {mutant.path}"})
                 continue
-            code, failed, seconds = _run_tier1(_mutated_copy(scratch, mutant))
-            # pytest exits 1 when a test fails; any other nonzero code is
-            # an interrupted or broken run, not a kill.
-            status = {0: "survived", 1: "killed"}.get(code, "error")
+            status, detail, seconds = _run_tier1(_mutated_copy(scratch, mutant))
             results.append({"name": mutant.name, "status": status, "seconds": round(seconds, 1),
-                            "killed_by" if status == "killed" else "detail": failed})
+                            "killed_by" if status == "killed" else "detail": detail})
     killed = sum(r["status"] == "killed" for r in results)
     print(json.dumps({"control": control, "mutants": results, "killed": killed,
                       "total": len(MUTANTS)}, indent=2))
