@@ -384,6 +384,70 @@ def test_validate_contention_check_equals_first_earliest_timer_of_each_row():
     assert check.statistic == stats.chisquare(np.bincount(winners, minlength=5)).pvalue
 
 
+def _lift(mode, lower, upper, sinr):
+    """Moves, in place, the lower bound of the least SINR of the even trials
+    and the upper bound of the largest of the odd trials past that SINR: by
+    an ulp (within the 1e-9 floor), by 9e-10 relative (past the floor where
+    the SINR exceeds 1.12, within the tolerance) or by 1e-6 relative (a
+    violation where the SINR exceeds 1e-3, below 1e-6 absolute under 1).
+    NaN goes into both bounds of every trial."""
+    flat = sinr.reshape(len(sinr), -1)
+    for bound, pick, first, sign in ((lower, np.argmin, 0, 1.0), (upper, np.argmax, 1, -1.0)):
+        trials = np.arange(0 if mode == "nan" else first, len(sinr), 1 if mode == "nan" else 2)
+        cells = (trials, *np.unravel_index(pick(flat[trials], axis=1), sinr.shape[1:]))
+        v = sinr[cells]
+        bound[cells] = {"ulp": np.nextafter(v, sign * np.inf),
+                        "tolerance": v * (1.0 + sign * 9e-10),
+                        "violation": v * (1.0 + sign * 1e-6),
+                        "nan": np.nan}[mode]
+
+
+@pytest.mark.parametrize("mode", [None, "ulp", "tolerance", "violation", "nan"])
+@pytest.mark.parametrize("cfg", [heterogeneous_config(), heterogeneous_config(k=(0, 2, 4, 8)),
+                                 NetworkConfig.homogeneous(50, 4, 4, 10.0, seed=11)],
+                         ids=["hetero", "hetero-k-0-2-4-8", "homogeneous"])
+def test_validate_order_counts_equal_a_full_recount(monkeypatch, cfg, mode):
+    # validate skips the order checks of a block whose trials are all within
+    # 1e-9 of order; the counts must equal those of every trial sorted and
+    # every entry held to the tolerance 1e-9 max(1, |SINR|).
+    tables, checked = [], []
+
+    def lifted_bounds(cfg, g_sq, h_sq):
+        lower, upper = sinr_bounds(cfg, g_sq, h_sq)
+        sinr = channel.sinr_block(cfg, g_sq, h_sq)
+        if mode is not None:
+            _lift(mode, lower, upper, sinr)
+        tables.append((lower.copy(), sinr, upper.copy()))
+        return lower, upper
+
+    def counted(lower, mid, upper):
+        checked.append(len(mid))
+        return order_violations(lower, mid, upper)
+
+    order_violations = harness._order_violations
+    monkeypatch.setattr(harness, "sinr_bounds", lifted_bounds)
+    monkeypatch.setattr(harness, "_order_violations", counted)
+    checks = {c.name: c for c in validate(cfg, samples=10_000).checks}
+    lower, mid, upper = (np.concatenate(t) for t in zip(*tables))
+    assert len(mid) == 100
+
+    def violations(lower, mid, upper):
+        tol = 1e-9 * np.maximum(1.0, np.abs(mid))
+        return int(np.sum(np.any(lower > mid + tol, axis=(1, 2)))
+                   + np.sum(np.any(mid > upper + tol, axis=(1, 2))))
+
+    sandwich = violations(lower, mid, upper)
+    interleave = violations(*(np.sort(a, axis=-1) for a in (lower, mid, upper)))
+    assert checks["sandwich_violations"].statistic == sandwich
+    assert checks["interleaving_violations"].statistic == interleave
+    if mode is None:   # every trial is within 1e-9 of order: none is sorted
+        assert sum(checked) == 0
+    if mode == "tolerance":   # every block holds a loose odd trial: checked in full
+        assert sum(checked) == 2 * len(mid)
+    if mode == "violation":   # every odd trial, and some even ones below 1e-6 absolute
+        assert sandwich > len(mid) // 2
+
+
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):
     def scaled_passes(cfgs, trials):
         for spans, timers, blocks in channel.trial_passes(cfgs, trials):

@@ -145,6 +145,12 @@ MUTANTS = (
     Mutant("ks-sorts-a-copy", "src/cogdiv/harness.py",
            "    x.sort()",
            "    x = np.sort(x)"),
+    Mutant("order-precheck-slack-wide", "src/cogdiv/harness.py",
+           "    if np.all(s_lower <= sinr + ORDER_FLOOR) and np.all(sinr <= s_upper + ORDER_FLOOR):",
+           "    if np.all(s_lower <= sinr + 1e-6) and np.all(sinr <= s_upper + 1e-6):"),
+    Mutant("loose-trials-unsorted", "src/cogdiv/harness.py",
+           "    for a in (s_lower, sinr, s_upper):\n        a.sort(axis=-1)\n",
+           ""),
 )
 
 
