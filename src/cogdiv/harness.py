@@ -21,7 +21,7 @@ DEFAULT_CELL_BUDGET = 2e10
 
 #: Validation bounds every chunked temporary by this many values: the
 #: direct SINR samples' |h|^2, a KS distance's CDF pass, the dominance
-#: check's grid-by-users CDF block and the contention check's claimants.
+#: check's users-by-grid CDF block and the contention check's claimants.
 SAMPLE_CHUNK = 1 << 13
 
 
@@ -230,16 +230,25 @@ FIT_MIN_POPULATION = 50
 
 
 def fit_double_log(n_values, means) -> FitResult:
-    """Least squares of mean rate against log2 log2 N; one mean per N >= 2."""
+    """Least squares of mean rate against log2 log2 N; one mean per N >= 2.
+
+    The closed form from centred sums (accurate for close N), with
+    elementwise products and ``np.sum`` only, so no fit starts BLAS or
+    LAPACK.  Equal x give the flat line through the mean.
+    """
     x = np.log2(np.log2([float(as_population(n, 2)) for n in n_values]))
     y = _filled("means", means)
     if not x.size or y.shape != x.shape:
         raise ConfigError(f"means must be one value per N (1 or more), got {y.size} for {x.size}")
     if x.size < 2:
         return FitResult(a=0.0, b=float(y[0]), r_squared=1.0)
-    a, b = np.polyfit(x, y, 1)
+    mx, my = x.mean(), y.mean()
+    dx, dy = x - mx, y - my
+    sxx = np.sum(dx * dx)
+    a = np.sum(dx * dy) / sxx if sxx > 0 else 0.0
+    b = my - a * mx
     resid = y - (a * x + b)
-    total = np.sum((y - y.mean()) ** 2)
+    total = np.sum(dy * dy)
     r2 = 1.0 - float(np.sum(resid**2)) / float(total) if total > 0 else 1.0
     return FitResult(a=float(a), b=float(b), r_squared=r2)
 
@@ -452,10 +461,11 @@ ORDER_FLOOR = 1e-9
 
 def _order_violations(lower: np.ndarray, mid: np.ndarray, upper: np.ndarray) -> int:
     """Over stacked (..., M, N) tables, the trials with lower > mid anywhere
-    plus those with mid > upper anywhere, beyond a 1e-9 relative tolerance."""
+    plus those with mid > upper anywhere, beyond a 1e-9 relative tolerance.
+    A comparison with a NaN fails ``<=``, so it counts as a violation."""
     tol = ORDER_FLOOR * np.maximum(1.0, np.abs(mid))
-    return int(np.count_nonzero(np.any(lower > mid + tol, axis=(-2, -1)))
-               + np.count_nonzero(np.any(mid > upper + tol, axis=(-2, -1))))
+    return int(np.count_nonzero(np.any(~(lower <= mid + tol), axis=(-2, -1)))
+               + np.count_nonzero(np.any(~(mid <= upper + tol), axis=(-2, -1))))
 
 
 def _block_checks(cfg: NetworkConfig, g_sq: np.ndarray,
@@ -668,14 +678,15 @@ def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:
     limit = _ks_limit(sinr_samples.size)
     checks.append(CheckResult("exact_cdf_ks", ks_exact < limit, float(ks_exact), limit))
 
-    # One column per user, in blocks of at most SAMPLE_CHUNK grid-by-user values.
-    grid = np.logspace(-3, 3, 400)[:, None]
+    # One row per user, in blocks of at most SAMPLE_CHUNK user-by-grid values,
+    # so each row's inner loop runs over the contiguous grid.
+    grid = np.logspace(-3, 3, 400)[None, :]
     lo_cdf = analytics.cdf_lower(grid, m0, cfg)
     hi_cdf = analytics.cdf_upper(grid, m0, cfg)
     worst = 0.0
     users, width = np.arange(cfg.num_secondary), SAMPLE_CHUNK // grid.size
     for start in range(0, users.size, width):
-        ex = analytics.cdf_exact(grid, m0, users[start:start + width], cfg)
+        ex = analytics.cdf_exact(grid, m0, users[start:start + width, None], cfg)
         worst = max(worst, float(np.max(hi_cdf - ex)), float(np.max(ex - lo_cdf)))
     checks.append(CheckResult("cdf_dominance", worst <= 1e-12, worst, 1e-12))
 

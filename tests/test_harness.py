@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -21,8 +22,9 @@ from cogdiv import (
     threshold_sweep,
     validate,
 )
-from cogdiv import channel, harness
+from cogdiv import analytics, channel, harness
 from cogdiv.channel import sinr_bounds
+from cogdiv.cli import DEFAULT_N_VALUES
 from cogdiv.harness import (
     ResourceError,
     fit_double_log,
@@ -212,13 +214,45 @@ def test_scaling_sweep_per_n_seeds_stable():
     assert a.centralized[1].mean_sum_rate == b.centralized[2].mean_sum_rate
 
 
-def test_fit_double_log_exact_line():
+def _exact_line(x, y):
+    """Slope and intercept of the least-squares line of the floats x, y,
+    in exact rational arithmetic."""
+    fx, fy = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in y.tolist()]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    a = sum((u - mx) * (v - my) for u, v in zip(fx, fy)) / sum((u - mx) ** 2 for u in fx)
+    return a, my - a * mx
+
+
+def test_fit_double_log_exact_line(monkeypatch):
     n_values = [50, 100, 200, 500]
     x = np.log2(np.log2(np.asarray(n_values, dtype=float)))
     fit = fit_double_log(n_values, 3.0 * x + 1.0)
     assert fit.a == pytest.approx(3.0, rel=1e-9)
     assert fit.b == pytest.approx(1.0, rel=1e-9)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # Noisy lines against the exact least-squares line of the same floats,
+    # errors as a share of max|y|; np.polyfit misses the close-N bound.
+    rng = np.random.default_rng(5)
+    for n_values, bound in ((DEFAULT_N_VALUES, 1e-13), ((1000, 1001, 1002, 1003), 1e-11)):
+        x = np.log2(np.log2(np.asarray(n_values, dtype=float)))
+        for _ in range(200):
+            slope, intercept = rng.uniform(-5.0, 5.0, 2)
+            y = slope * x + intercept + rng.normal(0.0, 0.1, x.size)
+            fit, (a, b) = fit_double_log(n_values, y), _exact_line(x, y)
+            scale = Fraction(float(np.max(np.abs(y))))
+            assert abs(Fraction(fit.a) - a) * Fraction(float(np.max(np.abs(x)))) <= bound * scale
+            assert abs(Fraction(fit.b) - b) <= bound * scale
+    # Equal x: the flat line through the mean, not a 0/0 slope.
+    assert fit_double_log([50, 50], [1.0, 3.0]) == harness.FitResult(a=0.0, b=2.0, r_squared=0.0)
+    # The sweep's fit runs no linear-algebra solver.
+    def refused(*args, **kwargs):
+        raise AssertionError("a least-squares solver was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np, "polyfit", refused)
+    report = scaling_sweep(NetworkConfig.homogeneous(10, 2, 2, 10.0, seed=2), [10, 50, 100], 20)
+    assert report.fit == fit_double_log([50, 100], [agg.mean_sum_rate
+                                                    for agg in report.centralized[1:]])
 
 
 def test_csv_and_json_outputs(tmp_path):
@@ -431,10 +465,10 @@ def test_validate_order_counts_equal_a_full_recount(monkeypatch, cfg, mode):
     lower, mid, upper = (np.concatenate(t) for t in zip(*tables))
     assert len(mid) == 100
 
-    def violations(lower, mid, upper):
+    def violations(lower, mid, upper):   # an entry out of order, or a NaN
         tol = 1e-9 * np.maximum(1.0, np.abs(mid))
-        return int(np.sum(np.any(lower > mid + tol, axis=(1, 2)))
-                   + np.sum(np.any(mid > upper + tol, axis=(1, 2))))
+        return int(np.sum(np.any(~(lower <= mid + tol), axis=(1, 2)))
+                   + np.sum(np.any(~(mid <= upper + tol), axis=(1, 2))))
 
     sandwich = violations(lower, mid, upper)
     interleave = violations(*(np.sort(a, axis=-1) for a in (lower, mid, upper)))
@@ -446,6 +480,37 @@ def test_validate_order_counts_equal_a_full_recount(monkeypatch, cfg, mode):
         assert sum(checked) == 2 * len(mid)
     if mode == "violation":   # every odd trial, and some even ones below 1e-6 absolute
         assert sandwich > len(mid) // 2
+    if mode == "nan":   # every trial holds a NaN bound
+        assert sandwich == 2 * len(mid)
+        assert not checks["sandwich_violations"].passed
+
+
+def test_validate_cdf_dominance_reads_the_last_user_block(monkeypatch):
+    # validate reads the exact CDFs SAMPLE_CHUNK // 400 = 20 users at a time,
+    # so heterogeneous_config()'s last block holds users 40-49.  The user
+    # with the least exact CDF at grid point j is swapped into user 49, and
+    # the upper-bound CDF at j is lifted 1e-6 above that user's exact CDF.
+    cfg, grid, j = heterogeneous_config(), np.logspace(-3, 3, 400), 200
+    exact = np.array([cdf_exact(grid, 0, n, cfg) for n in range(cfg.num_secondary)])
+    order = np.arange(cfg.num_secondary)
+    weakest = int(np.argmin(exact[:, j]))
+    order[[weakest, -1]] = order[[-1, weakest]]
+    cfg = dataclasses.replace(cfg, eta=cfg.eta[order], gamma=cfg.gamma[order])
+    exact = exact[order]
+    upper = analytics.cdf_upper
+
+    def lifted_upper(x, m, cfg):
+        hi = upper(x, m, cfg)
+        hi.flat[j] = exact[-1, j] + 1e-6
+        return hi
+
+    monkeypatch.setattr(analytics, "cdf_upper", lifted_upper)
+    hi, lo = lifted_upper(grid, 0, cfg), analytics.cdf_lower(grid, 0, cfg)
+    brute = max(0.0, float(np.max(hi - exact)), float(np.max(exact - lo)))
+    assert brute > float(np.max(hi - exact[:40]))   # only the last block reaches it
+    check = {c.name: c for c in validate(cfg, samples=10_000).checks}["cdf_dominance"]
+    assert check.statistic == brute
+    assert not check.passed
 
 
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):

@@ -151,6 +151,17 @@ MUTANTS = (
     Mutant("loose-trials-unsorted", "src/cogdiv/harness.py",
            "    for a in (s_lower, sinr, s_upper):\n        a.sort(axis=-1)\n",
            ""),
+    Mutant("fit-intercept-sign", "src/cogdiv/harness.py",
+           "    b = my - a * mx",
+           "    b = my + a * mx"),
+    Mutant("dominance-last-block-dropped", "src/cogdiv/harness.py",
+           "    for start in range(0, users.size, width):",
+           "    for start in range(0, users.size - users.size % width, width):"),
+    Mutant("nan-counts-as-ordered", "src/cogdiv/harness.py",
+           "np.any(~(lower <= mid + tol), axis=(-2, -1)))\n"
+           "               + np.count_nonzero(np.any(~(mid <= upper + tol), axis=(-2, -1)))",
+           "np.any(lower > mid + tol, axis=(-2, -1)))\n"
+           "               + np.count_nonzero(np.any(mid > upper + tol, axis=(-2, -1)))"),
 )
 
 
