@@ -330,7 +330,11 @@ def seeding_passes(cfgs, trials: int):
     """Yield the spans (point, start, count) of each seeding pass of
     ``trial_passes(cfgs, trials)``: whole blocks of config ``cfgs[point]``,
     in order, as many as keep the pass's stream states within
-    ``BLOCK_BYTES``, and at least one block."""
+    ``BLOCK_BYTES``, and at least one block.
+
+    Only a pass's first span may start after trial 0 and only its last may
+    end before ``trials``, so its points are consecutive and its trials
+    are consecutive in (point, trial) order."""
     room, spans, used = max(1, BLOCK_BYTES // 64), [], 0
     for point, cfg in enumerate(cfgs):
         step, start = block_trials(cfg), 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -44,12 +45,14 @@ class TrialAggregate:
     trial_sum_rates: np.ndarray = field(metadata={"json": False})   # per trial, for audits
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single value)."""
-    n = values.size
-    mean = float(values.sum() / n)
-    squares = np.square(values - mean)
-    return mean, math.sqrt(squares.sum() / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+def _mean_stderr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and its standard error (0 for a single value) of each
+    row of the 2-D ``values``."""
+    n = values.shape[1]
+    mean = values.sum(axis=1) / n
+    squares = np.square(values - mean[:, None])
+    # A single value's square is 0, so max(., 1) makes its error 0.
+    return mean, np.sqrt(squares.sum(axis=1) / max(n - 1, 1)) / math.sqrt(n)
 
 
 def _checked_trials(trials, sizes, name="trials", low=1) -> int:
@@ -83,79 +86,80 @@ def run_schemes(cfg: NetworkConfig, schemes, trials: int) -> dict[str, TrialAggr
     whatever the block size.  This is the one-point call of
     ``_run_points``.
     """
-    return _run_points([cfg], schemes, trials)[0]
+    aggregates = _run_points([cfg], schemes, trials).aggregates()
+    return {scheme: points[0] for scheme, points in aggregates.items()}
 
 
 @dataclass
 class _Tally:
-    """One config's sums over the trials run so far."""
+    """The per-(point, trial) columns and per-point counts of a run of
+    configs, row p of each being the p-th config's; every aggregate is a
+    reduction of them (``aggregates``)."""
 
-    cfg: NetworkConfig
-    lam: np.ndarray | None              # the thresholds, if the distributed scheme runs
-    sum_rates: dict[str, np.ndarray]    # per scheme, per trial
-    info_bits: np.ndarray               # per trial
-    claim_counts: np.ndarray            # (N,)
-    idle_counts: np.ndarray             # (M,)
-    event_d_count: int = 0
+    rates: dict[str, np.ndarray]        # per scheme, the (P, trials) sum rates
+    info_bits: np.ndarray               # (P, trials)
+    event_d: np.ndarray                 # (P,) trials with event D
+    idle: np.ndarray                    # (P, M) idle bands, summed over the trials
+    claims: np.ndarray                  # every point's users' claims, in turn
+    offsets: list[int]                  # point p's users are claims[offsets[p]:offsets[p + 1]]
 
-    def aggregates(self) -> dict[str, TrialAggregate]:
+    def aggregates(self) -> dict[str, tuple[TrialAggregate, ...]]:
+        """Each scheme's ``TrialAggregate`` of every point, in order."""
+        trials = self.info_bits.shape[1]
+        event_d = (self.event_d / trials).tolist()
+        counts = self.info_bits.sum(axis=1), self.claims, self.idle
         aggregates = {}
-        n, m = self.cfg.num_secondary, self.cfg.num_bands
-        for scheme, rates in self.sum_rates.items():
-            trials = rates.size
-            if scheme == "centralized":   # no claims, no exchange, no idle bands
-                bits, claims, idle = np.zeros(trials), np.zeros(n), np.zeros(m)
-            else:
-                bits, claims, idle = self.info_bits, self.claim_counts, self.idle_counts
+        for scheme, rates in self.rates.items():
+            # The centralized scheme has no claims, no exchange and no idle bands.
+            bits, claims, idle = (counts if scheme == "distributed"
+                                  else (np.zeros(a.shape) for a in counts))
             mean, stderr = _mean_stderr(rates)
-            aggregates[scheme] = TrialAggregate(
-                scheme=scheme,
-                trials=trials,
-                mean_sum_rate=mean,
-                stderr_sum_rate=stderr,
-                mean_info_bits=float(np.mean(bits)),
-                per_user_candidacy=claims / trials,
-                event_d_frequency=self.event_d_count / trials,
-                idle_band_frequency=idle / trials,
-                trial_sum_rates=rates,
-            )
+            bits, claims, idle = (bits / trials).tolist(), claims / trials, idle / trials
+            aggregates[scheme] = tuple(
+                TrialAggregate(scheme=scheme, trials=trials, mean_sum_rate=m, stderr_sum_rate=e,
+                               mean_info_bits=b, per_user_candidacy=claims[lo:hi],
+                               event_d_frequency=d, idle_band_frequency=i, trial_sum_rates=r)
+                for m, e, b, lo, hi, d, i, r in zip(mean.tolist(), stderr.tolist(), bits,
+                                                    self.offsets, self.offsets[1:], event_d,
+                                                    idle, rates))
         return aggregates
 
 
-def _settle(spans, timers, parts, tallies: list[_Tally]) -> None:
+def _settle(spans, timers, parts, tally: _Tally) -> None:
     """Resolve the contention of one seeding pass of ``trial_passes``, and
-    add each config's distributed rates, information bits, claim counts
-    and idle counts to its tally.
+    write its distributed rates, information bits, claim counts and idle
+    counts into ``tally``.
 
     ``parts`` holds each block's claimants: their rows in the pass (their
-    trials), bands, users and SINR.  Every config has the same M bands.
+    trials), bands, users (as indices into ``tally.claims``) and SINR.
+    Every config has the same M bands.  The pass's rows are consecutive
+    (point, trial) entries of the columns and its points consecutive
+    points (``seeding_passes``), so each column takes one slice write and
+    each count one slice update.
     """
     rows, bands, users, sinr = (np.concatenate(c) for c in zip(*parts))
-    m, size = tallies[0].cfg.num_bands, sum(count for _, _, count in spans)
+    (first, start, _), last = spans[0], spans[-1][0]
+    *heads, size = itertools.accumulate((count for _, _, count in spans), initial=0)
+    m, base = tally.idle.shape[1], first * tally.info_bits.shape[1] + start
     cells, won = distributed.contention_winners(rows, bands, m, timers)
     busy, link = np.zeros((size, m), dtype=bool), np.zeros((size, m))
     busy.flat[cells], link.flat[cells] = True, sinr[won]
-    claimed = np.bincount(rows, minlength=size)
-    row = 0
-    for point, first, count in spans:
-        tally = tallies[point]
-        own, trials = slice(row, row + count), slice(first, first + count)
-        tally.sum_rates["distributed"][trials] = centralized.busy_rates(link[own], busy[own])
-        tally.info_bits[trials] = claimed[own] * math.log2(m)
-        lo, hi = np.searchsorted(rows, (row, row + count))
-        tally.claim_counts += np.bincount(users[lo:hi], minlength=tally.cfg.num_secondary)
-        tally.idle_counts += np.count_nonzero(~busy[own], axis=0)
-        row += count
+    tally.rates["distributed"].reshape(-1)[base:base + size] = centralized.busy_rates(link, busy)
+    tally.info_bits.reshape(-1)[base:base + size] = np.bincount(rows, minlength=size) * math.log2(m)
+    lo, hi = tally.offsets[first], tally.offsets[last + 1]
+    tally.claims[lo:hi] += np.bincount(users - lo, minlength=hi - lo)
+    tally.idle[first:last + 1] += np.add.reduceat(~busy, heads, axis=0, dtype=np.intp)
 
 
-def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
-    """``run_schemes`` of each config of ``cfgs``, configs of one band
-    count, bit for bit, with the trial streams of every config seeded
-    together by ``trial_passes``.
+def _run_points(cfgs, schemes, trials: int) -> _Tally:
+    """The tally of ``run_schemes`` of each config of ``cfgs``, configs of
+    one band count, bit for bit, with the trial streams of every config
+    seeded together by ``trial_passes``.
 
     Every config is checked, and its thresholds solved, before any trial
     runs.  A config's trials may span seeding passes, and a pass may hold
-    several configs, so each config's sums persist across passes.
+    several configs; each block and each pass writes its own entries of
+    the tally's columns.
     """
     if isinstance(schemes, str):
         raise ConfigError(f"schemes must be a tuple of scheme names, such as "
@@ -164,32 +168,33 @@ def _run_points(cfgs, schemes, trials: int) -> list[dict[str, TrialAggregate]]:
     if not schemes or any(s not in SCHEMES for s in schemes):
         raise ConfigError(f"unknown scheme in {schemes!r}; the schemes are {SCHEMES}")
     trials = _checked_trials(trials, [(cfg.num_secondary, cfg.num_bands) for cfg in cfgs])
-    tallies = [_Tally(cfg=cfg,
-                      lam=analytics.build_threshold_table(cfg) if "distributed" in schemes
-                      else None,
-                      sum_rates={scheme: np.empty(trials) for scheme in schemes},
-                      info_bits=np.zeros(trials),
-                      claim_counts=np.zeros(cfg.num_secondary),
-                      idle_counts=np.zeros(cfg.num_bands))
-               for cfg in cfgs]
+    points = len(cfgs)
+    lams = [analytics.build_threshold_table(cfg) if "distributed" in schemes else None
+            for cfg in cfgs]
+    offsets = list(itertools.accumulate((cfg.num_secondary for cfg in cfgs), initial=0))
+    tally = _Tally(rates={scheme: np.empty((points, trials)) for scheme in schemes},
+                   info_bits=np.zeros((points, trials)),
+                   event_d=np.zeros(points, dtype=np.intp),
+                   idle=np.zeros((points, cfgs[0].num_bands), dtype=np.intp),
+                   claims=np.zeros(offsets[-1], dtype=np.intp),
+                   offsets=offsets)
+    cent = tally.rates.get("centralized")
     for spans, timers, blocks in trial_passes(cfgs, trials):
         parts = []   # per block: the rows, bands, users and SINR of its claimants
         for point, start, row, g_sq, h_sq in blocks:
-            tally = tallies[point]
-            sinr = sinr_block(tally.cfg, g_sq, h_sq)
+            sinr = sinr_block(cfgs[point], g_sq, h_sq)
             fav = centralized.favorite_users(sinr)
             distinct = centralized.all_distinct(fav)
-            tally.event_d_count += int(np.count_nonzero(distinct))
-            if "centralized" in tally.sum_rates:
+            tally.event_d[point] += np.count_nonzero(distinct)
+            if cent is not None:
                 users = centralized.matched_users(sinr, fav, distinct)
-                tally.sum_rates["centralized"][start:start + len(sinr)] = \
-                    centralized.assignment_rates(sinr, users)
-            if tally.lam is not None:   # the next block overwrites this one's SINR
-                trial, user, band = distributed.claimants(sinr, tally.lam)
-                parts.append((row + trial, band, user, sinr[trial, band, user]))
+                cent[point, start:start + len(sinr)] = centralized.assignment_rates(sinr, users)
+            if lams[point] is not None:   # the next block overwrites this one's SINR
+                trial, user, band = distributed.claimants(sinr, lams[point])
+                parts.append((row + trial, band, offsets[point] + user, sinr[trial, band, user]))
         if parts:   # the distributed scheme runs
-            _settle(spans, timers, parts, tallies)
-    return [tally.aggregates() for tally in tallies]
+            _settle(spans, timers, parts, tally)
+    return tally
 
 
 def run_trials(cfg: NetworkConfig, scheme: str, trials: int) -> TrialAggregate:
@@ -273,20 +278,19 @@ def scaling_sweep(cfg_template: NetworkConfig, n_values, trials: int) -> Scaling
     cfgs = [cfg_template.with_population(
                 n, seed=np.random.SeedSequence((cfg_template.seed, n)).generate_state(1)[0])
             for n in n_values]
-    cent, dist, gaps = [], [], []
-    for aggs in _run_points(cfgs, SCHEMES, trials):
-        cent.append(aggs["centralized"])
-        dist.append(aggs["distributed"])
-        gaps.append(_mean_stderr(cent[-1].trial_sum_rates - dist[-1].trial_sum_rates))
+    tally = _run_points(cfgs, SCHEMES, trials)
+    aggregates = tally.aggregates()
+    cent, dist = aggregates["centralized"], aggregates["distributed"]
+    gap_mean, gap_stderr = _mean_stderr(tally.rates["centralized"] - tally.rates["distributed"])
     predicted = tuple(m * math.log2(math.log2(n)) for n in n_values)
     fit_points = [(n, agg.mean_sum_rate) for n, agg in zip(n_values, cent)
                   if n >= FIT_MIN_POPULATION]
     if len(fit_points) < 2:   # not enough large-N points; fit everything
         fit_points = [(n, agg.mean_sum_rate) for n, agg in zip(n_values, cent)]
     fit = fit_double_log([p[0] for p in fit_points], [p[1] for p in fit_points])
-    gap_mean, gap_stderr = zip(*gaps)
-    return ScalingReport(n_values=n_values, centralized=tuple(cent), distributed=tuple(dist),
-                         predicted=predicted, gap_mean=gap_mean, gap_stderr=gap_stderr, fit=fit)
+    return ScalingReport(n_values=n_values, centralized=cent, distributed=dist,
+                         predicted=predicted, gap_mean=tuple(gap_mean.tolist()),
+                         gap_stderr=tuple(gap_stderr.tolist()), fit=fit)
 
 
 def _write_csv(path, header: str, rows) -> None:

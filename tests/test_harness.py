@@ -56,19 +56,12 @@ def test_distributed_run_sets_only_the_fading_streams():
 
 
 def _run_tallies(cfg, trials):
-    """Each scheme's sums of ``run_schemes(cfg, both schemes, trials)``."""
-    tallies, aggregates = [], harness._Tally.aggregates
-
-    def keep(tally):
-        tallies.append(tally)
-        return aggregates(tally)
-
-    with mock.patch.object(harness._Tally, "aggregates", keep):
-        run_schemes(cfg, ("centralized", "distributed"), trials)
-    (tally,) = tallies
-    return ([tally.sum_rates[s].tobytes() for s in ("centralized", "distributed")],
-            tally.info_bits.tobytes(), tally.claim_counts.tobytes(),
-            tally.idle_counts.tobytes(), tally.event_d_count)
+    """The per-trial columns and per-point counts of the tally that
+    ``run_schemes(cfg, both schemes, trials)`` reduces."""
+    tally = harness._run_points([cfg], ("centralized", "distributed"), trials)
+    return ([tally.rates[s].tobytes() for s in ("centralized", "distributed")],
+            tally.info_bits.tobytes(), tally.claims.tobytes(), tally.idle.tobytes(),
+            tally.event_d.tobytes())
 
 
 @pytest.mark.parametrize("cfg", [

@@ -543,6 +543,9 @@ def test_one_seeding_pass_over_mixed_keys_equals_default_rng(spans):
     (NetworkConfig.homogeneous(10, 2, 3, 10.0, seed=5), (10, 20, 50), 7, 5),
     (NetworkConfig.homogeneous(4, 4, (0, 2, 1, 3), 0.0, seed=2**70 + 1), (4, 9, 16, 30), 5, 3),
     (NetworkConfig.homogeneous(2, 1, 0, 5.0, seed=2**32), (20, 30, 45), 9, 6),
+    # Per-user eta and gamma, unequal K with an interference-free band: a
+    # point's claim offset or a span's idle rows must land on its own point.
+    (heterogeneous_config(5, 3, (2, 0, 3), seed=17), (3, 7, 12, 20), 5, 3),
 ])
 def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
     # Passes of `room` trials: one splits a point's trials, another joins two points.

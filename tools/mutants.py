@@ -162,6 +162,15 @@ MUTANTS = (
            "               + np.count_nonzero(np.any(~(mid <= upper + tol), axis=(-2, -1)))",
            "np.any(lower > mid + tol, axis=(-2, -1)))\n"
            "               + np.count_nonzero(np.any(mid > upper + tol, axis=(-2, -1)))"),
+    Mutant("claims-without-point-offset", "src/cogdiv/harness.py",
+           "offsets[point] + user",
+           "offsets[0] + user"),
+    Mutant("idle-to-first-span", "src/cogdiv/harness.py",
+           "tally.idle[first:last + 1] += np.add.reduceat(~busy, heads, axis=0, dtype=np.intp)",
+           "tally.idle[first] += np.count_nonzero(~busy, axis=0)"),
+    Mutant("stderr-without-bessel", "src/cogdiv/harness.py",
+           "squares.sum(axis=1) / max(n - 1, 1)",
+           "squares.sum(axis=1) / n"),
 )
 
 
