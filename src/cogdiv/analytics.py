@@ -143,21 +143,29 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     """The read-only (M, N) thresholds lambda(m, n): T(x; m, n) = 1 - 1/big_n
     (big_n = N by default), solved as -log(1 - T(x)) = ln big_n.
 
-    Bands with the same K_m share their thresholds, so each distinct K_m
-    costs one array Newton pass over the users.  When all users have the
-    same path-loss factors, it is one law's ``_law_threshold``, solved
-    once per process; every entry equals its own law's ``_law_threshold``.
+    Bands with the same K_m share their thresholds.  When every user has
+    the same eta and gamma row, a band's thresholds are its law's
+    ``_law_threshold``, solved once per process for each distinct K_m, and
+    no per-user law is built.  Otherwise each distinct K_m costs one array
+    Newton pass over the users.  Either way every entry equals its own
+    law's ``_law_threshold``.
     """
     big_n = (as_int("num_secondary", cfg.num_secondary, 2) if big_n is None
              else as_population(big_n, 2))
-    slope, coeff = cfg.link_law
-    alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))
-    counts = np.asarray(cfg.primary_count)
     lam = np.empty((cfg.num_bands, cfg.num_secondary))
-    for k_m in np.unique(counts):
-        lam[counts == k_m] = (
-            _law_threshold(float(slope[0]), tuple(coeff[0, :k_m].tolist()), big_n) if alike
-            else _newton_log_survival(slope, coeff[:, :k_m], math.log(big_n)))
+    eta, gamma = cfg.eta, cfg.gamma
+    if (eta == eta[0]).all() and (gamma == gamma[:1]).all():
+        # link_law's row 0, in its order of operations.
+        eta_0 = float(eta[0])
+        slope = 1.0 / (cfg.snr() * eta_0)
+        coeff = (cfg.pp_over_ps() * gamma[0] / eta_0).tolist()
+        lam[...] = [[_law_threshold(slope, tuple(coeff[:k_m]), big_n)]
+                    for k_m in cfg.primary_count]
+    else:
+        slope, coeff = cfg.link_law
+        counts = np.asarray(cfg.primary_count)
+        for k_m in set(cfg.primary_count):
+            lam[counts == k_m] = _newton_log_survival(slope, coeff[:, :k_m], math.log(big_n))
     lam.setflags(write=False)
     return lam
 

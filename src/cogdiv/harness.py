@@ -6,7 +6,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
@@ -62,7 +61,8 @@ def _checked_trials(trials, sizes, name="trials", low=1) -> int:
     trials = as_int(name, trials, low)
     cells = max(n * m for n, m in sizes) * trials
     if cells > DEFAULT_CELL_BUDGET:
-        raise ResourceError(   # Decimal: cells may be beyond the float range
+        from decimal import Decimal   # here, off every run that fits: cells may exceed floats
+        raise ResourceError(
             f"{name} = {Decimal(trials):.3g} needs {Decimal(cells):.3g} cells, beyond the "
             f"budget of {DEFAULT_CELL_BUDGET:.3g}")
     return trials

@@ -282,6 +282,38 @@ def test_threshold_tables_share_no_storage(homog_cfg):
     assert later.tobytes() == solved.tobytes()
 
 
+def _array_pass(cfg, big_n):
+    """Each band's array Newton pass over the link_law of a config equal to ``cfg``."""
+    slope, coeff = dataclasses.replace(cfg).link_law
+    return np.stack([analytics._newton_log_survival(slope, coeff[:, :k_m], math.log(big_n))
+                     for k_m in cfg.primary_count])
+
+
+@pytest.mark.parametrize("eta, gamma", [
+    (0.4, 0.6),
+    ([2.5] * 12, [[0.3, 1.1, 0.7, 1.9]] * 12),
+], ids=["homogeneous", "per-user-lists"])
+def test_one_law_table_builds_no_per_user_law(eta, gamma):
+    # Unequal K with a K_m = 0 band, and eta != 1, so each band's law is its own.
+    cfg = NetworkConfig.homogeneous(12, 3, (4, 0, 2), 7.0, pp_over_ps=0.3, eta=eta, gamma=gamma)
+    for big_n, solved_n in ((None, 12), (10**6, 10**6)):
+        lam = build_threshold_table(cfg, big_n)
+        assert "link_law" not in vars(cfg)
+        assert lam.tobytes() == _array_pass(cfg, solved_n).tobytes()
+
+
+def test_two_law_table_takes_the_array_pass():
+    eta = np.full(12, 0.8)
+    eta[5] = 1.6
+    cfg = NetworkConfig.homogeneous(12, 3, (4, 0, 2), 7.0, pp_over_ps=0.3, eta=eta, gamma=0.6)
+    with mock.patch.object(analytics, "_newton_log_survival",
+                           wraps=analytics._newton_log_survival) as solve:
+        lam = build_threshold_table(cfg)
+    assert [call.args[0].shape for call in solve.call_args_list] == [(12,)] * 3
+    assert lam.tobytes() == _array_pass(cfg, 12).tobytes()
+    assert lam[0, 5] != lam[0, 4]
+
+
 # -- exponential order-statistic moments ------------------------------------
 
 def test_expected_log_max_single_exponential():

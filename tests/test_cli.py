@@ -290,6 +290,39 @@ def test_trial_paths_and_validate_load_no_scipy(tmp_path):
     ).splitlines() == ["[]", "True []", "[]"]
 
 
+def test_trial_paths_and_cli_load_no_numpy_ma_or_decimal(tmp_path):
+    # On numpy 2.x, np.unique imports numpy.ma (about 1.3 MB and 14 ms in a
+    # fresh process), and decimal only formats the cell-budget error. numpy
+    # 1.x imports numpy.ma with numpy itself, so what `import numpy` loads is
+    # the baseline: each path must add neither module to it.
+    config = tmp_path / "net.cfg"
+    config.write_text("N = 10\nM = 2\nK = 1, 3\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
+                      "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
+    assert _fresh_python(
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "watched = {'numpy.ma', 'decimal'}\n"
+        "baseline = watched & set(sys.modules)\n"
+        "from cogdiv import NetworkConfig, cli, harness\n"
+        "def added():\n"
+        "    return sorted(watched & set(sys.modules) - baseline)\n"
+        "cfg = NetworkConfig.homogeneous(10, 4, (4, 2, 4, 0), 10.0, eta=0.5)\n"
+        "harness.run_schemes(cfg, harness.SCHEMES, 50)\n"
+        "harness.run_schemes(cfg.with_population(12), ('distributed',), 50)\n"
+        "harness.run_schemes(NetworkConfig.homogeneous(10, 2, 2, 10.0, eta=[1.0, 2.0] * 5),\n"
+        "                    harness.SCHEMES, 50)\n"
+        "harness.scaling_sweep(cfg, (10, 20), 20)\n"
+        "harness.threshold_sweep(cfg, (10, 100), (0.0, 10.0), (1, 4))\n"
+        "harness.validate(NetworkConfig.homogeneous(10, 2, (1, 2), 10.0), 10_000)\n"
+        "print(added())\n"
+        "for command in ('simulate', 'scaling', 'thresholds', 'validate'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):   # validate's report\n"
+        f"        assert cli.main([command, '--config', {str(config)!r},\n"
+        f"                         '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(added())"
+    ).splitlines() == ["[]", "[]"]
+
+
 def test_seed_override_changes_results(tmp_path):
     config = tmp_path / "net.cfg"
     config.write_text(SMALL_DOC)

@@ -113,8 +113,17 @@ MUTANTS = (
            "        if not len(g_sq):\n            continue\n",
            "        if not len(g_sq):\n            break\n"),
     Mutant("one-threshold-for-every-user", "src/cogdiv/analytics.py",
-           "alike = bool(np.all(slope == slope[0]) and np.all(coeff == coeff[:1]))",
-           "alike = True"),
+           "if (eta == eta[0]).all() and (gamma == gamma[:1]).all():",
+           "if True:"),
+    Mutant("one-law-band-0-count", "src/cogdiv/analytics.py",
+           "tuple(coeff[:k_m])",
+           "tuple(coeff[:cfg.primary_count[0]])"),
+    Mutant("one-law-slope-without-eta", "src/cogdiv/analytics.py",
+           "slope = 1.0 / (cfg.snr() * eta_0)",
+           "slope = 1.0 / cfg.snr()"),
+    Mutant("one-law-coeff-without-eta", "src/cogdiv/analytics.py",
+           "gamma[0] / eta_0",
+           "gamma[0]"),
     Mutant("bounds-with-swapped-extremes", "src/cogdiv/config.py",
            "pick = np.min if upper else np.max",
            "pick = np.max if upper else np.min"),
