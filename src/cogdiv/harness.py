@@ -496,28 +496,20 @@ def _event_d_count(sinr: np.ndarray) -> int:
     return int(np.count_nonzero(centralized.all_distinct(centralized.favorite_users(sinr))))
 
 
-def _ks_distance(x: np.ndarray, cdf, exact=None) -> float:
+def _ks_distance(x: np.ndarray, cdf) -> float:
     """Two-sided KS distance of the sample ``x`` from ``cdf``.
 
     scipy's ``stats.ks_1samp(x, cdf).statistic`` bit for bit, from one
     sort and one CDF pass, ``SAMPLE_CHUNK`` points at a time; a NaN in
     ``x`` gives NaN.  ``x`` is sorted in place, so the caller's sample
-    comes back sorted.  ``exact``, if given, recomputes the CDF at a
-    chunk's points whose term lies within 2^-50 of the chunk's largest; a
-    ``cdf`` within a few ulp of ``exact`` then gives ``exact``'s distance.
+    comes back sorted.
     """
     x.sort()
     worst = []
     for start in range(0, x.size, SAMPLE_CHUNK):
-        chunk = x[start:start + SAMPLE_CHUNK]
-        c = cdf(chunk)
+        c = cdf(x[start:start + SAMPLE_CHUNK])
         i = np.arange(start, start + c.size, dtype=float)   # the points' ranks - 1
-        up, down = (i + 1.0) / x.size - c, c - i / x.size
-        if exact is not None:   # a NaN largest term makes every point near
-            near = ~((up < np.max(up) - 2.0 ** -50) & (down < np.max(down) - 2.0 ** -50))
-            c, i = exact(chunk[near]), i[near]
-            up, down = (i + 1.0) / x.size - c, c - i / x.size
-        worst += [np.max(up), np.max(down)]
+        worst += [np.max((i + 1.0) / x.size - c), np.max(c - i / x.size)]
     return float(np.max(worst))
 
 
@@ -527,34 +519,11 @@ def _ks_distance(x: np.ndarray, cdf, exact=None) -> float:
 _NORMAL_LIMIT = 3.2905267314919255
 _KOLMOGOROV_LIMIT = 1.9494746035043753
 
-#: cephes' ``expm1`` on [-0.5, 0.5]: x P(x^2) / (Q(x^2) - x P(x^2)), doubled.
-_EXPM1_P = (1.2617719307481059087798e-4, 3.0299440770744196129956e-2,
-            9.9999999999999999991025e-1)
-_EXPM1_Q = (3.0019850513866445504159e-6, 2.5244834034968410419224e-3,
-            2.2726554820815502876593e-1, 2.0000000000000000000897e0)
-
-
-def _exp1_cdf(x: np.ndarray, libm: bool = False) -> np.ndarray:
-    """The Exp(1) CDF ``-expm1(-x)`` as cephes computes it (scipy's
-    ``expon``), at sorted x >= 0: the rational form up to 0.5, then
-    ``1 - exp(-x)``.  That ``exp`` is numpy's, or with ``libm`` the C
-    library's, which scipy's C code calls: numpy's own can be 1 ulp off it
-    (on about 5% of these inputs with numpy 2.4's AVX-512 ``exp``)."""
-    k = np.searchsorted(x, 0.5, side="right")
-    t = -x[:k]
-    tt = t * t
-    p, q = _EXPM1_P, _EXPM1_Q
-    r = t * ((p[0] * tt + p[1]) * tt + p[2])
-    r = r / ((((q[0] * tt + q[1]) * tt + q[2]) * tt + q[3]) - r)
-    tail = -x[k:]
-    e = np.array([math.exp(v) for v in tail.tolist()]) if libm else np.exp(tail)
-    return np.concatenate((-(r + r), 1.0 - e))
-
 
 def _exp1_ks(x: np.ndarray) -> float:
-    """KS distance of the sample ``x`` >= 0 from Exp(1): scipy's
-    ``stats.kstest(x, "expon").statistic`` bit for bit."""
-    return _ks_distance(x, _exp1_cdf, lambda near: _exp1_cdf(near, libm=True))
+    """KS distance of the sample ``x`` >= 0 from Exp(1), whose CDF
+    ``-expm1(-x)`` keeps the digits of small x."""
+    return _ks_distance(x, lambda c: -np.expm1(-c))
 
 
 def _ks_limit(samples: int) -> float:
@@ -564,63 +533,16 @@ def _ks_limit(samples: int) -> float:
     return _KOLMOGOROV_LIMIT / math.sqrt(samples)
 
 
-#: cephes' unit roundoff, log(DBL_MAX), the continued fraction's rescaling
-#: threshold and its inverse, and the Lanczos prefactor's F = g + 1.5
-#: (g = 6.024680040776729583740234375) and C = sqrt(F / e^F) /
-#: lanczos_sum_expg_scaled(2).
-_MACHEP, _MAXLOG = 2.0 ** -53, 7.09782712893383996843e2
-_BIG, _BIGINV = 4.503599627370496e15, 2.22044604925031308085e-16
-_LANCZOS_F, _LANCZOS_C = 7.524680040776729583740234375, 7.662793320009829
-
-
-def _gamma_q2(x: float) -> float:
-    """The regularized upper incomplete gamma function Q(2, x), cephes'
-    ``igamc(2, x)`` step for step in libm arithmetic: 1 at x <= 0."""
-    if x <= 0.0:
-        return 1.0
-    if abs(2.0 - x) > 0.8:   # x^2 e^-x / Gamma(2), Gamma(2) being 1; 0 once it underflows
-        ax = 2.0 * math.log(x) - x
-        fac = 0.0 if ax < -_MAXLOG else math.exp(ax)
-    else:
-        fac = _LANCZOS_C * (math.exp(2.0 - x) * math.pow(x / _LANCZOS_F, 2.0))
-    if fac == 0.0:   # Q(2, x) is 0 past 2, else 1 - 0
-        return 0.0 if x >= 2.0 else 1.0
-    if x > 1.1 and x >= 2.0:   # cephes' test for a = 2: the continued fraction
-        y, z, c = -1.0, x, 0.0   # y = 1 - a, z = x + y + 1
-        pkm2, qkm2, pkm1, qkm1 = 1.0, x, x + 1.0, z * x
-        ans = pkm1 / qkm1
-        for _ in range(2000):
-            c, y, z = c + 1.0, y + 1.0, z + 2.0
-            pk, qk = pkm1 * z - pkm2 * (y * c), qkm1 * z - qkm2 * (y * c)
-            t = 1.0
-            if qk != 0:
-                r = pk / qk
-                t, ans = abs((ans - r) / r), r
-            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
-            if abs(pk) > _BIG:
-                pkm2, pkm1, qkm2, qkm1 = (v * _BIGINV for v in (pkm2, pkm1, qkm2, qkm1))
-            if t <= _MACHEP:
-                break
-        return ans * fac
-    r, c, ans = 2.0, 1.0, 1.0   # 1 - the power series of P(2, x)
-    for _ in range(2000):
-        r += 1.0
-        c *= x / r
-        ans += c
-        if c <= _MACHEP * ans:
-            break
-    return 1.0 - ans * fac / 2.0
-
-
 def _chisquare_p(counts: np.ndarray) -> float:
     """The p-value of Pearson's chi-square test of equal frequencies over
-    five counts: scipy's ``stats.chisquare(counts).pvalue`` bit for bit,
-    ``chdtrc(4, s)`` being Q(2, s / 2)."""
+    five counts: the chi-square law's survival function at four degrees of
+    freedom, Q(2, s / 2) = e^(-h) (1 + h) with h = s / 2 for the statistic s."""
     f = counts.astype(float)
     if f.size != 5:
         raise ValueError(f"the chi-square p-value takes 5 counts, got {f.size}")
     expected = f.mean()
-    return _gamma_q2(float(np.sum((f - expected) ** 2 / expected)) / 2.0)
+    h = float(np.sum((f - expected) ** 2 / expected)) / 2.0
+    return math.exp(-h) * (1.0 + h)
 
 
 def validate(cfg: NetworkConfig, samples: int = 100_000) -> ValidationReport:

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -34,7 +35,7 @@ from cogdiv.harness import (
 )
 
 from conftest import assert_csv_field, heterogeneous_config
-from oracles import weighted_sinr
+from oracles import exact_exp1_ks, exact_q2, half_statistic_counts, q2_error_bound, weighted_sinr
 
 
 def test_centralized_dominates_distributed_per_trial(hetero_cfg):
@@ -408,7 +409,7 @@ def test_validate_contention_check_equals_first_earliest_timer_of_each_row():
     rng = np.random.default_rng((cfg.seed, 0xA11))
     harness._simulate_sinr_samples(cfg, 0, 0, np.empty(10_000), rng)
     winners = np.argmin(rng.random((30_000, 5)), axis=-1)
-    assert check.statistic == stats.chisquare(np.bincount(winners, minlength=5)).pvalue
+    assert check.statistic == harness._chisquare_p(np.bincount(winners, minlength=5))
 
 
 def _lift(mode, lower, upper, sinr):
@@ -618,24 +619,46 @@ def test_ks_distance_equals_scipy_statistic(size, ties):
 @pytest.mark.parametrize("size", [10, *CHUNK_SIZES, 100_000])
 @pytest.mark.parametrize("ties", [False, True])
 def test_exp1_ks_equals_scipy_statistic(size, ties):
-    # The chunked rational form and numpy's exp, with the C library's exp
-    # at the points nearest the distance: scipy's statistic bit for bit.
+    # Within 2^-52 of the exact distance: each term rounds the rank
+    # fraction and the difference by half an ulp below 1, and -expm1 is
+    # within an ulp of the CDF.  scipy's statistic agrees to 1e-12.
     x = np.random.default_rng(size).exponential(size=size)
     if ties:
         x = np.round(x, 2)
-    assert harness._exp1_ks(x) == stats.kstest(x, "expon", method="asymp").statistic
+    ks = harness._exp1_ks(x.copy())
+    assert abs(Decimal(ks) - exact_exp1_ks(x)) <= Decimal(2.0 ** -52)
+    assert ks == pytest.approx(stats.kstest(x, "expon", method="asymp").statistic,
+                               rel=1e-12, abs=0)
     x[size // 2] = np.nan   # sorted last, so in the last chunk
     assert math.isnan(harness._exp1_ks(x))
 
 
+def test_exp1_ks_keeps_the_digits_of_small_draws():
+    # 1023 draws at the midpoints of their CDF steps and one at x0, whose CDF
+    # is below 0.4 / 1024: the distance 1/1024 - F(x0) comes from the small
+    # draw, so it is within 2 ulp only if F(x0) keeps its digits, which
+    # 1 - e^-x0 loses.
+    rest = -np.log1p(-(np.arange(1, 1024) + 0.5) / 1024)
+    for x0 in np.geomspace(1e-300, 0.4 / 1024, 40):
+        x = np.concatenate([[x0], rest])
+        exact = exact_exp1_ks(x)
+        assert abs(Decimal(harness._exp1_ks(x)) - exact) <= 2 * Decimal(math.ulp(float(exact)))
+
+
 def test_gamma_q2_equals_scipy_on_a_grid():
-    # Every branch: the power series below 2 (its prefactor x^2 e^-x, or the
-    # Lanczos form within 0.8 of 2), the continued fraction from 2 on, and
-    # the underflowing prefactor at both ends.
-    x = np.concatenate([np.linspace(0.0, 10.0, 10_001), np.geomspace(1e-320, 1e5, 10_000),
-                        np.linspace(1.1, 2.9, 5_000)])
-    assert np.array_equal([harness._gamma_q2(v) for v in x.tolist()], special.gammaincc(2.0, x))
-    assert harness._gamma_q2(1e-300 / 2) == special.chdtrc(4, 1e-300) == 1.0
+    # The p-value is Q(2, h) = e^-h (1 + h) for half the statistic h.  At
+    # 800 points in [1e-5, 700] it is within 4 ulp of Q(2, h) at 60 digits
+    # (scipy's gammaincc(2, h) is up to 376 ulp off there) and within 1e-12
+    # of gammaincc.  Past 708, e^-h turns subnormal, and past 745.13 it is 0,
+    # where Q(2, h) < 2^-1064.
+    for x in [*np.geomspace(1e-5, 700, 800), *np.linspace(708, 750, 200)]:
+        counts, h = half_statistic_counts(x)
+        p, exact = harness._chisquare_p(counts), exact_q2(h)
+        assert abs(Decimal(p) - exact) <= q2_error_bound(h, exact)
+        if h <= 708:
+            assert p == pytest.approx(special.gammaincc(2.0, h), rel=1e-12, abs=0)
+    assert harness._chisquare_p(half_statistic_counts(745.1)[0]) > 0.0
+    assert harness._chisquare_p(half_statistic_counts(745.2)[0]) == 0.0
 
 
 def test_chisquare_p_takes_five_counts():

@@ -5,8 +5,10 @@ them, and spread-out path-loss factors.  Examples are derandomized so the
 suite gives the same verdict on every run.
 """
 import math
+import sys
 import threading
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -42,7 +44,8 @@ from cogdiv.cli import parse_config, render_config
 from cogdiv.harness import json_data
 
 from conftest import heterogeneous_config
-from oracles import optimal_assignment_exhaustive, resolve_contention, weighted_sinr
+from oracles import (exact_exp1_ks, exact_q2, half_statistic_counts, optimal_assignment_exhaustive,
+                     q2_error_bound, resolve_contention, weighted_sinr)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -645,53 +648,83 @@ def _five_bins(first_four):
     return [*first_four, 30_000 - sum(first_four)]
 
 
-# Five-bin counts of 30,000 contentions, as validate's chi-square test
-# takes them: any split, and splits near the fair 6000 each.
-@PROPERTY_SETTINGS
-@given(st.one_of(
+#: Five-bin counts of 30,000 contentions, as validate's chi-square test
+#: takes them: any split, and splits near the fair 6000 each.
+FIVE_COUNTS = st.one_of(
     st.lists(st.integers(0, 30_000), min_size=4, max_size=4).map(sorted)
     .map(lambda cuts: np.diff([0, *cuts, 30_000]).tolist()),
-    st.lists(st.integers(5700, 6300), min_size=4, max_size=4).map(_five_bins)))
+    st.lists(st.integers(5700, 6300), min_size=4, max_size=4).map(_five_bins))
+
+
+@PROPERTY_SETTINGS
+@given(FIVE_COUNTS)
 @example([6000] * 5)                        # equal counts: the statistic is 0
 @example([5962, 6059, 5969, 6057, 5953])    # counts a fair contention gives
+@example([6000, 6000, 6000, 3939, 8061])    # half the statistic just under 708
 @example([0, 0, 0, 0, 30_000])              # every contention in one bin
 def test_chisquare_p_equals_scipy(counts):
+    # Within 1e-12 of scipy's p-value while both are normal floats; past
+    # half a statistic of 708 both are below Q(2, 708) < 2.4e-305.
     counts = np.array(counts)
-    assert harness._chisquare_p(counts) == stats.chisquare(counts).pvalue
+    p, scipy = harness._chisquare_p(counts), stats.chisquare(counts)
+    if scipy.statistic / 2.0 <= 708:
+        assert p == pytest.approx(scipy.pvalue, rel=1e-12, abs=0)
+    else:
+        assert 0.0 <= p < 2.4e-305 and scipy.pvalue < 2.4e-305
 
 
-def _around(edge, ulps=4):
-    """``edge`` and its ``ulps`` nearest floats on each side."""
-    below, above = [edge], [edge]
-    for _ in range(ulps):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[::-1] + above[1:]
-
-
-# Q(2, x) over the half-statistics of five counts of 30,000 (up to 60,000)
-# and beyond, around cephes' branch edges, and at tiny x, where the series'
-# prefactor x^2 e^-x underflows to 0 and Q is 1 - 0.
+# Q(2, h) for half-statistics h over those of five counts of 30,000 (up to
+# 60,000) and beyond, through e^-h's subnormal range, and at the smallest
+# h > 0 that half_statistic_counts makes, 2^-50.
 @PROPERTY_SETTINGS
-@given(st.floats(0.0, 1e5) | st.floats(0.0, 1e-150)
-       | st.sampled_from([x for edge in (0.5, 1.1, 1.2, 2.0, 2.8) for x in _around(edge)]))
+@given(st.floats(0.0, 1e5) | st.floats(700.0, 750.0) | st.floats(0.0, 1e-6))
 @example(0.0)
-@example(5e-301)    # a statistic of 1e-300
-@example(5e-324)
+@example(2.0 ** -50)
+@example(708.0)
+@example(745.0)
 @example(1e5)
 def test_gamma_q2_equals_scipy(x):
-    assert harness._gamma_q2(x) == special.gammaincc(2.0, x) == special.chdtrc(4, 2.0 * x)
+    # Within 4 ulp of Q(2, h) at 60 digits, with e^-h's own rounding past
+    # 708, and within 1e-12 of scipy's gammaincc(2, h) up to 708.
+    counts, h = half_statistic_counts(x)
+    p, exact = harness._chisquare_p(counts), exact_q2(h)
+    assert abs(Decimal(p) - exact) <= q2_error_bound(h, exact)
+    if h <= 708:
+        assert p == pytest.approx(special.gammaincc(2.0, h), rel=1e-12, abs=0)
+
+
+@PROPERTY_SETTINGS
+@given(FIVE_COUNTS, FIVE_COUNTS, st.integers(1, 10**9))
+@example([6000] * 5, [6001, 5999, 6000, 6000, 6000], 1)   # the two smallest statistics
+@example([6000, 6000, 6000, 3939, 8061], [6000, 6000, 6000, 3938, 8062], 6000)
+@example([0, 0, 0, 0, 30_000], [0, 0, 0, 1, 29_999], 10**9)
+def test_chisquare_p_is_a_probability_falling_with_the_statistic(first, second, count):
+    # The p-value lies in [0, 1], is 1 exactly at equal counts, and does not
+    # rise with the statistic while it is a normal float.  (Past half a
+    # statistic of 735.7, e^-h has too few subnormal steps, and e^-h (1 + h)
+    # can rise by a step of 2^-1074 as h grows.)
+    (q_low, low), (q_high, high) = sorted(
+        (sum((c - 6000) ** 2 for c in counts), counts) for counts in (first, second))
+    p_low, p_high = (harness._chisquare_p(np.array(c)) for c in (low, high))
+    assert 0.0 <= p_low <= 1.0 and 0.0 <= p_high <= 1.0
+    if q_low < q_high and p_low >= sys.float_info.min:
+        assert p_high <= p_low
+    assert harness._chisquare_p(np.full(5, count)) == 1.0
 
 
 # Samples of Exp(1)'s support, with ties when rounded to 0.1.
 @PROPERTY_SETTINGS
 @given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=300), st.booleans())
-@example([0.52], False)   # numpy 2.4's AVX-512 exp(-0.52) is 1 ulp off the C library's
+@example([0.52], False)
 @example([0.52, 0.52, 3.0], False)
-@example([0.0, 0.5, 0.5, math.nextafter(0.5, 1.0), 40.0], False)   # both sides of 0.5
+@example([0.0, 0.5, 0.5, math.nextafter(0.5, 1.0), 40.0], False)
 def test_exp1_ks_equals_scipy(values, ties):
+    # Within 2^-52 of the exact distance and 1e-12 of scipy's statistic.
     x = np.round(values, 1) if ties else np.array(values)
-    assert harness._exp1_ks(x) == stats.kstest(x, "expon", method="asymp").statistic
+    ks = harness._exp1_ks(x.copy())
+    assert abs(Decimal(ks) - exact_exp1_ks(x)) <= Decimal(2.0 ** -52)
+    assert ks == pytest.approx(stats.kstest(x, "expon", method="asymp").statistic,
+                               rel=1e-12, abs=0)
 
 
 # snr_db over nearly all of the range NetworkConfig accepts (rho and 1/rho

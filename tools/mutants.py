@@ -85,15 +85,15 @@ MUTANTS = (
     Mutant("rows-blamed-on-scalars", "src/cogdiv/config.py",
            "sequence = shape != () and isinstance(values, (list, tuple))",
            "sequence = shape != ()"),
-    Mutant("exp1-ks-without-libm-exp", "src/cogdiv/harness.py",
-           "_ks_distance(x, _exp1_cdf, lambda near: _exp1_cdf(near, libm=True))",
-           "_ks_distance(x, _exp1_cdf)"),
-    Mutant("continued-fraction-above-1.1", "src/cogdiv/harness.py",
-           "    if x > 1.1 and x >= 2.0:",
-           "    if x > 1.1:"),
-    Mutant("q2-prefactor-without-lanczos", "src/cogdiv/harness.py",
-           "    if abs(2.0 - x) > 0.8:",
-           "    if True:"),
+    Mutant("exp1-cdf-by-subtraction", "src/cogdiv/harness.py",
+           "lambda c: -np.expm1(-c)",
+           "lambda c: 1.0 - np.exp(-c)"),
+    Mutant("q2-without-linear-term", "src/cogdiv/harness.py",
+           "    return math.exp(-h) * (1.0 + h)",
+           "    return math.exp(-h)"),
+    Mutant("chisquare-statistic-not-halved", "src/cogdiv/harness.py",
+           "h = float(np.sum((f - expected) ** 2 / expected)) / 2.0",
+           "h = float(np.sum((f - expected) ** 2 / expected))"),
     Mutant("pass-shares-thread-buffer", "src/cogdiv/channel.py",
            'vars(_THREAD).pop("rows", ',
            'vars(_THREAD).get("rows", '),
