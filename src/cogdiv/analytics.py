@@ -144,9 +144,9 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
     (big_n = N by default), solved as -log(1 - T(x)) = ln big_n.
 
     Bands with the same K_m share their thresholds.  When every user has
-    the same eta and gamma row, a band's thresholds are its law's
-    ``_law_threshold``, solved once per process for each distinct K_m, and
-    no per-user law is built.  Otherwise each distinct K_m costs one array
+    the same eta and gamma row (``cfg.one_law``), a band's thresholds are
+    its law's ``_law_threshold``, solved once per process for each
+    distinct K_m, and no per-user law is built.  Otherwise each distinct K_m costs one array
     Newton pass over the users.  Either way every entry equals its own
     law's ``_law_threshold``.
     """
@@ -154,7 +154,7 @@ def build_threshold_table(cfg: NetworkConfig, big_n: int | None = None) -> np.nd
              else as_population(big_n, 2))
     lam = np.empty((cfg.num_bands, cfg.num_secondary))
     eta, gamma = cfg.eta, cfg.gamma
-    if (eta == eta[0]).all() and (gamma == gamma[:1]).all():
+    if cfg.one_law:
         # link_law's row 0, in its order of operations.
         eta_0 = float(eta[0])
         slope = 1.0 / (cfg.snr() * eta_0)

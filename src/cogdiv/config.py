@@ -200,6 +200,11 @@ class NetworkConfig:
                 _frozen(self.pp_over_ps() * self.gamma / self.eta[:, None]))
 
     @functools.cached_property
+    def one_law(self) -> bool:
+        """True if every user has the same eta and the same gamma row, so one SINR law."""
+        return bool((self.eta == self.eta[0]).all() and (self.gamma == self.gamma[:1]).all())
+
+    @functools.cached_property
     def interference_weights(self) -> np.ndarray | None:
         """``gamma``, or None if it is all 1.0: x * 1.0 == x, so |h|^2 sum unweighted."""
         return None if np.all(self.gamma == 1.0) else self.gamma
@@ -248,14 +253,21 @@ class NetworkConfig:
         template stays homogeneous at every population size.  The template
         is checked, and cycled arrays keep within its extremes, so only the
         new population and seed are checked: the result equals the
-        constructor's config of the same fields.
+        constructor's config of the same fields.  Cycled rows of one law, or
+        of unit gamma, keep that class, so a True ``one_law`` and a None
+        ``interference_weights`` are passed down; a smaller population can
+        drop a two-law or weighted template's distinct rows.
         """
         n = as_int("num_secondary", num_secondary, self.num_bands)
         seed = as_int("seed", self.seed if seed is None else seed, 0)
         config = object.__new__(type(self))   # no cached link_law is carried over
-        config.__dict__.update({f.name: getattr(self, f.name) for f in dataclasses.fields(self)},
+        config.__dict__.update({name: getattr(self, name) for name in _FIELDS},
                                num_secondary=n, eta=_cycled("eta", self.eta, n),
                                gamma=_cycled("gamma", self.gamma, n), seed=seed)
+        if self.one_law:
+            config.__dict__["one_law"] = True
+        if self.interference_weights is None:
+            config.__dict__["interference_weights"] = None
         return config
 
     def __eq__(self, other):
@@ -263,3 +275,7 @@ class NetworkConfig:
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in dataclasses.fields(self))
+
+
+#: The field names, in order: ``with_population`` copies them.
+_FIELDS = tuple(f.name for f in dataclasses.fields(NetworkConfig))

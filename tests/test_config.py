@@ -119,6 +119,17 @@ def test_with_population_cycles_rows():
     assert np.array_equal(big.gamma[7], cfg.gamma[1])
 
 
+def test_with_population_passes_down_the_law_class():
+    # A one-law or unit-gamma template's point holds its flag before any
+    # read; a two-law, weighted template's point decides both itself.
+    unit = NetworkConfig.homogeneous(10, 2, 3, 10.0, seed=1).with_population(25)
+    assert vars(unit)["one_law"] is True and vars(unit)["interference_weights"] is None
+    weighted = NetworkConfig.homogeneous(10, 2, 3, 10.0, gamma=0.5).with_population(25)
+    assert vars(weighted)["one_law"] is True and "interference_weights" not in vars(weighted)
+    two_law = heterogeneous_config(num_secondary=6).with_population(25)
+    assert "one_law" not in vars(two_law) and "interference_weights" not in vars(two_law)
+
+
 @pytest.mark.parametrize("n, seed", [
     (2.5, None), ("ten", None), (None, None),    # N not an integer
     (3, None), (0, None), (-4, None),            # N < M = 4

@@ -645,7 +645,7 @@ def test_exp1_ks_keeps_the_digits_of_small_draws():
         assert abs(Decimal(harness._exp1_ks(x)) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
-def test_gamma_q2_equals_scipy_on_a_grid():
+def test_chisquare_p_within_4_ulp_of_q2_on_a_grid():
     # The p-value is Q(2, h) = e^-h (1 + h) for half the statistic h.  At
     # 800 points in [1e-5, 700] it is within 4 ulp of Q(2, h) at 60 digits
     # (scipy's gammaincc(2, h) is up to 376 ulp off there) and within 1e-12

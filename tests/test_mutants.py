@@ -1,5 +1,6 @@
-"""The mutation gate's verdict on canned pytest runs (``tools/mutants.py``)."""
+"""The mutation gate's verdict on canned pytest runs and canned mutants (``tools/mutants.py``)."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,19 @@ SUMMARY = "=========================== short test summary info =================
         "collection-error-beside-a-failure", "passed", "interrupted", "no-summary", "timeout"])
 def test_only_a_failing_test_kills_a_mutant(code, stdout, verdict):
     assert mutants._verdict(code, stdout) == verdict
+
+
+def test_stale_mutants_stop_the_gate_before_any_run(tmp_path, monkeypatch, capsys):
+    (tmp_path / "a.py").write_text("x = 1\nx = 1\ny = 2\n")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    monkeypatch.setattr(mutants, "MUTANTS", (
+        mutants.Mutant("once", "a.py", "y = 2", "y = 3"),
+        mutants.Mutant("twice", "a.py", "x = 1", "x = 2"),
+        mutants.Mutant("gone", "a.py", "z = 3", "z = 4")))
+    monkeypatch.setattr(mutants, "_mutated_copy",
+                        lambda scratch, mutant: pytest.fail("a tier-1 run started"))
+    assert mutants.main() == 1
+    assert json.loads(capsys.readouterr().out) == {"stale": [
+        {"name": "twice", "detail": "old string occurs 2 times in a.py"},
+        {"name": "gone", "detail": "old string occurs 0 times in a.py"},
+    ], "total": 3}

@@ -662,7 +662,7 @@ FIVE_COUNTS = st.one_of(
 @example([5962, 6059, 5969, 6057, 5953])    # counts a fair contention gives
 @example([6000, 6000, 6000, 3939, 8061])    # half the statistic just under 708
 @example([0, 0, 0, 0, 30_000])              # every contention in one bin
-def test_chisquare_p_equals_scipy(counts):
+def test_chisquare_p_within_1e_12_of_scipy(counts):
     # Within 1e-12 of scipy's p-value while both are normal floats; past
     # half a statistic of 708 both are below Q(2, 708) < 2.4e-305.
     counts = np.array(counts)
@@ -683,7 +683,7 @@ def test_chisquare_p_equals_scipy(counts):
 @example(708.0)
 @example(745.0)
 @example(1e5)
-def test_gamma_q2_equals_scipy(x):
+def test_chisquare_p_within_4_ulp_of_q2(x):
     # Within 4 ulp of Q(2, h) at 60 digits, with e^-h's own rounding past
     # 708, and within 1e-12 of scipy's gammaincc(2, h) up to 708.
     counts, h = half_statistic_counts(x)
@@ -718,7 +718,7 @@ def test_chisquare_p_is_a_probability_falling_with_the_statistic(first, second, 
 @example([0.52], False)
 @example([0.52, 0.52, 3.0], False)
 @example([0.0, 0.5, 0.5, math.nextafter(0.5, 1.0), 40.0], False)
-def test_exp1_ks_equals_scipy(values, ties):
+def test_exp1_ks_within_2_52_of_exact(values, ties):
     # Within 2^-52 of the exact distance and 1e-12 of scipy's statistic.
     x = np.round(values, 1) if ties else np.array(values)
     ks = harness._exp1_ks(x.copy())
@@ -788,6 +788,8 @@ def test_network_is_rejected_or_runs_without_overflow(kwargs):
        st.integers(-2, 60), st.one_of(st.none(), st.integers(-3, 2**70)))
 @example(NetworkConfig.homogeneous(5, 2, 0, 10.0, seed=3), 12, None)            # every K_m = 0
 @example(NetworkConfig.homogeneous(9, 4, (0, 2, 4, 1), 0.0, seed=4), 4, 2**64)  # N = M
+# A two-law template whose smaller population has one law.
+@example(NetworkConfig.homogeneous(3, 2, 1, 10.0, eta=(1.0, 1.0, 2.0)), 2, None)
 def test_with_population_equals_the_constructors_config(template, n, seed):
     template.link_law   # a template's cached law is not the new config's
     if n < template.num_bands or (seed is not None and seed < 0):
@@ -795,6 +797,9 @@ def test_with_population_equals_the_constructors_config(template, n, seed):
             template.with_population(n, seed=seed)
         return
     cfg = template.with_population(n, seed=seed)
+    # Only a one-law or unit-gamma template passes its flag down.
+    assert ("one_law" in vars(cfg)) == template.one_law
+    assert ("interference_weights" in vars(cfg)) == (template.interference_weights is None)
     built = NetworkConfig(
         num_secondary=n, num_bands=template.num_bands, primary_count=template.primary_count,
         power_secondary=template.power_secondary, power_primary=template.power_primary,
@@ -809,3 +814,7 @@ def test_with_population_equals_the_constructors_config(template, n, seed):
         assert not arr.flags.writeable
     for upper in (False, True):
         assert cfg.bound_law(upper) == built.bound_law(upper)
+    assert cfg.one_law == built.one_law
+    assert (cfg.interference_weights is None) == (built.interference_weights is None)
+    if n >= 2:   # a table needs two users
+        assert build_threshold_table(cfg).tobytes() == build_threshold_table(built).tobytes()

@@ -16,10 +16,12 @@ it (``_verdict``); a run that cannot collect a test file, or that ends in
 any other way, is an error, not a kill.  The script prints one JSON
 report: for each mutant, killed, survived or error, the node id of the
 first failing test (or what went wrong) and the seconds its run took.  It
-exits non-zero if the control fails, if a mutant is not killed, or if a
-mutant's old string no longer occurs exactly once (a refactor that moves
-the code must move the mutant with it).  Add the mutants that a change's
-new tests kill; never remove or weaken one to make the gate pass.
+exits non-zero if the control fails or if a mutant is not killed.  Before
+any run it checks every mutant's old string: if one no longer occurs
+exactly once (a refactor that moves the code must move the mutant with
+it), it prints every such mutant and exits non-zero without running.
+Add the mutants that a change's new tests kill; never remove or weaken
+one to make the gate pass.
 """
 from __future__ import annotations
 
@@ -112,9 +114,16 @@ MUTANTS = (
     Mutant("pool-stops-with-the-table", "src/cogdiv/harness.py",
            "        if not len(g_sq):\n            continue\n",
            "        if not len(g_sq):\n            break\n"),
-    Mutant("one-threshold-for-every-user", "src/cogdiv/analytics.py",
-           "if (eta == eta[0]).all() and (gamma == gamma[:1]).all():",
-           "if True:"),
+    Mutant("one-threshold-for-every-user", "src/cogdiv/config.py",
+           "return bool((self.eta == self.eta[0]).all() and (self.gamma == self.gamma[:1]).all())",
+           "return True"),
+    Mutant("one-law-inherited-from-any-template", "src/cogdiv/config.py",
+           "        if self.one_law:\n",
+           "        if True:\n"),
+    Mutant("weights-inherited-from-weighted-template", "src/cogdiv/config.py",
+           "        if self.interference_weights is None:\n"
+           "            config.__dict__[\"interference_weights\"] = None\n",
+           "        config.__dict__[\"interference_weights\"] = self.interference_weights\n"),
     Mutant("one-law-band-0-count", "src/cogdiv/analytics.py",
            "tuple(coeff[:k_m])",
            "tuple(coeff[:cfg.primary_count[0]])"),
@@ -232,7 +241,19 @@ def _mutated_copy(scratch: Path, mutant: Mutant | None) -> Path:
     return tree
 
 
+def _stale(mutants, root: Path) -> list[dict]:
+    """Each of ``mutants`` whose old string does not occur exactly once in
+    its file under ``root``, with how many times it does."""
+    counts = ((mutant, (root / mutant.path).read_text().count(mutant.old)) for mutant in mutants)
+    return [{"name": mutant.name, "detail": f"old string occurs {matches} times in {mutant.path}"}
+            for mutant, matches in counts if matches != 1]
+
+
 def main() -> int:
+    stale = _stale(MUTANTS, ROOT)
+    if stale:   # no run, since a stale mutant fails the gate whatever the tests do
+        print(json.dumps({"stale": stale, "total": len(MUTANTS)}, indent=2))
+        return 1
     results = []
     with tempfile.TemporaryDirectory(prefix="cogdiv-mutants-") as tmp:
         scratch = Path(tmp)
@@ -242,11 +263,6 @@ def main() -> int:
                    "seconds": round(seconds, 1)}
         # A kill means nothing unless the unchanged tree passes.
         for mutant in MUTANTS if control["passed"] else ():
-            matches = (ROOT / mutant.path).read_text().count(mutant.old)
-            if matches != 1:
-                results.append({"name": mutant.name, "status": "stale",
-                                "detail": f"old string occurs {matches} times in {mutant.path}"})
-                continue
             status, detail, seconds = _run_tier1(_mutated_copy(scratch, mutant))
             results.append({"name": mutant.name, "status": status, "seconds": round(seconds, 1),
                             "killed_by" if status == "killed" else "detail": detail})
