@@ -235,6 +235,11 @@ def _set_stream(image: np.ndarray) -> np.random.Generator:
     return gen
 
 
+class UnsupportedNumpyError(RuntimeError):
+    """This numpy's PCG64 or ``Generator.random`` differs from the trial
+    engine's emulation of it, so its trial streams would diverge."""
+
+
 def _memory_layout(bit_generator: np.random.PCG64) -> tuple[int, ...]:
     """Which of the words (state low, state high, inc low, inc high) each of
     PCG64's four state words in memory is, learned by a round trip through
@@ -246,16 +251,16 @@ def _memory_layout(bit_generator: np.random.PCG64) -> tuple[int, ...]:
     words, head = _state_views(bit_generator)
     layout = tuple(words.tolist())
     if sorted(layout) != [0, 1, 2, 3] or (head.has_uint32, head.uinteger) != (1, 5):
-        raise RuntimeError("this numpy lays out PCG64's state differently from "
-                           "the trial streams' state write")
+        raise UnsupportedNumpyError("this numpy lays out PCG64's state differently "
+                                    "from the trial streams' state write")
     return layout
 
 
 @functools.cache
 def _check_seeding() -> tuple[int, ...]:
-    """The ``_memory_layout`` of PCG64 in this process; RuntimeError unless
-    streams set from the seeding pass, and the timer step ``_randoms`` on
-    their images, draw as ``default_rng`` does.
+    """The ``_memory_layout`` of PCG64 in this process; UnsupportedNumpyError
+    unless streams set from the seeding pass, and the timer step ``_randoms``
+    on their images, draw as ``default_rng`` does.
 
     The key takes every mixing round, and the second stream is set while
     the first still buffers a 32-bit draw, so the hashing, the seeding step
@@ -271,12 +276,12 @@ def _check_seeding() -> tuple[int, ...]:
 
     for image, key in zip(np.take(images, layout, axis=1), keys):
         if draws(_set_stream(image)) != draws(np.random.default_rng(key)):
-            raise RuntimeError("this numpy seeds PCG64 differently from the trial "
-                               "seeding pass; trial streams would diverge")
+            raise UnsupportedNumpyError("this numpy seeds PCG64 differently from the "
+                                        "trial seeding pass; trial streams would diverge")
     expected = [x for key, k in zip(keys, counts) for x in np.random.default_rng(key).random(k)]
     if _randoms(images, counts).tolist() != expected:
-        raise RuntimeError("this numpy's Generator.random differs from the contention "
-                           "timer step; contention timers would diverge")
+        raise UnsupportedNumpyError("this numpy's Generator.random differs from the "
+                                    "contention timer step; contention timers would diverge")
     return layout
 
 

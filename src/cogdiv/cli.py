@@ -15,9 +15,11 @@ import dataclasses
 import inspect
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 from . import harness
+from .channel import UnsupportedNumpyError
 from .config import ConfigError, NetworkConfig, power_from_db
 
 DEFAULT_TRIALS = 2000
@@ -157,9 +159,7 @@ def main(argv=None) -> int:
             trials = settings.get("trials", DEFAULT_TRIALS) if args.trials is None else args.trials
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            probe = out_dir / ".write-probe"
-            probe.touch()
-            probe.unlink()
+            tempfile.TemporaryFile(dir=out_dir).close()   # an unwritable --out fails before any run
 
             if args.subcommand == "simulate":
                 aggs = harness.run_schemes(cfg, harness.SCHEMES, trials)
@@ -199,6 +199,9 @@ def main(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except UnsupportedNumpyError as exc:
+        print(f"unsupported numpy: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

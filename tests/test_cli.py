@@ -221,106 +221,68 @@ def test_validate_recorded_homogeneous_config_passes(tmp_path):
     assert checks["cdf_dominance"]["statistic"] == 0.0
 
 
-def test_module_entry_point_runs_the_cli(tmp_path):
-    # `python -m cogdiv.cli` must run the CLI, not import it and exit 0.
+def _python(*args, timeout=120):
+    """A new interpreter that imports this cogdiv, run with ``args``."""
     package_root = str(Path(cogdiv.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run(
-        [sys.executable, "-m", "cogdiv.cli", "validate",
-         "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert result.returncode == 2
-    assert "error" in result.stderr
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
-def _fresh_python(code):
-    """stdout of ``code`` run in a new interpreter that imports this cogdiv."""
-    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run([sys.executable, "-c", code],
-                            capture_output=True, text=True, timeout=120, env=env)
+#: Run as `python -c BUDGET OUT CONFIG...`: prints, as JSON, the watched
+#: modules that each stage added to what `import numpy` loads.
+BUDGET = """
+import contextlib, io, json, sys
+import numpy
+watched = ('scipy', 'numpy.ma', 'numpy.polynomial', 'decimal')
+def loaded():
+    return {m for m in sys.modules if any(m == w or m.startswith(w + '.') for w in watched)}
+baseline, report = loaded(), {}
+def stage(name):
+    report[name] = sorted(loaded() - baseline)
+from cogdiv import NetworkConfig, analytics, cli, harness
+stage('import')
+cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)
+hetero = NetworkConfig.homogeneous(10, 4, (4, 2, 4, 0), 10.0, eta=0.5)
+assert harness.run_schemes(cfg, harness.SCHEMES, 200)['centralized'].event_d_frequency < 1
+harness.run_schemes(hetero, harness.SCHEMES, 50)
+harness.run_schemes(hetero.with_population(12), ('distributed',), 50)
+harness.run_schemes(NetworkConfig.homogeneous(10, 2, 2, 10.0, eta=[1.0, 2.0] * 5),
+                    harness.SCHEMES, 50)
+stage('trials')
+for template in (cfg, hetero):
+    harness.scaling_sweep(template, (10, 20), 20)
+    harness.threshold_sweep(template, (10, 100), (0.0, 10.0), (1, 4))
+stage('sweeps')
+for k in (1, (1, 2)):
+    harness.validate(NetworkConfig.homogeneous(10, 2, k, 10.0), 10_000)
+stage('validate')
+for config in sys.argv[2:]:
+    for command in ('simulate', 'scaling', 'thresholds', 'validate'):
+        with contextlib.redirect_stdout(io.StringIO()):   # validate's report
+            assert cli.main([command, '--config', config, '--out', sys.argv[1]]) == 0
+stage('cli')
+analytics.expected_log_max(4.0, 1000)   # its quadrature rule is numpy.polynomial's
+stage('expected_log_max')
+print(json.dumps(report))
+"""
+
+
+def test_no_path_loads_scipy_numpy_ma_polynomial_or_decimal(tmp_path):
+    # scipy.special alone adds about 24 MB and 0.35 s to a process, and
+    # scipy.optimize about 24 MB more; numpy.ma (np.unique loads it on numpy
+    # 2.x) about 1.3 MB and 14 ms.  decimal only formats the cell-budget
+    # error.  numpy 1.x loads numpy.ma and numpy.polynomial with numpy itself.
+    configs = [tmp_path / "one_k.cfg", tmp_path / "two_k.cfg"]
+    for config, k in zip(configs, ("1", "1, 3")):
+        config.write_text(f"N = 10\nM = 2\nK = {k}\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
+                          "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
+    result = _python("-c", BUDGET, str(tmp_path), *map(str, configs))
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
-
-
-def test_import_leaves_out_scipy_stats_and_integrate():
-    # No trial path needs them, and they add about 22 MB to a process's peak RSS.
-    assert _fresh_python("import cogdiv, sys; "
-                         "print(sorted({'scipy.stats', 'scipy.integrate'} & set(sys.modules)))") == "[]"
-
-
-def test_matching_up_to_four_bands_leaves_out_scipy_optimize():
-    # Only M > 4 runs scipy's assignment solver; scipy.optimize adds about
-    # 24 MB to a process's peak RSS.
-    assert _fresh_python(
-        "import cogdiv, sys\n"
-        "from cogdiv import NetworkConfig, harness\n"
-        "aggs = harness.run_schemes(NetworkConfig.homogeneous(10, 4, 4, 10.0), harness.SCHEMES, 200)\n"
-        "print(aggs['centralized'].event_d_frequency < 1, 'scipy.optimize' in sys.modules)"
-    ) == "True False"
-
-
-def test_trial_paths_and_validate_load_no_scipy(tmp_path):
-    # scipy.special alone adds about 24 MB and 0.35 s to a process; validate
-    # computes its quantiles, CDFs and p-value in the package.
-    config = tmp_path / "net.cfg"
-    config.write_text("N = 10\nM = 2\nK = 1\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
-                      "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
-    assert _fresh_python(
-        "import contextlib, io, sys\n"
-        "import cogdiv\n"
-        "from cogdiv import NetworkConfig, analytics, cli, harness\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
-        "analytics.expected_log_max(4.0, 1000)   # its quadrature rule is in the package\n"
-        "cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)\n"
-        "aggs = harness.run_schemes(cfg, harness.SCHEMES, 200)\n"
-        "harness.scaling_sweep(cfg, (10, 20), 20)\n"
-        "harness.threshold_sweep(cfg, (10, 100), (0.0, 10.0), (1, 4))\n"
-        "for command in ('simulate', 'scaling', 'thresholds', 'validate'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):   # validate's report\n"
-        f"        assert cli.main([command, '--config', {str(config)!r},\n"
-        f"                         '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(aggs['centralized'].event_d_frequency < 1, scipy_modules())\n"
-        "harness.validate(NetworkConfig.homogeneous(10, 2, 1, 10.0), 10_000)\n"
-        "print(scipy_modules())"
-    ).splitlines() == ["[]", "True []", "[]"]
-
-
-def test_trial_paths_and_cli_load_no_numpy_ma_or_decimal(tmp_path):
-    # On numpy 2.x, np.unique imports numpy.ma (about 1.3 MB and 14 ms in a
-    # fresh process), and decimal only formats the cell-budget error. numpy
-    # 1.x imports numpy.ma with numpy itself, so what `import numpy` loads is
-    # the baseline: each path must add neither module to it.
-    config = tmp_path / "net.cfg"
-    config.write_text("N = 10\nM = 2\nK = 1, 3\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
-                      "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
-    assert _fresh_python(
-        "import contextlib, io, sys\n"
-        "import numpy\n"
-        "watched = {'numpy.ma', 'decimal'}\n"
-        "baseline = watched & set(sys.modules)\n"
-        "from cogdiv import NetworkConfig, cli, harness\n"
-        "def added():\n"
-        "    return sorted(watched & set(sys.modules) - baseline)\n"
-        "cfg = NetworkConfig.homogeneous(10, 4, (4, 2, 4, 0), 10.0, eta=0.5)\n"
-        "harness.run_schemes(cfg, harness.SCHEMES, 50)\n"
-        "harness.run_schemes(cfg.with_population(12), ('distributed',), 50)\n"
-        "harness.run_schemes(NetworkConfig.homogeneous(10, 2, 2, 10.0, eta=[1.0, 2.0] * 5),\n"
-        "                    harness.SCHEMES, 50)\n"
-        "harness.scaling_sweep(cfg, (10, 20), 20)\n"
-        "harness.threshold_sweep(cfg, (10, 100), (0.0, 10.0), (1, 4))\n"
-        "harness.validate(NetworkConfig.homogeneous(10, 2, (1, 2), 10.0), 10_000)\n"
-        "print(added())\n"
-        "for command in ('simulate', 'scaling', 'thresholds', 'validate'):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):   # validate's report\n"
-        f"        assert cli.main([command, '--config', {str(config)!r},\n"
-        f"                         '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(added())"
-    ).splitlines() == ["[]", "[]"]
+    report = json.loads(result.stdout)
+    assert all(m.split(".")[:2] == ["numpy", "polynomial"] for m in report.pop("expected_log_max"))
+    assert report == dict.fromkeys(("import", "trials", "sweeps", "validate", "cli"), [])
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -353,6 +315,48 @@ def test_out_naming_a_file_is_an_io_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and "File exists" in err
+
+
+def test_missing_config_is_an_io_error(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path / "missing.cfg"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_write_probe_leaves_the_output_directory_as_it_was(tmp_path):
+    # The check that --out is writable touches no file of it, whatever its
+    # name, and leaves none behind.
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".write-probe").write_bytes(b"kept\n")
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / ".write-probe").read_bytes() == b"kept\n"
+    assert sorted(path.name for path in out.iterdir()) == [
+        ".write-probe", "simulate.csv", "simulate.json"]
+
+
+def test_numpy_whose_streams_diverge_exits_2(tmp_path, capsys, monkeypatch):
+    from cogdiv import channel
+    config = tmp_path / "net.cfg"
+    config.write_text(SMALL_DOC + "samples = 20000\nn_values = 10, 20\n")
+    out = tmp_path / "out"
+    # The seeding check run afresh with PCG64's multiplier off by 2, as on a
+    # numpy that seeds PCG64 differently from the trial seeding pass.
+    monkeypatch.setattr(channel, "_check_seeding", channel._check_seeding.__wrapped__)
+    monkeypatch.setattr(channel, "_PCG_MULT", channel._PCG_MULT + 2)
+    for subcommand in ("simulate", "scaling", "validate"):
+        assert main([subcommand, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unsupported numpy: ") and err.count("\n") == 1
+    assert not any(out.iterdir())
+
+    def fault():
+        raise RuntimeError("a fault of the program")
+    monkeypatch.setattr(channel, "_check_seeding", fault)   # keeps its traceback
+    with pytest.raises(RuntimeError, match="a fault of the program"):
+        main(["simulate", "--config", str(config), "--out", str(out)])
 
 
 @pytest.mark.parametrize("subcommand, extra_line, flags", [
@@ -488,16 +492,13 @@ def test_oversized_network_exits_2(tmp_path, capsys, doc):
 
 
 def test_validate_huge_sample_count_exits_2_at_once(tmp_path):
-    # A sample count beyond the cell budget is rejected before any sampling.
+    # A sample count beyond the cell budget is rejected before any sampling;
+    # only a `python -m cogdiv.cli` that runs main, not one that imports it
+    # and exits 0, prints the error.
     config = tmp_path / "net.cfg"
     config.write_text(SMALL_DOC + "samples = 1e13\n")
-    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
-    result = subprocess.run(
-        [sys.executable, "-m", "cogdiv.cli", "validate",
-         "--config", str(config), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=20, env=env)
+    result = _python("-m", "cogdiv.cli", "validate",
+                     "--config", str(config), "--out", str(tmp_path / "out"), timeout=20)
     assert result.returncode == 2
     assert "configuration error" in result.stderr and "samples" in result.stderr
 

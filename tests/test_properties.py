@@ -623,23 +623,23 @@ def test_trial_streams_of_interleaved_threads_equal_default_rng():
 def test_seeding_check_raises_when_streams_would_diverge():
     channel._check_seeding.__wrapped__()
     with mock.patch.object(channel, "_PCG_MULT", channel._PCG_MULT + 2):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(channel.UnsupportedNumpyError):
             channel._check_seeding.__wrapped__()
     # The state written with its 64-bit words in the other order.
     layout = channel._memory_layout(np.random.PCG64(0))
     swapped = tuple(layout[c ^ 1] for c in range(4))
     with mock.patch.object(channel, "_memory_layout", return_value=swapped):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(channel.UnsupportedNumpyError):
             channel._check_seeding.__wrapped__()
     # The timer step's output with the wrong rotation.
     with mock.patch.object(channel, "_ROTATE", channel._U64(57)):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(channel.UnsupportedNumpyError):
             channel._check_seeding.__wrapped__()
     # State words that are no permutation of the four the setter wrote.
     views = channel._state_views
     with mock.patch.object(channel, "_state_views",
                            lambda bg: (np.zeros(4, np.uint64), views(bg)[1])):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(channel.UnsupportedNumpyError):
             channel._memory_layout(np.random.PCG64(0))
 
 

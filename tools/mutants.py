@@ -189,6 +189,29 @@ MUTANTS = (
     Mutant("stderr-without-bessel", "src/cogdiv/harness.py",
            "squares.sum(axis=1) / max(n - 1, 1)",
            "squares.sum(axis=1) / n"),
+    Mutant("scipy-stats-at-import", "src/cogdiv/analytics.py",
+           "import numpy as np\n",
+           "import numpy as np\nfrom scipy.stats import binom\n"),
+    Mutant("numpy-polynomial-at-import", "src/cogdiv/analytics.py",
+           "import numpy as np\n",
+           "import numpy as np\nfrom numpy.polynomial import legendre\n"),
+    Mutant("scipy-optimize-at-import", "src/cogdiv/centralized.py",
+           "import numpy as np\n",
+           "import numpy as np\nfrom scipy.optimize import linear_sum_assignment\n"),
+    Mutant("decimal-at-import", "src/cogdiv/harness.py",
+           "import numpy as np\n",
+           "import numpy as np\nfrom decimal import Decimal\n"),
+    Mutant("threshold-counts-by-np-unique", "src/cogdiv/analytics.py",
+           "for k_m in set(cfg.primary_count):",
+           "for k_m in np.unique(cfg.primary_count):"),
+    Mutant("unsupported-numpy-uncaught", "src/cogdiv/cli.py",
+           "    except UnsupportedNumpyError as exc:\n"
+           "        print(f\"unsupported numpy: {exc}\", file=sys.stderr)\n"
+           "        return 2\n",
+           ""),
+    Mutant("write-probe-by-name", "src/cogdiv/cli.py",
+           "tempfile.TemporaryFile(dir=out_dir).close()",
+           "(out_dir / \".write-probe\").touch(); (out_dir / \".write-probe\").unlink()"),
 )
 
 
