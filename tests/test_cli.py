@@ -246,6 +246,7 @@ stage('import')
 cfg = NetworkConfig.homogeneous(10, 4, 4, 10.0)
 hetero = NetworkConfig.homogeneous(10, 4, (4, 2, 4, 0), 10.0, eta=0.5)
 assert harness.run_schemes(cfg, harness.SCHEMES, 200)['centralized'].event_d_frequency < 1
+stage('matching')
 harness.run_schemes(hetero, harness.SCHEMES, 50)
 harness.run_schemes(hetero.with_population(12), ('distributed',), 50)
 harness.run_schemes(NetworkConfig.homogeneous(10, 2, 2, 10.0, eta=[1.0, 2.0] * 5),
@@ -269,20 +270,43 @@ print(json.dumps(report))
 """
 
 
-def test_no_path_loads_scipy_numpy_ma_polynomial_or_decimal(tmp_path):
-    # scipy.special alone adds about 24 MB and 0.35 s to a process, and
-    # scipy.optimize about 24 MB more; numpy.ma (np.unique loads it on numpy
-    # 2.x) about 1.3 MB and 14 ms.  decimal only formats the cell-budget
-    # error.  numpy 1.x loads numpy.ma and numpy.polynomial with numpy itself.
+@pytest.fixture(scope="module")
+def budget(tmp_path_factory):
+    """BUDGET's report, from one new interpreter; each stage's list holds
+    what that stage and every earlier one added."""
+    tmp_path = tmp_path_factory.mktemp("budget")
     configs = [tmp_path / "one_k.cfg", tmp_path / "two_k.cfg"]
     for config, k in zip(configs, ("1", "1, 3")):
         config.write_text(f"N = 10\nM = 2\nK = {k}\nsnr_db = 10\ntrials = 20\nsamples = 10000\n"
                           "n_values = 10, 20\nrho_db_values = 0, 10\nk_values = 1, 4\n")
     result = _python("-c", BUDGET, str(tmp_path), *map(str, configs))
     assert result.returncode == 0, result.stderr
-    report = json.loads(result.stdout)
-    assert all(m.split(".")[:2] == ["numpy", "polynomial"] for m in report.pop("expected_log_max"))
-    assert report == dict.fromkeys(("import", "trials", "sweeps", "validate", "cli"), [])
+    return json.loads(result.stdout)
+
+
+def test_import_leaves_out_scipy_stats_and_integrate(budget):
+    # No trial path needs them, and they add about 22 MB to a process's peak RSS.
+    assert budget["import"] == []
+
+
+def test_matching_up_to_four_bands_leaves_out_scipy_optimize(budget):
+    # Only M > 4 runs scipy's assignment solver; scipy.optimize adds about
+    # 24 MB to a process's peak RSS.
+    assert budget["matching"] == []
+
+
+def test_trial_paths_and_cli_load_no_numpy_ma_or_decimal(budget):
+    # numpy.ma (np.unique loads it on numpy 2.x) adds about 1.3 MB and 14 ms
+    # to a fresh process; decimal only formats the cell-budget error.  numpy
+    # 1.x loads numpy.ma and numpy.polynomial with numpy itself.
+    assert budget["cli"] == []
+
+
+def test_trial_paths_and_validate_load_no_scipy(budget):
+    # scipy.special alone adds about 24 MB and 0.35 s to a process; validate
+    # computes its quantiles, CDFs and p-value in the package, and only
+    # expected_log_max, run last, may add numpy.polynomial.
+    assert all(m.split(".")[:2] == ["numpy", "polynomial"] for m in budget["expected_log_max"])
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -491,16 +515,26 @@ def test_oversized_network_exits_2(tmp_path, capsys, doc):
     assert "out of memory" in capsys.readouterr().err
 
 
-def test_validate_huge_sample_count_exits_2_at_once(tmp_path):
-    # A sample count beyond the cell budget is rejected before any sampling;
-    # only a `python -m cogdiv.cli` that runs main, not one that imports it
-    # and exits 0, prints the error.
+@pytest.fixture(scope="module")
+def huge_samples(tmp_path_factory):
+    """`python -m cogdiv.cli validate` on a sample count beyond the cell budget."""
+    tmp_path = tmp_path_factory.mktemp("huge_samples")
     config = tmp_path / "net.cfg"
     config.write_text(SMALL_DOC + "samples = 1e13\n")
-    result = _python("-m", "cogdiv.cli", "validate",
-                     "--config", str(config), "--out", str(tmp_path / "out"), timeout=20)
-    assert result.returncode == 2
-    assert "configuration error" in result.stderr and "samples" in result.stderr
+    return _python("-m", "cogdiv.cli", "validate",
+                   "--config", str(config), "--out", str(tmp_path / "out"), timeout=20)
+
+
+def test_module_entry_point_runs_the_cli(huge_samples):
+    # `python -m cogdiv.cli` must run main, not import the CLI and exit 0.
+    assert huge_samples.returncode == 2
+    assert huge_samples.stderr.startswith("configuration error")
+
+
+def test_validate_huge_sample_count_exits_2_at_once(huge_samples):
+    # A sample count beyond the cell budget is rejected before any sampling.
+    assert huge_samples.returncode == 2
+    assert "configuration error" in huge_samples.stderr and "samples" in huge_samples.stderr
 
 
 def test_scaling_json_reports_paired_gap(tmp_path):
