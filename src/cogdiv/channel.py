@@ -6,8 +6,10 @@ identical to drawing complex Gaussians and cheaper.
 """
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
+import os
 import threading
 from dataclasses import dataclass
 
@@ -216,8 +218,8 @@ def _state_views(bit_generator: np.random.PCG64) -> tuple[np.ndarray, _Pcg64Stat
     return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(head.pcg_state)), head
 
 
-#: Per thread: the reused generator of ``_set_stream`` and the draw
-#: buffer of ``trial_passes``, while no pass holds it.
+#: Per thread: the reused generator of ``_set_stream`` and the two draw
+#: buffers of ``trial_passes``, while no pass holds them.
 _THREAD = threading.local()
 
 
@@ -291,6 +293,11 @@ def _check_seeding() -> tuple[int, ...]:
 #: (two streams of 4 uint64 words a trial) within it too.
 BLOCK_BYTES = 1 << 19
 MAX_BLOCK_TRIALS = 64
+#: A span fills each next block on the fill worker while its caller runs
+#: the current one when it has at least PREFETCH_BLOCKS blocks, each trial
+#: draws at least PREFETCH_DRAWS, and the process may run on two CPUs.
+PREFETCH_BLOCKS = 8
+PREFETCH_DRAWS = 1 << 13
 
 
 def _trials(start: int, count: int) -> np.ndarray:
@@ -311,6 +318,58 @@ def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
     """Fill one trial's row of draws from its stream ``rng``: the (M, N)
     |g|^2 and then the (M, N, max K_m) |h|^2, in one call."""
     rng.standard_exponential(out=row)
+
+
+#: (pid, executor) of this process's fill worker, once it has one.
+_FILLER = None
+
+
+def _filler():
+    """This process's fill worker: one thread, started at its first fill.  A
+    forked child makes its own, since the parent's thread is not in it.
+    Two threads that ask for the first one at once may each make one;
+    either works."""
+    global _FILLER
+    if _FILLER is None or _FILLER[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _FILLER = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill")
+    return _FILLER[1]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _fill_ahead(images: np.ndarray, rows: np.ndarray) -> tuple:
+    """The (future, rows left) of the fill of ``rows`` from ``images``,
+    given to the fill worker, which takes the rows first to last."""
+    todo = collections.deque(zip(images, rows))
+    try:
+        return _filler().submit(_fill_from, todo, todo.popleft), todo
+    except RuntimeError:   # the interpreter is exiting, and the worker with it
+        from concurrent.futures import Future
+        return Future(), todo   # never started: the caller fills every row
+
+
+def _fill_from(todo: collections.deque, take) -> None:
+    """Fill the (image, row) pairs that ``take`` takes from ``todo``, until none is left."""
+    while True:
+        try:
+            image, out = take()
+        except IndexError:   # the other thread took the last one
+            return
+        _draw(_set_stream(image), out)
+
+
+def _finish_fill(ahead: tuple) -> None:
+    """Finish a fill of ``_fill_ahead``: fill here, last first, the rows the
+    worker has not taken, and wait for the row it is filling."""
+    future, todo = ahead
+    _fill_from(todo, todo.pop)
+    if not future.cancel():
+        future.result()
 
 
 def _row_width(cfg: NetworkConfig) -> int:
@@ -371,15 +430,26 @@ def trial_passes(cfgs, trials: int):
     config ``point``, at rows row to row + B - 1.  ``g_sq`` and ``h_sq``
     are the block's stacked (B, M, N) and (B, M, N, max K_m) fading
     draws, slice b drawn from trial start + b's own fading stream.  They
-    are views of the leading rows of the thread's draw buffer, each
-    trial's draws one row filled by one call: they are valid until the
-    next block is asked for, which overwrites them, or the pass ends.
-    A pass takes the buffer at its first block, grows it to its largest
-    block and gives it back when its blocks end or are closed; a pass
-    that finds it taken, by another live pass of the thread, allocates
-    its own.  The thread keeps it only up to 2 ``BLOCK_BYTES``, the most
-    a block within ``BLOCK_BYTES`` takes.  The streams of every config
-    are seeded together, so a sweep's points share passes.
+    are views of the leading rows of one of the thread's two draw
+    buffers, each trial's draws one row filled by one call: they are
+    valid until the next block is asked for, or the pass ends.
+
+    A span of at least ``PREFETCH_BLOCKS`` blocks whose trials draw at
+    least ``PREFETCH_DRAWS`` each, in a process that may run on two or
+    more CPUs, fills its blocks in both buffers in turn: while the caller
+    holds one block, the process's fill worker (``_filler``) fills the
+    rows of the next into the other buffer, first to last.  Asked for that
+    block, the caller fills, last first, the rows the worker has not
+    taken, and waits only for the row it is filling.  Any other span
+    fills each block in the first buffer when it is asked for.
+
+    A pass takes the buffers at its first block, grows each it uses to
+    its largest block and gives them back when its blocks end or are
+    closed, after the worker has left them; a pass that finds them taken,
+    by another live pass of the thread, allocates its own.  The thread
+    keeps each only up to 2 ``BLOCK_BYTES``, the most a block within
+    ``BLOCK_BYTES`` takes.  The streams of every config are seeded
+    together, so a sweep's points share passes.
     """
     return (_seeded_pass(cfgs, spans) for spans in seeding_passes(cfgs, trials))
 
@@ -390,23 +460,39 @@ def _seeded_pass(cfgs, spans) -> tuple:
         [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
 
     def blocks():
-        buf, row = vars(_THREAD).pop("rows", np.empty(0)), 0
+        bufs, ahead, row = vars(_THREAD).pop("rows", None) or [np.empty(0)] * 2, None, 0
         try:
             for point, first, count in spans:
                 cfg, step = cfgs[point], block_trials(cfgs[point])
                 width = _row_width(cfg)
                 need = min(step, count) * width
-                buf = buf if buf.size >= need else np.empty(need)
-                rows = buf[:need].reshape(-1, width)
-                for start in range(first, first + count, step):
-                    size = min(step, first + count - start)
-                    for image, out in zip(fading[row:row + size], rows):
-                        _draw(_set_stream(image), out)
-                    yield point, start, row, *_split(cfg, rows[:size])
+                starts = range(first, first + count, step)
+                lanes = 2 if (len(starts) >= PREFETCH_BLOCKS and width >= PREFETCH_DRAWS
+                              and _cpus() > 1) else 1
+                bufs[:lanes] = [buf if buf.size >= need else np.empty(need) for buf in bufs[:lanes]]
+                rows = [buf[:need].reshape(-1, width) for buf in bufs[:lanes]]
+                end = row + count   # the row after the span's last
+                for j, start in enumerate(starts):
+                    size = min(step, end - row)
+                    block = rows[j % lanes][:size]
+                    if ahead is None:
+                        for image, out in zip(fading[row:row + size], block):
+                            _draw(_set_stream(image), out)
+                    else:
+                        _finish_fill(ahead)
+                    ahead = None
+                    if lanes > 1 and row + size < end:   # the worker fills the next block
+                        images = fading[row + size:min(row + size + step, end)]
+                        ahead = _fill_ahead(images, rows[(j + 1) % 2][:len(images)])
+                    yield point, start, row, *_split(cfg, block)
                     row += size
-        finally:
-            if buf.nbytes <= 2 * BLOCK_BYTES:
-                _THREAD.rows = buf
+        finally:   # no fill may outlast the pass's hold on its buffers
+            if ahead is not None:
+                future, todo = ahead
+                todo.clear()   # the worker takes no further row
+                if not future.cancel():
+                    future.exception()   # waits for its last row, whatever it raised
+            _THREAD.rows = [buf if buf.nbytes <= 2 * BLOCK_BYTES else np.empty(0) for buf in bufs]
 
     return spans, lambda rows, counts: _randoms(contention[rows], counts), blocks()
 

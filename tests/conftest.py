@@ -1,7 +1,11 @@
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from cogdiv import NetworkConfig, SinrTable
+from cogdiv import NetworkConfig, SinrTable, channel
 
 
 def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
@@ -22,6 +26,25 @@ def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
         gamma=rng.uniform(0.25, 4.0, (num_secondary, k_max)),
         seed=seed,
     )
+
+
+@contextlib.contextmanager
+def forced_prefetch(on: bool, blocks: int = 1, draws: int = 1):
+    """The prefetch path of ``channel.trial_passes`` on every span of at
+    least ``blocks`` blocks of at least ``draws`` draws a trial (on), or on
+    none (off), in a process whose CPU affinity reports two CPUs.  Yields
+    the list of the number of rows of each fill given to the worker."""
+    limits = {"PREFETCH_BLOCKS": blocks if on else 2**62, "PREFETCH_DRAWS": draws}
+    given, fill_ahead = [], channel._fill_ahead
+
+    def noting_fill_ahead(images, rows):
+        given.append(len(images))
+        return fill_ahead(images, rows)
+
+    with mock.patch.multiple(channel, **limits), \
+            mock.patch.object(channel, "_fill_ahead", noting_fill_ahead), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        yield given
 
 
 def table_from(sinr):

@@ -1,3 +1,12 @@
+import concurrent.futures
+import contextlib
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,10 +19,11 @@ from cogdiv import (
     compute_sinr,
     draw_realization,
 )
+import cogdiv
 from cogdiv import channel
 from cogdiv.channel import sinr_bounds
 
-from conftest import heterogeneous_config
+from conftest import forced_prefetch, heterogeneous_config
 
 
 def test_draw_is_deterministic(hetero_cfg):
@@ -88,6 +98,281 @@ def test_buffer_past_twice_block_bytes_is_not_kept():
     assert not np.shares_memory(g_a, g_b) and not np.shares_memory(h_a, h_b)
     real = draw_realization(cfg, 0)
     assert np.array_equal(g_b[0], real.g_sq) and np.array_equal(h_b[0], real.h_sq)
+
+
+def test_prefetched_buffers_past_twice_block_bytes_are_not_kept():
+    # As above, with each run's first two blocks in the two buffers: a
+    # trial's row of 416 bytes exceeds twice BLOCK_BYTES = 192, and a pass
+    # has room for 3 trials.
+    cfg = NetworkConfig.homogeneous(13, 2, 1, 10.0, seed=3)
+    with mock.patch.object(channel, "BLOCK_BYTES", 192), forced_prefetch(True):
+        assert channel.block_trials(cfg) == 1
+        assert list(channel.seeding_passes([cfg], 3)) == [[(0, 0, 3)]]
+        runs = []
+        for _ in range(2):
+            [(_, _, blocks)] = channel.trial_passes([cfg], 3)
+            runs.append([g_sq for _, _, _, g_sq, _ in blocks][:2])
+    (first_a, second_a), (first_b, second_b) = runs
+    assert not np.shares_memory(first_a, second_a)
+    for a in (first_a, second_a):
+        assert not any(np.shares_memory(a, b) for b in (first_b, second_b))
+
+
+#: Blocks of 3 trials of MIXED[0] and 10 of MIXED[1] in passes of 15
+#: trials: at 20 trials a config the passes are [5 blocks of MIXED[0]],
+#: [2 blocks of MIXED[0], 1 of MIXED[1]] and [1 of MIXED[1]], so that
+#: with prefetching from 2 blocks one pass holds a prefetched span, whose
+#: last block is short, and an inline one.
+MIXED = (NetworkConfig.homogeneous(10, 2, 2, 10.0, seed=3),
+         NetworkConfig.homogeneous(6, 2, 1, 10.0, seed=4))
+MIXED_BLOCK_BYTES, MIXED_TRIALS = 960, 20
+
+
+def _mixed_pass_blocks(check_block=lambda g_sq, h_sq: None):
+    """Each pass's (point, start, prefetched) blocks of MIXED, with
+    prefetching from 2 blocks, each block checked against
+    ``draw_realization`` and by ``check_block``."""
+    seen = []
+    with mock.patch.object(channel, "BLOCK_BYTES", MIXED_BLOCK_BYTES), \
+            forced_prefetch(True, blocks=2) as given:
+        assert [channel.block_trials(cfg) for cfg in MIXED] == [3, 10]
+        for _, _, blocks in channel.trial_passes(MIXED, MIXED_TRIALS):
+            seen.append([])
+            for point, start, _, g_sq, h_sq in blocks:
+                check_block(g_sq, h_sq)
+                for b in range(len(g_sq)):
+                    real = draw_realization(MIXED[point], start + b)
+                    assert np.array_equal(g_sq[b], real.g_sq) and np.array_equal(h_sq[b], real.h_sq)
+                seen[-1].append((point, start, bool(given)))
+                given.clear()
+    return seen
+
+
+# Each block's entry: (point, start, whether the next block was given to the worker).
+MIXED_PASSES = [[(0, 0, True), (0, 3, True), (0, 6, True), (0, 9, True), (0, 12, False)],
+                [(0, 15, True), (0, 18, False), (1, 0, False)],
+                [(1, 10, False)]]
+
+
+def test_prefetched_and_inline_spans_equal_draw_realization():
+    assert _mixed_pass_blocks() == MIXED_PASSES
+
+
+class _EagerWorker:
+    """A fill worker that runs each fill as it is given, noting the rows it fills."""
+
+    def __init__(self):
+        self.rows, self.running = [], False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_running_or_notify_cancel()
+        self.running = True
+        fn(*args)
+        self.running = False
+        future.set_result(None)
+        return future
+
+
+def test_no_fill_targets_the_block_the_caller_holds():
+    # The eager worker fills the next block before the caller gets this
+    # one: no row it fills may be in this block, which must still hold its
+    # own draws.
+    worker, draw = _EagerWorker(), channel._draw
+
+    def noting_draw(rng, row):
+        if worker.running:
+            worker.rows.append(row)
+        draw(rng, row)
+
+    def check_block(g_sq, h_sq):
+        assert not any(np.shares_memory(row, a) for row in worker.rows for a in (g_sq, h_sq))
+        worker.rows.clear()
+
+    with mock.patch.object(channel, "_filler", lambda: worker), \
+            mock.patch.object(channel, "_draw", noting_draw):
+        assert _mixed_pass_blocks(check_block) == MIXED_PASSES
+
+
+class _NeverStarted(concurrent.futures.Future):
+    """A fill that the worker never starts: waiting on it would never end."""
+
+    def result(self, timeout=None):
+        raise AssertionError("the caller waited on a fill that never started")
+
+    exception = result
+
+
+def test_fills_that_never_start_are_filled_by_the_caller():
+    # A worker that is late, as on a loaded machine, must not hold up a
+    # pass: the caller takes every row the worker has not.
+    worker = mock.Mock()
+    worker.submit.side_effect = lambda fn, *args: _NeverStarted()
+    with mock.patch.object(channel, "_filler", lambda: worker):
+        assert _mixed_pass_blocks() == MIXED_PASSES
+        assert worker.submit.call_count == 5
+        with forced_prefetch(True):   # a pass closed with a fill given
+            [(_, _, blocks)] = channel.trial_passes([MIXED[0]], 200)
+            next(blocks)
+            blocks.close()
+
+
+#: 880 bytes of |h|^2 a trial: at BLOCK_BYTES = ONE_ROW_BYTES, blocks of
+#: one trial and passes of 20.
+ONE_ROW, ONE_ROW_BYTES = NetworkConfig.homogeneous(11, 2, 4, 10.0, seed=3), 1280
+
+
+@contextlib.contextmanager
+def _one_row_blocks():
+    """Blocks of one ONE_ROW trial, with the prefetch path on."""
+    with mock.patch.object(channel, "BLOCK_BYTES", ONE_ROW_BYTES), forced_prefetch(True):
+        assert channel.block_trials(ONE_ROW) == 1
+        yield
+
+
+def _pass_draws(cfg, trials, between=lambda: None):
+    """Copies of the g_sq and h_sq of every block of ``cfg``'s trials;
+    ``between`` runs after each."""
+    drawn = []
+    for _, _, blocks in channel.trial_passes([cfg], trials):
+        for *_, g_sq, h_sq in blocks:
+            drawn.append((g_sq.copy(), h_sq.copy()))
+            between()
+    return drawn
+
+
+def _assert_draws(cfg, drawn):
+    for t, (g_sq, h_sq) in enumerate(drawn):
+        real = draw_realization(cfg, t)
+        assert np.array_equal(g_sq[0], real.g_sq) and np.array_equal(h_sq[0], real.h_sq)
+
+
+def test_closing_a_pass_waits_for_its_pending_fill():
+    caller, draw = threading.current_thread(), channel._draw
+    started, lock, rows = threading.Event(), threading.Lock(), {"begun": 0, "done": 0}
+
+    def slow_worker_draw(rng, row):
+        if threading.current_thread() is caller:
+            return draw(rng, row)
+        with lock:
+            rows["begun"] += 1
+        started.set()
+        time.sleep(0.2)
+        draw(rng, row)
+        with lock:
+            rows["done"] += 1
+
+    with _one_row_blocks():
+        with mock.patch.object(channel, "_draw", slow_worker_draw):
+            [(_, _, blocks)] = channel.trial_passes([ONE_ROW], 10)
+            next(blocks)
+            assert started.wait(30)
+            blocks.close()
+            with lock:
+                assert rows["done"] == rows["begun"] >= 1
+        _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10))
+
+
+def test_forked_child_prefetches_with_its_own_worker():
+    # The parent's worker thread is started before the fork, and a fork
+    # copies only the forking thread: the child must start its own.
+    with _one_row_blocks():
+        parent = _pass_draws(ONE_ROW, 20)
+    assert any(t.name.startswith("cogdiv-fill") for t in threading.enumerate())
+    draw = channel._draw
+
+    def child_run(conn):
+        main, on_worker = threading.current_thread(), []
+
+        def noting_draw(rng, row):
+            on_worker.append(threading.current_thread() is not main)
+            draw(rng, row)
+
+        with _one_row_blocks(), mock.patch.object(channel, "_draw", noting_draw):
+            # A pause after each block lets the worker take the next one.
+            conn.send((_pass_draws(ONE_ROW, 20, between=lambda: time.sleep(0.002)), sum(on_worker)))
+        conn.close()
+
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=child_run, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the forked child's run did not end"
+        drawn, worker_rows = reader.recv()
+    finally:
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0 and worker_rows > 0
+    assert len(drawn) == len(parent) == 20
+    for (g_a, h_a), (g_b, h_b) in zip(drawn, parent):
+        assert np.array_equal(g_a, g_b) and np.array_equal(h_a, h_b)
+    _assert_draws(ONE_ROW, parent)
+
+
+def test_callers_of_many_threads_share_the_worker():
+    # Four caller threads on two CPUs give the one worker their rows, with
+    # a thread switch forced every microsecond: a row lost or taken twice
+    # between a caller and the worker leaves a block with wrong draws.
+    cfgs = [ONE_ROW.with_population(11, seed=seed) for seed in range(4)]
+    drawn, interval = {}, sys.getswitchinterval()
+
+    def run(cfg):
+        drawn[cfg.seed] = _pass_draws(cfg, 60)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with _one_row_blocks():
+            threads = [threading.Thread(target=run, args=(cfg,)) for cfg in cfgs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for cfg in cfgs:
+        _assert_draws(cfg, drawn[cfg.seed])
+
+
+def test_one_cpu_starts_no_worker():
+    def no_worker():
+        raise AssertionError("a fill worker was started on one CPU")
+
+    with _one_row_blocks(), mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True), \
+            mock.patch.object(channel, "_filler", no_worker):
+        _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10))
+
+
+#: Run as `python -c LATE_RUN`: a thread's run that starts after the
+#: interpreter began to exit, and shut the fill worker down, prints True
+#: if it equals the main thread's run.
+LATE_RUN = """
+import os, threading, time
+from cogdiv import NetworkConfig, harness
+os.sched_getaffinity = lambda pid: {0, 1}
+cfg = NetworkConfig.homogeneous(1000, 4, 4, 10.0, seed=1)   # 16 blocks of 20,000-draw trials
+first = harness.run_schemes(cfg, harness.SCHEMES, 64)
+def late_run():
+    while threading.main_thread().is_alive():
+        time.sleep(0.01)
+    time.sleep(0.2)
+    again = harness.run_schemes(cfg, harness.SCHEMES, 64)
+    print(all(first[s].trial_sum_rates.tolist() == again[s].trial_sum_rates.tolist()
+              for s in harness.SCHEMES))
+threading.Thread(target=late_run).start()
+"""
+
+
+def test_runs_after_the_worker_shut_down_fill_inline():
+    package_root = str(Path(cogdiv.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run([sys.executable, "-c", LATE_RUN],
+                            capture_output=True, text=True, timeout=120, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize("cfg", [

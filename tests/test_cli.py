@@ -231,11 +231,13 @@ def _python(*args, timeout=120):
 
 
 #: Run as `python -c BUDGET OUT CONFIG...`: prints, as JSON, the watched
-#: modules that each stage added to what `import numpy` loads.
+#: modules that each stage added to what `import numpy` loads.  Every run
+#: here is narrow or short, so none starts the channel's fill worker or
+#: loads `concurrent.futures` for it.
 BUDGET = """
 import contextlib, io, json, sys
 import numpy
-watched = ('scipy', 'numpy.ma', 'numpy.polynomial', 'decimal')
+watched = ('scipy', 'numpy.ma', 'numpy.polynomial', 'decimal', 'concurrent.futures')
 def loaded():
     return {m for m in sys.modules if any(m == w or m.startswith(w + '.') for w in watched)}
 baseline, report = loaded(), {}
@@ -298,7 +300,8 @@ def test_matching_up_to_four_bands_leaves_out_scipy_optimize(budget):
 def test_trial_paths_and_cli_load_no_numpy_ma_or_decimal(budget):
     # numpy.ma (np.unique loads it on numpy 2.x) adds about 1.3 MB and 14 ms
     # to a fresh process; decimal only formats the cell-budget error.  numpy
-    # 1.x loads numpy.ma and numpy.polynomial with numpy itself.
+    # 1.x loads numpy.ma and numpy.polynomial with numpy itself.  Only the
+    # fill worker of a wide, long span loads concurrent.futures.
     assert budget["cli"] == []
 
 

@@ -43,7 +43,7 @@ from cogdiv.channel import sinr_bounds
 from cogdiv.cli import parse_config, render_config
 from cogdiv.harness import json_data
 
-from conftest import heterogeneous_config
+from conftest import forced_prefetch, heterogeneous_config
 from oracles import (exact_exp1_ks, exact_q2, half_statistic_counts, optimal_assignment_exhaustive,
                      q2_error_bound, resolve_contention, weighted_sinr)
 
@@ -573,6 +573,31 @@ def test_sweep_across_seeding_pass_boundaries(template, n_values, trials, room):
             alone = run_trials(cfg, scheme, trials)
             assert json_data(paired) == json_data(alone)
             assert np.array_equal(paired.trial_sum_rates, alone.trial_sum_rates)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.homogeneous(30, 3, 2, 10.0, seed=5),
+    heterogeneous_config(),
+    NetworkConfig.homogeneous(12, 4, (0, 2, 4, 8), 5.0, seed=2),
+], ids=["homogeneous", "hetero_cfg", "k_0_2_4_8"])
+def test_prefetch_path_leaves_every_result_bit_for_bit(cfg):
+    # Forced on, every span of two or more blocks fills the next block on
+    # the worker; each call below has such spans (a block holds at most 64
+    # trials).
+    def schemes():
+        aggs = run_schemes(cfg, harness.SCHEMES, 300).values()
+        return [json_data(agg) for agg in aggs], [agg.trial_sum_rates.tolist() for agg in aggs]
+
+    runs = (schemes,
+            lambda: json_data(scaling_sweep(cfg, (cfg.num_secondary, 2 * cfg.num_secondary), 150)),
+            lambda: json_data(validate(cfg, 10_000)))
+    for run in runs:
+        with forced_prefetch(False) as given:
+            inline = run()
+        assert not given
+        with forced_prefetch(True) as given:
+            prefetched = run()
+        assert given and prefetched == inline
 
 
 def test_trial_streams_of_interleaved_threads_equal_default_rng():

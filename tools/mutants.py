@@ -100,8 +100,8 @@ MUTANTS = (
            'vars(_THREAD).pop("rows", ',
            'vars(_THREAD).get("rows", '),
     Mutant("buffer-kept-past-bound", "src/cogdiv/channel.py",
-           "            if buf.nbytes <= 2 * BLOCK_BYTES:\n",
-           "            if True:\n"),
+           "buf if buf.nbytes <= 2 * BLOCK_BYTES else np.empty(0)",
+           "buf"),
     Mutant("validate-failure-exits-0", "src/cogdiv/cli.py",
            "                    return 1\n",
            "                    return 0\n"),
@@ -212,6 +212,27 @@ MUTANTS = (
     Mutant("write-probe-by-name", "src/cogdiv/cli.py",
            "tempfile.TemporaryFile(dir=out_dir).close()",
            "(out_dir / \".write-probe\").touch(); (out_dir / \".write-probe\").unlink()"),
+    Mutant("prefetch-into-held-buffer", "src/cogdiv/channel.py",
+           "rows[(j + 1) % 2][:len(images)]",
+           "rows[j % 2][:len(images)]"),
+    Mutant("close-leaves-fill-pending", "src/cogdiv/channel.py",
+           "                    future.exception()   # waits for its last row, whatever it raised\n",
+           "                    pass\n"),
+    Mutant("filler-survives-fork", "src/cogdiv/channel.py",
+           "if _FILLER is None or _FILLER[0] != os.getpid():",
+           "if _FILLER is None:"),
+    Mutant("prefetch-on-one-cpu", "src/cogdiv/channel.py",
+           "\n                              and _cpus() > 1) else 1",
+           ") else 1"),
+    Mutant("no-inline-fallback", "src/cogdiv/channel.py",
+           "    _fill_from(todo, todo.pop)\n    if not future.cancel():\n        future.result()\n",
+           "    future.result()\n"),
+    Mutant("late-fill-given-to-a-shut-worker", "src/cogdiv/channel.py",
+           "    except RuntimeError:   # the interpreter is exiting, and the worker with it\n",
+           "    except ZeroDivisionError:\n"),
+    Mutant("executor-at-import", "src/cogdiv/channel.py",
+           "import os\n",
+           "import os\nfrom concurrent.futures import ThreadPoolExecutor\n"),
 )
 
 
