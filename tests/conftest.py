@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cogdiv import NetworkConfig, SinrTable, channel
+from cogdiv import NetworkConfig, SinrTable, channel, harness
 
 
 def heterogeneous_config(num_secondary=50, num_bands=4, k=4, snr_db=10.0,
@@ -57,6 +57,13 @@ def assert_csv_field(field: str, value) -> None:
     ``repr`` of its float, or of its int for an integer ``value``."""
     assert float(field) == value
     assert repr(type(value)(field)) == field
+
+
+@pytest.fixture(autouse=True)
+def no_law_checks_kept():
+    """Each test starts with no law-only checks kept by ``validate``, so a
+    test that patches a CDF reads its own scan whatever test ran before it."""
+    harness._LAST_LAW.clear()
 
 
 @pytest.fixture

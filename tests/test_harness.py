@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -505,6 +507,130 @@ def test_validate_cdf_dominance_reads_the_last_user_block(monkeypatch):
     check = {c.name: c for c in validate(cfg, samples=10_000).checks}["cdf_dominance"]
     assert check.statistic == brute
     assert not check.passed
+
+
+def _scanned_users(spy) -> int:
+    """Users whose exact CDF rows the law checks read: the cdf_exact calls
+    on the 2-D grid (exact_cdf_ks passes 1-D samples)."""
+    return sum(np.size(c.args[2]) for c in spy.call_args_list if np.ndim(c.args[0]) == 2)
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig.homogeneous(40, 2, (3, 1), 10.0),
+    NetworkConfig.homogeneous(47, 2, (3, 1), 7.0, pp_over_ps=0.3, eta=0.4, gamma=0.6),
+    NetworkConfig.homogeneous(53, 3, (4, 0, 2), 4.0, pp_over_ps=2.0, eta=[2.5] * 53,
+                              gamma=[[0.3, 1.1, 0.7, 1.9]] * 53),
+], ids=["unit-gamma", "non-unit-gamma-odd-n", "per-user-rows-odd-n"])
+def test_one_law_dominance_scan_reads_user_0_alone(cfg, monkeypatch):
+    # Every user's row of an all-users scan is user 0's bit for bit, so the
+    # statistic of user 0's row alone is the all-users one.  The upper-bound
+    # CDF is lifted 1e-6 above the exact one at one grid point, so the
+    # statistic is not 0.
+    grid, j = np.logspace(-3, 3, 400), 200
+    exact = cdf_exact(grid[None, :], 0, np.arange(cfg.num_secondary)[:, None], cfg)
+    assert cfg.one_law and (exact == exact[0]).all()
+    upper = analytics.cdf_upper
+
+    def lifted_upper(x, m, cfg):
+        hi = upper(x, m, cfg)
+        hi.flat[j] = exact[0, j] + 1e-6
+        return hi
+
+    monkeypatch.setattr(analytics, "cdf_upper", lifted_upper)
+    hi, lo = lifted_upper(grid, 0, cfg), analytics.cdf_lower(grid, 0, cfg)
+    brute = max(0.0, float(np.max(hi - exact)), float(np.max(exact - lo)))
+    assert brute > 0.0
+    with mock.patch.object(analytics, "cdf_exact", wraps=analytics.cdf_exact) as spy:
+        check = {c.name: c for c in validate(cfg, samples=10_000).checks}["cdf_dominance"]
+    assert _scanned_users(spy) == 1 + (cfg.bound_law(False) == cfg.bound_law(True))
+    assert check.statistic == brute
+    assert not check.passed
+
+
+#: Two bands of K = (3, 4), so gamma has a column beyond band 0's K.
+_LAW_CFG = heterogeneous_config(30, 2, (3, 4))
+
+
+def _edited(name, index, value):
+    """``_LAW_CFG`` with entry ``index`` of its array ``name`` set to ``value``."""
+    arr = getattr(_LAW_CFG, name).copy()
+    arr[index] = value
+    return dataclasses.replace(_LAW_CFG, **{name: arr})
+
+
+def _cold_validate(cfg):
+    harness._LAST_LAW.clear()
+    return validate(cfg, samples=10_000)
+
+
+def test_validate_scans_a_law_once_across_seeds():
+    with mock.patch.object(analytics, "cdf_exact", wraps=analytics.cdf_exact) as spy:
+        first = validate(_LAW_CFG, samples=10_000)
+        scanned = _scanned_users(spy)
+        second = validate(dataclasses.replace(_LAW_CFG, seed=_LAW_CFG.seed + 1), samples=10_000)
+    assert scanned == _LAW_CFG.num_secondary
+    assert _scanned_users(spy) == scanned
+    law = [i for i, c in enumerate(first.checks) if c.name == "cdf_dominance"]
+    assert law and second.checks[law[0]] is first.checks[law[0]]
+    assert first == _cold_validate(_LAW_CFG)
+    assert second == _cold_validate(dataclasses.replace(_LAW_CFG, seed=_LAW_CFG.seed + 1))
+    assert first != second   # the seed-dependent checks did run anew
+
+
+@pytest.mark.parametrize("changed", [
+    _edited("eta", 7, 1.9),
+    _edited("gamma", (7, 1), 3.9),
+    _edited("gamma", (7, 3), 8.0),   # beyond band 0's K: moves only bound_law
+    dataclasses.replace(_LAW_CFG, primary_count=(4, 3)),
+    # snr_db up 3 dB and pp_over_ps down 3 dB; pp_over_ps alone; snr_db alone.
+    dataclasses.replace(_LAW_CFG, power_secondary=2.0 * _LAW_CFG.power_secondary),
+    dataclasses.replace(_LAW_CFG, power_primary=2.0 * _LAW_CFG.power_primary),
+    dataclasses.replace(_LAW_CFG, noise_power=2.0 * _LAW_CFG.noise_power),
+    _LAW_CFG.with_population(29, seed=_LAW_CFG.seed),
+], ids=["eta", "gamma-in-band-0", "gamma-beyond-band-0", "K", "power_secondary",
+        "pp_over_ps", "snr_db", "N"])
+def test_validate_rescans_any_other_law(changed):
+    assert changed != dataclasses.replace(_LAW_CFG, seed=changed.seed)
+    validate(_LAW_CFG, samples=10_000)
+    with mock.patch.object(analytics, "cdf_exact", wraps=analytics.cdf_exact) as spy:
+        report = validate(changed, samples=10_000)
+    assert _scanned_users(spy) == changed.num_secondary
+    assert report == _cold_validate(changed)
+
+
+def test_threads_sharing_the_law_checks_get_their_own_law():
+    # Four threads take turns on two laws whose law checks differ in number,
+    # with a thread switch forced every microsecond: a kept law must never
+    # come back with the other law's checks.
+    cfgs = [NetworkConfig.homogeneous(30, 2, (3, 4), 10.0), _LAW_CFG]
+    expected = [harness._law_checks(cfg) for cfg in cfgs]
+    assert [len(checks) for checks in expected] == [2, 1]
+    wrong, interval = [], sys.getswitchinterval()
+
+    def run(first):
+        for turn in range(first, first + 60):
+            if harness._law_checks(cfgs[turn % 2]) != expected[turn % 2]:
+                wrong.append(turn)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(first,)) for first in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_validate_rescans_two_alternating_laws():
+    other = _edited("gamma", (0, 0), 1.5)
+    with mock.patch.object(analytics, "cdf_exact", wraps=analytics.cdf_exact) as spy:
+        reports = [validate(cfg, samples=10_000) for cfg in (_LAW_CFG, other) * 2]
+    assert _scanned_users(spy) == 4 * _LAW_CFG.num_secondary
+    assert reports[:2] == reports[2:]
 
 
 def test_validate_ks_checks_fail_on_exp_1_05_draws(monkeypatch):

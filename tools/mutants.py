@@ -175,6 +175,21 @@ MUTANTS = (
     Mutant("dominance-last-block-dropped", "src/cogdiv/harness.py",
            "    for start in range(0, users.size, width):",
            "    for start in range(0, users.size - users.size % width, width):"),
+    Mutant("one-law-scan-on-every-config", "src/cogdiv/harness.py",
+           "np.arange(1 if cfg.one_law else cfg.num_secondary)",
+           "np.arange(1)"),
+    Mutant("law-memo-keyed-on-seed", "src/cogdiv/harness.py",
+           'for f in dataclasses.fields(cfg) if f.name != "seed"]',
+           "for f in dataclasses.fields(cfg)]"),
+    Mutant("law-memo-ignores-gamma", "src/cogdiv/harness.py",
+           'for f in dataclasses.fields(cfg) if f.name != "seed"]',
+           'for f in dataclasses.fields(cfg) if f.name not in ("seed", "gamma")]'),
+    Mutant("law-memo-ignores-primary-count", "src/cogdiv/harness.py",
+           'for f in dataclasses.fields(cfg) if f.name != "seed"]',
+           'for f in dataclasses.fields(cfg) if f.name not in ("seed", "primary_count")]'),
+    Mutant("law-memo-without-key", "src/cogdiv/harness.py",
+           "    if last and all(np.array_equal(a, b) for a, b in zip(last[0], key)):",
+           "    if last:"),
     Mutant("nan-counts-as-ordered", "src/cogdiv/harness.py",
            "np.any(~(lower <= mid + tol), axis=(-2, -1)))\n"
            "               + np.count_nonzero(np.any(~(mid <= upper + tol), axis=(-2, -1)))",
