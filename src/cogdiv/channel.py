@@ -320,20 +320,10 @@ def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
     rng.standard_exponential(out=row)
 
 
-#: (pid, executor) of this process's fill worker, once it has one.
-_FILLER = None
-
-
 def _filler():
-    """This process's fill worker: one thread, started at its first fill.  A
-    forked child makes its own, since the parent's thread is not in it.
-    Two threads that ask for the first one at once may each make one;
-    either works."""
-    global _FILLER
-    if _FILLER is None or _FILLER[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-        _FILLER = os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill")
-    return _FILLER[1]
+    """A new fill worker for one pass: one thread, started at its first fill."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill")
 
 
 def _cpus() -> int:
@@ -342,12 +332,12 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _fill_ahead(images: np.ndarray, rows: np.ndarray) -> tuple:
+def _fill_ahead(worker, images: np.ndarray, rows: np.ndarray) -> tuple:
     """The (future, rows left) of the fill of ``rows`` from ``images``,
-    given to the fill worker, which takes the rows first to last."""
+    given to ``worker``, which takes the rows first to last."""
     todo = collections.deque(zip(images, rows))
     try:
-        return _filler().submit(_fill_from, todo, todo.popleft), todo
+        return worker.submit(_fill_from, todo, todo.popleft), todo
     except RuntimeError:   # the interpreter is exiting, and the worker with it
         from concurrent.futures import Future
         return Future(), todo   # never started: the caller fills every row
@@ -437,11 +427,13 @@ def trial_passes(cfgs, trials: int):
     A span of at least ``PREFETCH_BLOCKS`` blocks whose trials draw at
     least ``PREFETCH_DRAWS`` each, in a process that may run on two or
     more CPUs, fills its blocks in both buffers in turn: while the caller
-    holds one block, the process's fill worker (``_filler``) fills the
-    rows of the next into the other buffer, first to last.  Asked for that
+    holds one block, the pass's fill worker (``_filler``) fills the rows
+    of the next into the other buffer, first to last.  Asked for that
     block, the caller fills, last first, the rows the worker has not
     taken, and waits only for the row it is filling.  Any other span
-    fills each block in the first buffer when it is asked for.
+    fills each block in the first buffer when it is asked for.  A pass
+    shuts its worker down when its blocks end, are closed or raise, so
+    no fill thread outlives it; a forked child's passes start their own.
 
     A pass takes the buffers at its first block, grows each it uses to
     its largest block and gives them back when its blocks end or are
@@ -460,7 +452,7 @@ def _seeded_pass(cfgs, spans) -> tuple:
         [(cfgs[point].seed, _trials(start, count)) for point, start, count in spans])
 
     def blocks():
-        bufs, ahead, row = vars(_THREAD).pop("rows", None) or [np.empty(0)] * 2, None, 0
+        bufs, ahead, worker, row = vars(_THREAD).pop("rows", None) or [np.empty(0)] * 2, None, None, 0
         try:
             for point, first, count in spans:
                 cfg, step = cfgs[point], block_trials(cfgs[point])
@@ -483,15 +475,15 @@ def _seeded_pass(cfgs, spans) -> tuple:
                     ahead = None
                     if lanes > 1 and row + size < end:   # the worker fills the next block
                         images = fading[row + size:min(row + size + step, end)]
-                        ahead = _fill_ahead(images, rows[(j + 1) % 2][:len(images)])
+                        worker = worker or _filler()
+                        ahead = _fill_ahead(worker, images, rows[(j + 1) % 2][:len(images)])
                     yield point, start, row, *_split(cfg, block)
                     row += size
-        finally:   # no fill may outlast the pass's hold on its buffers
+        finally:   # no fill, and no worker, may outlast the pass's hold on its buffers
             if ahead is not None:
-                future, todo = ahead
-                todo.clear()   # the worker takes no further row
-                if not future.cancel():
-                    future.exception()   # waits for its last row, whatever it raised
+                ahead[1].clear()   # the worker takes no further row
+            if worker is not None:
+                worker.shutdown()   # waits for the row it is filling
             _THREAD.rows = [buf if buf.nbytes <= 2 * BLOCK_BYTES else np.empty(0) for buf in bufs]
 
     return spans, lambda rows, counts: _randoms(contention[rows], counts), blocks()

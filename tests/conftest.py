@@ -37,9 +37,9 @@ def forced_prefetch(on: bool, blocks: int = 1, draws: int = 1):
     limits = {"PREFETCH_BLOCKS": blocks if on else 2**62, "PREFETCH_DRAWS": draws}
     given, fill_ahead = [], channel._fill_ahead
 
-    def noting_fill_ahead(images, rows):
+    def noting_fill_ahead(worker, images, rows):
         given.append(len(images))
-        return fill_ahead(images, rows)
+        return fill_ahead(worker, images, rows)
 
     with mock.patch.multiple(channel, **limits), \
             mock.patch.object(channel, "_fill_ahead", noting_fill_ahead), \

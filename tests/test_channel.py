@@ -20,7 +20,7 @@ from cogdiv import (
     draw_realization,
 )
 import cogdiv
-from cogdiv import channel
+from cogdiv import channel, harness
 from cogdiv.channel import sinr_bounds
 
 from conftest import forced_prefetch, heterogeneous_config
@@ -159,10 +159,11 @@ def test_prefetched_and_inline_spans_equal_draw_realization():
 
 
 class _EagerWorker:
-    """A fill worker that runs each fill as it is given, noting the rows it fills."""
+    """A fill worker that runs each fill as it is given, noting the rows it
+    fills and the times it is shut down."""
 
     def __init__(self):
-        self.rows, self.running = [], False
+        self.rows, self.running, self.shutdowns = [], False, 0
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -172,6 +173,9 @@ class _EagerWorker:
         self.running = False
         future.set_result(None)
         return future
+
+    def shutdown(self):
+        self.shutdowns += 1
 
 
 def test_no_fill_targets_the_block_the_caller_holds():
@@ -192,6 +196,7 @@ def test_no_fill_targets_the_block_the_caller_holds():
     with mock.patch.object(channel, "_filler", lambda: worker), \
             mock.patch.object(channel, "_draw", noting_draw):
         assert _mixed_pass_blocks(check_block) == MIXED_PASSES
+    assert worker.shutdowns == 2   # once by each pass that gave it a fill
 
 
 class _NeverStarted(concurrent.futures.Future):
@@ -273,12 +278,19 @@ def test_closing_a_pass_waits_for_its_pending_fill():
         _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10))
 
 
+def _fill_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("cogdiv-fill")]
+
+
 def test_forked_child_prefetches_with_its_own_worker():
-    # The parent's worker thread is started before the fork, and a fork
-    # copies only the forking thread: the child must start its own.
+    # The fork happens while the parent's pass holds a live worker, and a
+    # fork copies only the forking thread: the child's passes must not
+    # rely on that worker, and start their own.
     with _one_row_blocks():
         parent = _pass_draws(ONE_ROW, 20)
-    assert any(t.name.startswith("cogdiv-fill") for t in threading.enumerate())
+        [(_, _, held)] = channel.trial_passes([ONE_ROW], 20)
+        next(held)   # block 1 is given to the pass's worker
+        assert _fill_threads()
     draw = channel._draw
 
     def child_run(conn):
@@ -305,6 +317,7 @@ def test_forked_child_prefetches_with_its_own_worker():
         child.join(60)
         if child.is_alive():
             child.kill()
+        held.close()
     assert child.exitcode == 0 and worker_rows > 0
     assert len(drawn) == len(parent) == 20
     for (g_a, h_a), (g_b, h_b) in zip(drawn, parent):
@@ -312,10 +325,50 @@ def test_forked_child_prefetches_with_its_own_worker():
     _assert_draws(ONE_ROW, parent)
 
 
+def test_no_fill_thread_outlives_its_pass():
+    # Each pass gets a new worker, and shuts it down however the pass ends:
+    # exhausted, closed with a fill pending, or abandoned by a consumer
+    # that raises; so does every pass of the harness's runs.
+    workers, filler = [], channel._filler
+
+    def noting_filler():
+        workers.append(filler())
+        return workers[-1]
+
+    def abandon_on_raise():
+        with pytest.raises(KeyError, match="the consumer failed"):
+            for *_, blocks in channel.trial_passes([ONE_ROW], 10):
+                for _ in blocks:
+                    raise KeyError("the consumer failed")
+
+    def ended(run):
+        """Run ``run``, which must start a worker, and check none is left running."""
+        given = len(workers)
+        run()
+        assert len(workers) > given and not _fill_threads()
+
+    with mock.patch.object(channel, "_filler", noting_filler):
+        with _one_row_blocks():
+            ended(lambda: _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10)))
+            [(_, _, blocks)] = channel.trial_passes([ONE_ROW], 10)
+            next(blocks)   # block 1 is given to the pass's worker
+            assert len(workers) == 2 and _fill_threads()
+            blocks.close()
+            assert not _fill_threads()
+            ended(abandon_on_raise)
+        cfg = NetworkConfig.homogeneous(10, 2, 2, 10.0, seed=5)   # blocks of 64 trials
+        with forced_prefetch(True):
+            ended(lambda: harness.run_schemes(cfg, harness.SCHEMES, 200))
+            ended(lambda: harness.scaling_sweep(cfg, [10, 20], 200))
+            ended(lambda: harness.validate(cfg, samples=10_000))
+    assert len({id(worker) for worker in workers}) == len(workers)
+
+
 def test_callers_of_many_threads_share_the_worker():
-    # Four caller threads on two CPUs give the one worker their rows, with
-    # a thread switch forced every microsecond: a row lost or taken twice
-    # between a caller and the worker leaves a block with wrong draws.
+    # Four caller threads on two CPUs, each pass racing its own worker on
+    # one deque of rows, with a thread switch forced every microsecond: a
+    # row lost or taken twice between a caller and its pass's worker leaves
+    # a block with wrong draws.
     cfgs = [ONE_ROW.with_population(11, seed=seed) for seed in range(4)]
     drawn, interval = {}, sys.getswitchinterval()
 
@@ -347,8 +400,8 @@ def test_one_cpu_starts_no_worker():
 
 
 #: Run as `python -c LATE_RUN`: a thread's run that starts after the
-#: interpreter began to exit, and shut the fill worker down, prints True
-#: if it equals the main thread's run.
+#: interpreter began to exit, when no executor takes a new fill, prints
+#: True if it equals the main thread's run.
 LATE_RUN = """
 import os, threading, time
 from cogdiv import NetworkConfig, harness

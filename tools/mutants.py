@@ -230,12 +230,12 @@ MUTANTS = (
     Mutant("prefetch-into-held-buffer", "src/cogdiv/channel.py",
            "rows[(j + 1) % 2][:len(images)]",
            "rows[j % 2][:len(images)]"),
-    Mutant("close-leaves-fill-pending", "src/cogdiv/channel.py",
-           "                    future.exception()   # waits for its last row, whatever it raised\n",
-           "                    pass\n"),
-    Mutant("filler-survives-fork", "src/cogdiv/channel.py",
-           "if _FILLER is None or _FILLER[0] != os.getpid():",
-           "if _FILLER is None:"),
+    Mutant("worker-outlives-pass", "src/cogdiv/channel.py",
+           "                worker.shutdown()   # waits for the row it is filling\n",
+           "                pass\n"),
+    Mutant("worker-kept-across-passes", "src/cogdiv/channel.py",
+           "def _filler():\n",
+           "@functools.cache\ndef _filler():\n"),
     Mutant("prefetch-on-one-cpu", "src/cogdiv/channel.py",
            "\n                              and _cpus() > 1) else 1",
            ") else 1"),
