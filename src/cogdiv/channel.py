@@ -333,14 +333,14 @@ def _cpus() -> int:
 
 
 def _fill_ahead(worker, images: np.ndarray, rows: np.ndarray) -> tuple:
-    """The (future, rows left) of the fill of ``rows`` from ``images``,
-    given to ``worker``, which takes the rows first to last."""
+    """The (rows left, future) of the fill of ``rows`` from ``images``,
+    given to ``worker``, which takes the rows first to last; the future
+    is None if the worker refuses it, and the caller fills every row."""
     todo = collections.deque(zip(images, rows))
     try:
-        return worker.submit(_fill_from, todo, todo.popleft), todo
+        return todo, worker.submit(_fill_from, todo, todo.popleft)
     except RuntimeError:   # the interpreter is exiting, and the worker with it
-        from concurrent.futures import Future
-        return Future(), todo   # never started: the caller fills every row
+        return todo, None
 
 
 def _fill_from(todo: collections.deque, take) -> None:
@@ -351,15 +351,6 @@ def _fill_from(todo: collections.deque, take) -> None:
         except IndexError:   # the other thread took the last one
             return
         _draw(_set_stream(image), out)
-
-
-def _finish_fill(ahead: tuple) -> None:
-    """Finish a fill of ``_fill_ahead``: fill here, last first, the rows the
-    worker has not taken, and wait for the row it is filling."""
-    future, todo = ahead
-    _fill_from(todo, todo.pop)
-    if not future.cancel():
-        future.result()
 
 
 def _row_width(cfg: NetworkConfig) -> int:
@@ -470,8 +461,11 @@ def _seeded_pass(cfgs, spans) -> tuple:
                     if ahead is None:
                         for image, out in zip(fading[row:row + size], block):
                             _draw(_set_stream(image), out)
-                    else:
-                        _finish_fill(ahead)
+                    else:   # fill here, last first, the rows the worker has not taken
+                        todo, future = ahead
+                        _fill_from(todo, todo.pop)
+                        if future is not None and not future.cancel():
+                            future.result()   # the row it is filling
                     ahead = None
                     if lanes > 1 and row + size < end:   # the worker fills the next block
                         images = fading[row + size:min(row + size + step, end)]
@@ -481,7 +475,7 @@ def _seeded_pass(cfgs, spans) -> tuple:
                     row += size
         finally:   # no fill, and no worker, may outlast the pass's hold on its buffers
             if ahead is not None:
-                ahead[1].clear()   # the worker takes no further row
+                ahead[0].clear()   # the worker takes no further row
             if worker is not None:
                 worker.shutdown()   # waits for the row it is filling
             _THREAD.rows = [buf if buf.nbytes <= 2 * BLOCK_BYTES else np.empty(0) for buf in bufs]

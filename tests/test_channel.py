@@ -210,7 +210,8 @@ class _NeverStarted(concurrent.futures.Future):
 
 def test_fills_that_never_start_are_filled_by_the_caller():
     # A worker that is late, as on a loaded machine, must not hold up a
-    # pass: the caller takes every row the worker has not.
+    # pass: the caller takes every row the worker has not.  Nor must one
+    # that refuses each fill, as a worker does once the interpreter exits.
     worker = mock.Mock()
     worker.submit.side_effect = lambda fn, *args: _NeverStarted()
     with mock.patch.object(channel, "_filler", lambda: worker):
@@ -220,6 +221,11 @@ def test_fills_that_never_start_are_filled_by_the_caller():
             [(_, _, blocks)] = channel.trial_passes([MIXED[0]], 200)
             next(blocks)
             blocks.close()
+    refusing = mock.Mock()
+    refusing.submit.side_effect = RuntimeError("cannot schedule new futures after interpreter shutdown")
+    with mock.patch.object(channel, "_filler", lambda: refusing):
+        assert _mixed_pass_blocks() == MIXED_PASSES
+        assert refusing.submit.call_count == 5
 
 
 #: 880 bytes of |h|^2 a trial: at BLOCK_BYTES = ONE_ROW_BYTES, blocks of
@@ -252,6 +258,10 @@ def _assert_draws(cfg, drawn):
         assert np.array_equal(g_sq[0], real.g_sq) and np.array_equal(h_sq[0], real.h_sq)
 
 
+def _fill_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("cogdiv-fill")]
+
+
 def test_closing_a_pass_waits_for_its_pending_fill():
     caller, draw = threading.current_thread(), channel._draw
     started, lock, rows = threading.Event(), threading.Lock(), {"begun": 0, "done": 0}
@@ -271,15 +281,12 @@ def test_closing_a_pass_waits_for_its_pending_fill():
         with mock.patch.object(channel, "_draw", slow_worker_draw):
             [(_, _, blocks)] = channel.trial_passes([ONE_ROW], 10)
             next(blocks)
+            assert _fill_threads()
             assert started.wait(30)
             blocks.close()
             with lock:
                 assert rows["done"] == rows["begun"] >= 1
         _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10))
-
-
-def _fill_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("cogdiv-fill")]
 
 
 def test_forked_child_prefetches_with_its_own_worker():

@@ -240,8 +240,9 @@ MUTANTS = (
            "\n                              and _cpus() > 1) else 1",
            ") else 1"),
     Mutant("no-inline-fallback", "src/cogdiv/channel.py",
-           "    _fill_from(todo, todo.pop)\n    if not future.cancel():\n        future.result()\n",
-           "    future.result()\n"),
+           "                        _fill_from(todo, todo.pop)\n"
+           "                        if future is not None and not future.cancel():\n",
+           "                        if future is not None:\n"),
     Mutant("late-fill-given-to-a-shut-worker", "src/cogdiv/channel.py",
            "    except RuntimeError:   # the interpreter is exiting, and the worker with it\n",
            "    except ZeroDivisionError:\n"),
