@@ -7,6 +7,7 @@ identical to drawing complex Gaussians and cheaper.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import functools
 import os
@@ -321,9 +322,27 @@ def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
 
 
 def _filler():
-    """A new fill worker for one pass: one thread, started at its first fill."""
+    """A new fill worker for one pass: one thread, started at its first fill
+    and pinned (``_pin``) to its caller's CPUs less the one the caller runs
+    on now.  The two cannot take turns on that CPU, and the caller, whose
+    own mask is unchanged, may still move."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill")
+    mask = getattr(os, "sched_getaffinity", lambda pid: set())(0)
+    return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill",
+                              initializer=_pin, initargs=(mask - {_cpu()},))
+
+
+def _cpu() -> int:
+    """The CPU the calling thread runs on, or -1 where libc cannot say."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        return ctypes.CDLL(None).sched_getcpu()
+    return -1
+
+
+def _pin(cpus) -> None:
+    """Pin the calling thread to ``cpus``, unless the system lacks the call or refuses."""
+    with contextlib.suppress(AttributeError, OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def _cpus() -> int:
@@ -425,6 +444,9 @@ def trial_passes(cfgs, trials: int):
     fills each block in the first buffer when it is asked for.  A pass
     shuts its worker down when its blocks end, are closed or raise, so
     no fill thread outlives it; a forked child's passes start their own.
+    The worker runs on the caller's CPUs less the one the caller ran on
+    when the worker was made, where the system lets a thread pin itself,
+    so the two do not take turns on one CPU.
 
     A pass takes the buffers at its first block, grows each it uses to
     its largest block and gives them back when its blocks end or are

@@ -406,6 +406,84 @@ def test_one_cpu_starts_no_worker():
         _assert_draws(ONE_ROW, _pass_draws(ONE_ROW, 10))
 
 
+def _real_cpus():
+    return getattr(os, "sched_getaffinity", lambda pid: set())(0)
+
+
+def _worker_row(timeout, seen=lambda thread: None):
+    """Whether the fill worker of a pass of one-row blocks draws block 1's
+    row within ``timeout`` seconds; ``seen`` gets each thread other than
+    the caller that draws a row, on that thread."""
+    caller, draw, drew = threading.current_thread(), channel._draw, threading.Event()
+
+    def noting_draw(rng, row):
+        if threading.current_thread() is not caller:
+            seen(threading.current_thread())
+            drew.set()
+        draw(rng, row)
+
+    with mock.patch.object(channel, "BLOCK_BYTES", ONE_ROW_BYTES), \
+            mock.patch.object(channel, "_draw", noting_draw):
+        [(_, _, blocks)] = channel.trial_passes([ONE_ROW], 10)
+        next(blocks)   # block 1 is given to the pass's worker, if any
+        try:
+            return drew.wait(timeout)
+        finally:
+            blocks.close()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(_real_cpus()) < 2,
+                    reason="needs Linux's affinity calls and two CPUs")
+@pytest.mark.parametrize("on", [True, False], ids=["prefetch", "inline"])
+def test_fill_worker_runs_off_its_callers_cpu(on):
+    # The worker may run on every CPU of its caller's mask but the one the
+    # caller runs on, here its highest, and the caller keeps its own mask.
+    # Masks are read with the real call, not forced_prefetch's two CPUs.
+    mask = os.sched_getaffinity
+    before, workers = mask(0), {}   # each fill thread that drew: its mask
+    assert channel._cpu() in before
+    cfg = NetworkConfig.homogeneous(10, 2, 2, 10.0, seed=5)   # blocks of 64 trials
+    try:
+        with forced_prefetch(on), mock.patch.object(os, "sched_getaffinity", mask), \
+                mock.patch.object(channel, "_cpu", lambda: max(before)):
+            seen = lambda thread: workers.setdefault(thread.name, mask(thread.native_id))
+            assert _worker_row(30 if on else 0, seen) == on
+            assert mask(0) == before
+            harness.run_schemes(cfg, harness.SCHEMES, 300)
+        assert mask(0) == before
+        assert bool(workers) == on and all(cpus == before - {max(before)} for cpus in workers.values())
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+def _harness_runs(cfg):
+    """``run_schemes``, ``scaling_sweep`` and ``validate`` on ``cfg``, as plain data."""
+    aggs = harness.run_schemes(cfg, harness.SCHEMES, 300).values()
+    return ([harness.json_data(agg) for agg in aggs], [agg.trial_sum_rates.tolist() for agg in aggs],
+            harness.json_data(harness.scaling_sweep(cfg, (cfg.num_secondary, 2 * cfg.num_secondary), 150)),
+            harness.json_data(harness.validate(cfg, 10_000)))
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["prefetch", "inline"])
+@pytest.mark.parametrize("pin", ["refused", "absent"])
+def test_unpinned_worker_leaves_every_result_bit_for_bit(pin, on, monkeypatch):
+    # A system that refuses the worker's pin, as a one-CPU runner does
+    # forced_prefetch's CPU 1, or has no call for it leaves the worker
+    # unpinned, and nothing raises.
+    cfg = NetworkConfig.homogeneous(30, 3, 2, 10.0, seed=5)
+    with forced_prefetch(on):
+        unpinned = _harness_runs(cfg)
+    refuse = mock.Mock(side_effect=OSError(22, "Invalid argument"))
+    if pin == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    with forced_prefetch(on) as given:
+        assert _harness_runs(cfg) == unpinned
+        assert _worker_row(30 if on else 0) == on   # an unpinned worker still fills
+    assert bool(given) == on and refuse.called == (on and pin == "refused")
+
+
 #: Run as `python -c LATE_RUN`: a thread's run that starts after the
 #: interpreter began to exit, when no executor takes a new fill, prints
 #: True if it equals the main thread's run.

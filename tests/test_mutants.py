@@ -1,6 +1,7 @@
 """The mutation gate's verdict on canned pytest runs and canned mutants (``tools/mutants.py``)."""
 import importlib.util
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,34 @@ def test_stale_mutants_stop_the_gate_before_any_run(tmp_path, monkeypatch, capsy
         {"name": "twice", "detail": "old string occurs 2 times in a.py"},
         {"name": "gone", "detail": "old string occurs 0 times in a.py"},
     ], "total": 3}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-x"], ["extra", "args"]])
+def test_any_argument_stops_the_gate_with_a_usage_line(argv, monkeypatch, capsys):
+    monkeypatch.setattr(mutants, "_mutated_copy",
+                        lambda scratch, mutant: pytest.fail("a tier-1 run started"))
+    assert mutants.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: python tools/mutants.py") and err.count("\n") == 1
+
+
+def test_sigterm_removes_the_gates_temporary_directory(monkeypatch):
+    # SIGTERM arrives once the gate has made its temporary directory, before
+    # any copy: the gate leaves by an exception, which removes the directory,
+    # and SIGTERM gets its handler back.
+    made = []
+
+    def terminated(tmp):
+        made.append(Path(tmp))
+        signal.raise_signal(signal.SIGTERM)
+
+    monkeypatch.setattr(mutants, "Path", terminated)
+    monkeypatch.setattr(mutants, "MUTANTS", ())   # none stale, even in a mutated copy
+    monkeypatch.setattr(mutants, "_mutated_copy",
+                        lambda scratch, mutant: pytest.fail("a tier-1 run started"))
+    handler = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(SystemExit) as stopped:
+        mutants.main()
+    assert stopped.value.code == 128 + signal.SIGTERM
+    assert len(made) == 1 and made[0].name.startswith("cogdiv-mutants-") and not made[0].exists()
+    assert signal.getsignal(signal.SIGTERM) is handler

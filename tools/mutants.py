@@ -20,6 +20,8 @@ exits non-zero if the control fails or if a mutant is not killed.  Before
 any run it checks every mutant's old string: if one no longer occurs
 exactly once (a refactor that moves the code must move the mutant with
 it), it prints every such mutant and exits non-zero without running.
+It takes no arguments: given any, it prints a usage line and exits 2.
+Stopped by SIGTERM, it kills the running pytest and removes its copy.
 Add the mutants that a change's new tests kill; never remove or weaken
 one to make the gate pass.
 """
@@ -29,6 +31,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -249,6 +252,23 @@ MUTANTS = (
     Mutant("executor-at-import", "src/cogdiv/channel.py",
            "import os\n",
            "import os\nfrom concurrent.futures import ThreadPoolExecutor\n"),
+    Mutant("worker-not-pinned", "src/cogdiv/channel.py",
+           ",\n                              initializer=_pin, initargs=(mask - {_cpu()},))",
+           ")"),
+    Mutant("worker-on-every-cpu", "src/cogdiv/channel.py",
+           "initargs=(mask - {_cpu()},)",
+           "initargs=(mask,)"),
+    Mutant("worker-off-the-lowest-cpu", "src/cogdiv/channel.py",
+           "initargs=(mask - {_cpu()},)",
+           "initargs=(mask - {min(mask)},)"),
+    Mutant("pin-refusal-raises", "src/cogdiv/channel.py",
+           "contextlib.suppress(AttributeError, OSError)",
+           "contextlib.suppress(AttributeError)"),
+    Mutant("caller-pinned", "src/cogdiv/channel.py",
+           '    return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill",\n'
+           "                              initializer=_pin, initargs=(mask - {_cpu()},))\n",
+           "    _pin(mask - {_cpu()})\n"
+           '    return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill")\n'),
 )
 
 
@@ -309,23 +329,36 @@ def _stale(mutants, root: Path) -> list[dict]:
             for mutant, matches in counts if matches != 1]
 
 
-def main() -> int:
+def _stop(signum, frame):
+    """Leave by an exception, so that ``subprocess.run`` kills its pytest
+    child and ``TemporaryDirectory`` removes the copy."""
+    raise SystemExit(128 + signum)
+
+
+def main(argv=()) -> int:
+    if argv:
+        print(f"usage: python tools/mutants.py (takes no arguments, got {' '.join(argv)})",
+              file=sys.stderr)
+        return 2
     stale = _stale(MUTANTS, ROOT)
     if stale:   # no run, since a stale mutant fails the gate whatever the tests do
         print(json.dumps({"stale": stale, "total": len(MUTANTS)}, indent=2))
         return 1
-    results = []
-    with tempfile.TemporaryDirectory(prefix="cogdiv-mutants-") as tmp:
-        scratch = Path(tmp)
-        status, detail, seconds = _run_tier1(_mutated_copy(scratch, None))
-        control = {"passed": status == "survived",   # every test passed
-                   "failed_test": detail,
-                   "seconds": round(seconds, 1)}
-        # A kill means nothing unless the unchanged tree passes.
-        for mutant in MUTANTS if control["passed"] else ():
-            status, detail, seconds = _run_tier1(_mutated_copy(scratch, mutant))
-            results.append({"name": mutant.name, "status": status, "seconds": round(seconds, 1),
-                            "killed_by" if status == "killed" else "detail": detail})
+    results, stopped = [], signal.signal(signal.SIGTERM, _stop)
+    try:
+        with tempfile.TemporaryDirectory(prefix="cogdiv-mutants-") as tmp:
+            scratch = Path(tmp)
+            status, detail, seconds = _run_tier1(_mutated_copy(scratch, None))
+            control = {"passed": status == "survived",   # every test passed
+                       "failed_test": detail,
+                       "seconds": round(seconds, 1)}
+            # A kill means nothing unless the unchanged tree passes.
+            for mutant in MUTANTS if control["passed"] else ():
+                status, detail, seconds = _run_tier1(_mutated_copy(scratch, mutant))
+                results.append({"name": mutant.name, "status": status, "seconds": round(seconds, 1),
+                                "killed_by" if status == "killed" else "detail": detail})
+    finally:
+        signal.signal(signal.SIGTERM, stopped)
     killed = sum(r["status"] == "killed" for r in results)
     print(json.dumps({"control": control, "mutants": results, "killed": killed,
                       "total": len(MUTANTS)}, indent=2))
@@ -333,4 +366,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
