@@ -322,10 +322,10 @@ def _draw(rng: np.random.Generator, row: np.ndarray) -> None:
 
 
 def _filler():
-    """A new fill worker for one pass: one thread, started at its first fill
-    and pinned (``_pin``) to its caller's CPUs less the one the caller runs
-    on now.  The two cannot take turns on that CPU, and the caller, whose
-    own mask is unchanged, may still move."""
+    """A new fill worker for one pass: one thread, started at its first fill,
+    named and pinned (``_pin``) to its caller's CPUs less the one the caller
+    runs on now.  The two cannot take turns on that CPU, and the caller,
+    whose own mask is unchanged, may still move."""
     from concurrent.futures import ThreadPoolExecutor
     mask = getattr(os, "sched_getaffinity", lambda pid: set())(0)
     return ThreadPoolExecutor(1, thread_name_prefix="cogdiv-fill",
@@ -340,7 +340,10 @@ def _cpu() -> int:
 
 
 def _pin(cpus) -> None:
-    """Pin the calling thread to ``cpus``, unless the system lacks the call or refuses."""
+    """Name the calling thread ``cogdiv-fill`` for the OS, as ``top -H`` shows
+    it, and pin it to ``cpus``; each unless the system lacks the call or refuses."""
+    with contextlib.suppress(AttributeError, OSError, TypeError):
+        ctypes.CDLL(None).prctl(15, b"cogdiv-fill")   # 15: PR_SET_NAME
     with contextlib.suppress(AttributeError, OSError):
         os.sched_setaffinity(0, cpus)
 

@@ -2,10 +2,11 @@
 
 Configuration is a flat ``key = value`` document, one pair per line,
 ``#`` comments allowed; a key unknown or given twice is an error.  Lists
-are comma-separated; gamma may give one row per user with rows separated
-by ``;``.  A single value of K, eta or gamma fills its whole shape, as
-``NetworkConfig`` fills it.  Powers are configured in dB (``snr_db``)
-with ``pp_over_ps`` as a linear ratio.
+are comma-separated, and blank entries are skipped; gamma may give one row
+per user with rows separated by ``;``, all of one length.  A single value
+of K, eta or gamma fills its whole shape, as ``NetworkConfig`` fills it.
+Powers are configured in dB (``snr_db``) with ``pp_over_ps`` as a linear
+ratio.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import harness
 from .channel import UnsupportedNumpyError
@@ -35,11 +38,22 @@ def _scalar(text: str):
 
 
 def _list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+    """The comma-separated numbers of ``text``, blank entries skipped."""
+    try:
+        return list(map(float, text.split(",")))
+    except ValueError:   # a blank entry, or a malformed one that raises again here
+        return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _rows(text: str) -> list:
-    return [_list(row) for row in text.split(";") if row.strip()]
+def _rows(text: str):
+    """The ``;``-separated rows of ``_list`` numbers in ``text``: one float
+    array if every row has one width and no blank entry, else a list of rows."""
+    rows = text.split(";")
+    if len({row.count(",") for row in rows}) == 1:
+        values = text.replace(";", ",").split(",")
+        with contextlib.suppress(ValueError):   # a blank or malformed entry: row by row
+            return np.fromiter(map(float, values), float, len(values)).reshape(len(rows), -1)
+    return [_list(row) for row in rows if row.strip()]
 
 
 #: Each key of the document: the library's name for it and its parser.  A network
@@ -122,7 +136,8 @@ def render_config(cfg: NetworkConfig) -> str:
                   snr_db=_db_text(cfg.snr()), pp_over_ps=repr(cfg.pp_over_ps()),
                   eta=",".join(map(repr, cfg.eta.tolist())), seed=cfg.seed)
     if cfg.k_max():
-        values["gamma"] = ";".join(",".join(map(repr, row)) for row in cfg.gamma.tolist())
+        n, k = cfg.gamma.shape
+        values["gamma"] = ";".join([",".join(["%r"] * k)] * n) % tuple(cfg.gamma.ravel().tolist())
     return "".join(f"{key} = {values[name]}\n" for key, (name, _) in _DOCUMENT.items()
                    if name in values)
 

@@ -7,7 +7,10 @@ SINR formula written out.  None runs on a package path: the engine's own
 implementations are ``centralized.matched_users``,
 ``distributed.contention_winners`` and ``channel.sinr_block``.
 ``exact_q2`` and ``exact_exp1_ks`` are ``validate``'s chi-square p-value and
-Exp(1) KS distance in 60-digit ``decimal`` arithmetic.
+Exp(1) KS distance in 60-digit ``decimal`` arithmetic.  ``list_reference``,
+``rows_reference`` and ``gamma_text_reference`` read and write a config
+document's lists entry by entry: the references for ``cogdiv.cli``'s
+one-pass list readers and its gamma writer.
 """
 from __future__ import annotations
 
@@ -120,3 +123,18 @@ def exact_exp1_ks(x):
             cdf = 1 - (-Decimal(x[j])).exp()
             exact += [Decimal(j + 1) / n - cdf, cdf - Decimal(j) / n]
         return max(exact)
+
+
+def list_reference(text: str) -> list:
+    """A config document's comma list, read entry by entry, blank entries skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def rows_reference(text: str) -> list:
+    """A config document's ``;``-separated rows of ``list_reference`` numbers, blank rows skipped."""
+    return [list_reference(row) for row in text.split(";") if row.strip()]
+
+
+def gamma_text_reference(gamma) -> str:
+    """A config document's gamma value, written row by row."""
+    return ";".join(",".join(map(repr, row)) for row in gamma.tolist())

@@ -291,19 +291,48 @@ def test_bound_interleaving():
 # 7. Normalized thresholds equalize access across users.
 # ---------------------------------------------------------------------------
 
-def test_fairness():
+#: The joint fairness gate's size: a correct engine fails it at this rate a seed.
+FAIRNESS_JOINT_SIZE = 1e-3
+
+
+@pytest.fixture(scope="module")
+def fairness_run():
+    """One distributed run of 10^5 trials at N = 50, and the candidacy probability omega."""
     cfg = NetworkConfig.homogeneous(
         num_secondary=50, num_bands=4, primary_count=4, snr_db=10.0, seed=404)
     trials = 100_000
     agg = harness.run_trials(cfg, "distributed", trials)
-    omega = distributed.candidacy_probability(cfg.num_secondary, cfg.num_bands)
+    return cfg, trials, agg, distributed.candidacy_probability(cfg.num_secondary, cfg.num_bands)
+
+
+def test_fairness(fairness_run):
+    # Each user within 3 sigma: the users' counts are independent, so a
+    # correct engine fails this at 1 - (1 - P(|z| > 3))^N a seed.
+    cfg, trials, agg, omega = fairness_run
     band = 3.0 * math.sqrt(omega * (1.0 - omega) / trials)
     dev = np.abs(agg.per_user_candidacy - omega)
+    false_alarm = 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** cfg.num_secondary
     _report(
         "fairness",
         float(dev.max()) <= band,
         f"max |freq - {omega:.6f}| = {dev.max():.2e}, 3-sigma band {band:.2e}, "
-        f"{trials} trials, {cfg.num_secondary} users",
+        f"{trials} trials, {cfg.num_secondary} users, false-alarm rate {false_alarm:.1%} a seed",
+    )
+
+
+def test_fairness_joint(fairness_run):
+    # Every user's deviation at once: the sum of the users' squared
+    # z-scores is chi-square with N degrees of freedom, so a correct engine
+    # fails this at its size a seed.
+    cfg, trials, agg, omega = fairness_run
+    z = (agg.per_user_candidacy - omega) / math.sqrt(omega * (1.0 - omega) / trials)
+    statistic = float(np.sum(z ** 2))
+    p_value = float(stats.chi2.sf(statistic, cfg.num_secondary))
+    _report(
+        "fairness-joint",
+        p_value >= FAIRNESS_JOINT_SIZE,
+        f"sum z^2 = {statistic:.2f} against chi2({cfg.num_secondary}), p = {p_value:.3g}, "
+        f"{trials} trials, false-alarm rate {FAIRNESS_JOINT_SIZE:.1%} a seed",
     )
 
 

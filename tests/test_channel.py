@@ -456,6 +456,16 @@ def test_fill_worker_runs_off_its_callers_cpu(on):
         os.sched_setaffinity(0, before)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads Linux's /proc thread names")
+def test_fill_worker_has_its_own_os_thread_name():
+    # top -H, ps -L and /proc tell the worker from its caller by this name.
+    names = []
+    seen = lambda thread: names.append(Path(f"/proc/self/task/{thread.native_id}/comm").read_text())
+    with forced_prefetch(True):
+        assert _worker_row(30, seen)
+    assert names and set(names) == {"cogdiv-fill\n"}
+
+
 def _harness_runs(cfg):
     """``run_schemes``, ``scaling_sweep`` and ``validate`` on ``cfg``, as plain data."""
     aggs = harness.run_schemes(cfg, harness.SCHEMES, 300).values()

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cogdiv
-from cogdiv import ConfigError, NetworkConfig
+import oracles
+from cogdiv import ConfigError, NetworkConfig, cli
 from cogdiv.cli import main, parse_config, render_config
 
 from conftest import assert_csv_field
@@ -587,3 +590,119 @@ def test_json_outputs_keep_their_key_order(tmp_path):
     assert list(validate) == ["passed", "checks"]
     assert all(list(check) == ["name", "passed", "statistic", "threshold"]
                for check in validate["checks"])
+
+
+# -- the document's list syntax, against the entry-by-entry reader -----------
+
+SCRIPTS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")
+BLANKS = st.sampled_from(["", " ", "\t", "  "])
+MALFORMED = st.sampled_from(["x", "1..2", "1__0", "_1", "1_", "1e", "--1", "1 2", "0x10",
+                             "nan_", "+-1", "١.٢.٣", "∞"])
+
+
+@st.composite
+def number_texts(draw, value, special=False):
+    """``value`` written as a user might write it: in some float format, with a
+    sign, in `_`-separated or non-ASCII digits, padded with spaces; if
+    ``special``, perhaps as a signed, zero, NaN or infinite value instead."""
+    if special and draw(st.booleans()):
+        value = draw(st.sampled_from([0.0, -1.5, math.nan, math.inf, -math.inf]))
+    text = draw(st.sampled_from([repr(value), f"{value:e}", f"{value:E}", f"{value:g}",
+                                 f"{value:+}", f"{value:.3f}"]))
+    if value.is_integer():
+        text = draw(st.sampled_from([text, f"{int(value):_}", "_".join(str(int(value)))]))
+    text = text.translate(str.maketrans(SCRIPTS[0], draw(st.sampled_from(SCRIPTS))))
+    return draw(BLANKS) + text + draw(BLANKS)
+
+
+@st.composite
+def list_texts(draw, values, flaw=""):
+    """``values`` as one comma list, with the ``flaw`` (a blank entry, a
+    trailing comma, a malformed or a special entry) perhaps put in."""
+    entries = [draw(number_texts(value, flaw == "special")) for value in values]
+    if flaw == "blank" and draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(BLANKS))
+    if flaw == "malformed" and entries and draw(st.booleans()):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(MALFORMED)
+    return ",".join(entries) + (draw(st.sampled_from(["", ",", ", "])) if flaw == "blank" else "")
+
+
+@st.composite
+def list_documents(draw):
+    """A config document whose K, eta, gamma and sweep lists are written in
+    every way the syntax allows, each with at most one kind of flaw: blank
+    entries and rows, malformed or special entries, or a ragged gamma row."""
+    flaw = draw(st.sampled_from(["", "", "", "blank", "malformed", "special", "ragged"]))
+    n = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=min(n, 3)))
+    positive = st.floats(0.01, 1000.0) | st.integers(1, 2000).map(float)
+    eta = draw(st.lists(positive, min_size=1, max_size=1) | st.just(draw(
+        st.lists(positive, min_size=n, max_size=n))))
+    width = draw(st.sampled_from([max(counts), max(counts), 1]))
+    rows = [draw(st.lists(positive, min_size=width, max_size=width)) for _ in range(n)]
+    if len(rows) == 1 and draw(st.booleans()):   # one value for every user
+        rows = [rows[0][:1]]
+    if flaw == "ragged":
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row.append(1.0) if draw(st.booleans()) or not row else row.pop()
+    gamma = [draw(list_texts(row, flaw)) for row in rows]
+    if flaw == "blank" and draw(st.booleans()):   # a blank row
+        gamma.insert(draw(st.integers(0, len(gamma))), draw(BLANKS))
+    lines = [f"N = {n}", f"M = {len(counts)}", "snr_db = 10",
+             "K = " + draw(list_texts([float(k) for k in counts], flaw)),
+             "eta = " + draw(list_texts(eta, flaw)),
+             "gamma = " + ";".join(gamma) + (";" if flaw == "blank" and draw(st.booleans())
+                                             else ""),
+             "n_values = " + draw(list_texts(draw(st.lists(positive, max_size=3)), flaw))]
+    return "\n".join(lines) + "\n"
+
+
+def _read(text):
+    """``cli._parse(text)`` with the NaN-safe repr of its settings, or its ConfigError's text."""
+    try:
+        cfg, settings = cli._parse(text)
+    except ConfigError as exc:
+        return str(exc)
+    return cfg, repr(settings)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(list_documents())
+@example("N=2\nM=1\nK=2\nsnr_db=10\ngamma=1,2,3;4\n")   # ragged, but 4 values fill 2 x 2
+@example("N=2\nM=1\nK=1\nsnr_db=10\neta = 1, ,2,\ngamma = 1;2;\n")
+@example("N=2\nM=1\nK=2\nsnr_db=10\ngamma = 1,2;3,\n")
+@example("N=1\nM=1\nK=0\nsnr_db=10\ngamma = ,\n")
+@example("N=1\nM=1\nK=1\nsnr_db=10\ngamma = \n")
+@example("N=2\nM=1\nK=2\nsnr_db=10\ngamma = 1_0,٢;+1e0, 3 \nn_values = 1_0, 2e1\n")
+def test_list_syntax_reads_as_entry_by_entry(doc):
+    # The one-pass readers accept the documents the entry-by-entry reader
+    # accepts, with equal values, and reject the rest with its message.
+    with mock.patch.dict(cli._DOCUMENT, {key: (name, oracles.list_reference)
+                                         for key, (name, parse) in cli._DOCUMENT.items()
+                                         if parse is cli._list}), \
+            mock.patch.dict(cli._DOCUMENT, gamma=("gamma", oracles.rows_reference)):
+        reference = _read(doc)
+    assert _read(doc) == reference
+
+
+@st.composite
+def rendered_configs(draw):
+    """Heterogeneous configs with unequal K per band, K = 0 and one gamma value among them."""
+    n = draw(st.integers(1, 8))
+    counts = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=min(n, 4))))
+    positive = st.floats(2.0 ** -20, 2.0 ** 20)
+    gamma = draw(positive | st.lists(st.lists(positive, min_size=max(counts),
+                                              max_size=max(counts)), min_size=n, max_size=n))
+    return NetworkConfig(num_secondary=n, num_bands=len(counts), primary_count=counts,
+                         power_secondary=10.0, power_primary=10.0, noise_power=1.0,
+                         eta=draw(st.lists(positive, min_size=n, max_size=n)), gamma=gamma)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rendered_configs())
+def test_render_config_writes_gamma_row_by_row(cfg):
+    lines = render_config(cfg).splitlines()
+    gamma = [line for line in lines if line.startswith("gamma = ")]
+    assert gamma == ([f"gamma = {oracles.gamma_text_reference(cfg.gamma)}"]
+                     if cfg.k_max() else [])
+    assert parse_config(render_config(cfg)) == cfg
