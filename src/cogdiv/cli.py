@@ -39,10 +39,7 @@ def _scalar(text: str):
 
 def _list(text: str) -> list:
     """The comma-separated numbers of ``text``, blank entries skipped."""
-    try:
-        return list(map(float, text.split(",")))
-    except ValueError:   # a blank entry, or a malformed one that raises again here
-        return [float(v) for v in text.split(",") if v.strip()]
+    return list(map(float, filter(str.strip, text.split(","))))
 
 
 def _rows(text: str):

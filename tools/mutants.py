@@ -273,13 +273,12 @@ MUTANTS = (
            '    if len({row.count(",") for row in rows}) == 1:\n',
            "    if True:\n"),
     Mutant("blank-entries-not-skipped", "src/cogdiv/cli.py",
-           "    except ValueError:   # a blank entry, or a malformed one that raises again here\n",
-           "    except ZeroDivisionError:\n"),
+           "filter(str.strip, text.split(\",\"))", "filter(None, text.split(\",\"))"),
     Mutant("blank-gamma-entries-not-skipped", "src/cogdiv/cli.py",
            "        with contextlib.suppress(ValueError):   # a blank or malformed entry: row by row\n",
            "        if True:\n"),
     Mutant("worker-os-name-unset", "src/cogdiv/channel.py",
-           '        ctypes.CDLL(None).prctl(15, b"cogdiv-fill")   # 15: PR_SET_NAME\n',
+           '        ctypes.PyDLL(None).prctl(15, b"cogdiv-fill")   # 15: PR_SET_NAME\n',
            "        pass\n"),
     Mutant("every-other-threshold-1pct-low", "src/cogdiv/harness.py",
            "distributed.claimants(sinr, lams[point])",
