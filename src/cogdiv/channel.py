@@ -341,11 +341,11 @@ def _cpu() -> int:
 
 def _pin(cpus) -> None:
     """Name the calling thread ``cogdiv-fill`` for the OS, as ``top -H`` shows
-    it, and pin it to ``cpus``; each unless the system lacks the call or refuses.
-    ``PyDLL`` keeps the GIL through ``prctl``: a ``CDLL`` call would drop it,
-    and the new worker would wait for its caller to hand it back."""
-    with contextlib.suppress(AttributeError, OSError, TypeError):
-        ctypes.PyDLL(None).prctl(15, b"cogdiv-fill")   # 15: PR_SET_NAME
+    it, and pin it to ``cpus``; each unless the system lacks the file or call
+    or refuses.  The name is written to ``/proc/thread-self/comm``: ``prctl``
+    through ``ctypes`` set it too, but slowed the passes that started it."""
+    with contextlib.suppress(OSError), open("/proc/thread-self/comm", "w") as comm:
+        comm.write("cogdiv-fill")
     with contextlib.suppress(AttributeError, OSError):
         os.sched_setaffinity(0, cpus)
 

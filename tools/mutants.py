@@ -278,7 +278,7 @@ MUTANTS = (
            "        with contextlib.suppress(ValueError):   # a blank or malformed entry: row by row\n",
            "        if True:\n"),
     Mutant("worker-os-name-unset", "src/cogdiv/channel.py",
-           '        ctypes.PyDLL(None).prctl(15, b"cogdiv-fill")   # 15: PR_SET_NAME\n',
+           '        comm.write("cogdiv-fill")\n',
            "        pass\n"),
     Mutant("every-other-threshold-1pct-low", "src/cogdiv/harness.py",
            "distributed.claimants(sinr, lams[point])",
